@@ -10,12 +10,13 @@ guarantees.  This benchmark sweeps a ≥10k-point Laplace space twice —
 
 — cross-checks the merged store against the serial one with
 :func:`store_diff` (the correctness half of the claim: fan-out must not
-change a single record), and emits
+change a single record), and emits ``BENCH_campaign_shard.json`` under
+pytest's ``tmp_path``.  Recording refreshes the committed
 ``benchmarks/results/BENCH_campaign_shard.json`` so the scaling trajectory
-is comparable across PRs::
+is comparable across changes::
 
     REPRO_SLOW=1 PYTHONPATH=src python -m pytest \
-        benchmarks/test_bench_campaign_shard.py -s
+        benchmarks/test_bench_campaign_shard.py -s --record-results
 
 The ≥``SPEEDUP_FLOOR``× throughput floor is only enforceable where the
 hardware can express it: a 4-way fan-out cannot beat serial on a 1- or
@@ -27,7 +28,6 @@ reader of the committed numbers knows which regime produced them.
 import json
 import os
 import time
-from pathlib import Path
 
 import pytest
 
@@ -45,7 +45,7 @@ SHARDS = 4
 #: only on hosts with at least ``SHARDS`` CPUs (see module docstring).
 SPEEDUP_FLOOR = 3.0
 
-RESULTS_JSON = Path(__file__).parent / "results" / "BENCH_campaign_shard.json"
+RESULTS_NAME = "BENCH_campaign_shard.json"
 
 
 def _bench_space() -> ScenarioSpace:
@@ -59,7 +59,7 @@ def _bench_space() -> ScenarioSpace:
 
 
 @pytest.mark.slow
-def test_sharded_campaign_throughput(tmp_path):
+def test_sharded_campaign_throughput(tmp_path, results_dir):
     """The committed scaling numbers: serial vs 4-shard wall time + drift."""
     space = _bench_space()
     points, rejected = space.expand_with_rejects()
@@ -125,8 +125,9 @@ def test_sharded_campaign_throughput(tmp_path):
           f"(floor {SPEEDUP_FLOOR:.1f}x "
           f"{'enforced' if floor_enforced else 'not enforced: < 4 CPUs'})")
 
-    RESULTS_JSON.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_JSON.write_text(json.dumps(record, indent=2) + "\n")
+    results_json = results_dir / RESULTS_NAME
+    results_json.parent.mkdir(parents=True, exist_ok=True)
+    results_json.write_text(json.dumps(record, indent=2) + "\n")
 
     if floor_enforced:
         assert speedup >= SPEEDUP_FLOOR, \

@@ -15,10 +15,12 @@ over localhost sockets and pins:
   ≤ ``RESILIENCE_OVERHEAD_BUDGET`` on the cached p50, same budget
   discipline as the simulator's ``obs_overhead`` pin.
 
-Each run emits ``benchmarks/results/BENCH_serve.json`` so the serving
-trajectory is comparable across PRs::
+Each run emits ``BENCH_serve.json`` under pytest's ``tmp_path``; recording
+refreshes the committed ``benchmarks/results/BENCH_serve.json`` so the
+serving trajectory is comparable across changes::
 
-    PYTHONPATH=src python -m pytest benchmarks/test_bench_serve.py -s
+    PYTHONPATH=src python -m pytest benchmarks/test_bench_serve.py -s \
+        --record-results
 """
 
 import json
@@ -51,19 +53,20 @@ THROUGHPUT_REQUESTS = 30_000
 RESILIENCE_OVERHEAD_BUDGET = 0.03
 RESILIENCE_OVERHEAD_SAMPLES = 400
 
-RESULTS_JSON = Path(__file__).parent / "results" / "BENCH_serve.json"
+RESULTS_NAME = "BENCH_serve.json"
 
 
-def _merge_results_json(updates: dict) -> None:
-    """Read-merge-write ``RESULTS_JSON`` so the latency/throughput and
-    resilience-overhead tests can each refresh their own fields without
-    clobbering the other's committed numbers."""
+def _merge_results_json(results_dir: Path, updates: dict) -> None:
+    """Read-merge-write ``results_dir / RESULTS_NAME`` so the
+    latency/throughput and resilience-overhead tests can each refresh their
+    own fields without clobbering the other's recorded numbers."""
+    path = results_dir / RESULTS_NAME
     data = {}
-    if RESULTS_JSON.exists():
-        data = json.loads(RESULTS_JSON.read_text())
+    if path.exists():
+        data = json.loads(path.read_text())
     data.update(updates)
-    RESULTS_JSON.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_JSON.write_text(json.dumps(data, indent=2) + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def _request_bytes(host: str, port: int) -> bytes:
@@ -151,7 +154,7 @@ def _measure_throughput(host: str, port: int) -> dict:
     }
 
 
-def test_serve_cached_latency_and_throughput():
+def test_serve_cached_latency_and_throughput(results_dir):
     """The committed serving numbers: p50/p99 latency + the ≥10k/s floor."""
     with ServerThread(ServeOptions(port=0, cache_size=64)) as (host, port):
         _warm(host, port)
@@ -166,7 +169,7 @@ def test_serve_cached_latency_and_throughput():
           f"predictions/s ({throughput['requests']} requests, pipeline "
           f"depth {throughput['pipeline_depth']})")
 
-    _merge_results_json({
+    _merge_results_json(results_dir, {
         "schema": 1,
         "benchmark": "serve",
         "scenario": json.loads(BODY),
@@ -196,7 +199,7 @@ def _cached_p50_us(host: str, port: int) -> float:
     return statistics.median(samples)
 
 
-def test_resilience_hooks_disabled_overhead_cached_p50():
+def test_resilience_hooks_disabled_overhead_cached_p50(results_dir):
     """Deadline/retry/shedding hooks with no fault plan cost <= 3% on
     cached p50.
 
@@ -233,7 +236,7 @@ def test_resilience_hooks_disabled_overhead_cached_p50():
     print(f"\nserve resilience overhead (cached p50): "
           f"{plain_p50:.1f} us plain, {hooked_p50:.1f} us with hooks "
           f"({overhead:+.2%})")
-    _merge_results_json({
+    _merge_results_json(results_dir, {
         "resilience_overhead": {
             "plain_p50_us": round(plain_p50, 1),
             "hooked_p50_us": round(hooked_p50, 1),

@@ -21,12 +21,15 @@ This benchmark pins the tentpole claims on the ``modern-cluster`` target:
 * p = 1024 and p = 4096 contention-free (crossbar fabric) simulations
   complete inside their wall-clock budgets.
 
-Each run also emits ``benchmarks/results/BENCH_simulator_scale.json`` —
-machine-readable per-p wall-clocks and speedups — so the performance
-trajectory is comparable across PRs, and regenerates the README
-"Performance" table from the same rows (run with ``-s`` to see it)::
+Each run also emits ``BENCH_simulator_scale.json`` — machine-readable
+per-p wall-clocks and speedups — under pytest's ``tmp_path``, and
+regenerates the README "Performance" table from the same rows (run with
+``-s`` to see it).  Recording refreshes the committed
+``benchmarks/results/BENCH_simulator_scale.json`` so the performance
+trajectory is comparable across changes::
 
-    PYTHONPATH=src python -m pytest benchmarks/test_bench_simulator_scale.py -s
+    PYTHONPATH=src python -m pytest benchmarks/test_bench_simulator_scale.py -s \
+        --record-results
 """
 
 import json
@@ -71,19 +74,20 @@ SPEEDUP_ROWS = {
 OBS_OVERHEAD_BUDGET = 0.03
 OBS_OVERHEAD_NPROCS = 256
 
-RESULTS_JSON = Path(__file__).parent / "results" / "BENCH_simulator_scale.json"
+RESULTS_NAME = "BENCH_simulator_scale.json"
 
 
-def _merge_results_json(updates: dict) -> None:
-    """Read-merge-write ``RESULTS_JSON`` so the speedup-table and
-    obs-overhead tests can each refresh their own fields without clobbering
-    the other's committed numbers."""
+def _merge_results_json(results_dir: Path, updates: dict) -> None:
+    """Read-merge-write ``results_dir / RESULTS_NAME`` so the speedup-table
+    and obs-overhead tests can each refresh their own fields without
+    clobbering the other's recorded numbers."""
+    path = results_dir / RESULTS_NAME
     data = {}
-    if RESULTS_JSON.exists():
-        data = json.loads(RESULTS_JSON.read_text())
+    if path.exists():
+        data = json.loads(path.read_text())
     data.update(updates)
-    RESULTS_JSON.parent.mkdir(parents=True, exist_ok=True)
-    RESULTS_JSON.write_text(json.dumps(data, indent=2) + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data, indent=2) + "\n")
 
 
 def _compiled(nprocs: int):
@@ -172,7 +176,7 @@ def test_p4096_vector_smoke_within_budget():
         f"p=4096 vector run took {elapsed:.2f}s (budget {P4096_BUDGET_SECONDS}s)"
 
 
-def test_vector_engine_speedup_table():
+def test_vector_engine_speedup_table(results_dir):
     """The per-p speedup floors, the README table, and the JSON trajectory."""
     rows = []
     for nprocs, (repeats, _floor) in SPEEDUP_ROWS.items():
@@ -188,7 +192,7 @@ def test_vector_engine_speedup_table():
     for line in render_performance_table(rows):
         print(line)
 
-    _merge_results_json({
+    _merge_results_json(results_dir, {
         "schema": 1,
         "benchmark": "simulator_scale",
         "machine": MACHINE,
@@ -256,7 +260,7 @@ def _paired_overhead(baseline_setup, candidate_setup):
     return baseline_wall, candidate_wall, overhead
 
 
-def test_obs_overhead_p256_within_budget():
+def test_obs_overhead_p256_within_budget(results_dir):
     """Enabled span/metric tracing costs <= 3% of a p=256 vector wall.
 
     Instrumentation lives permanently in the engines, so its *enabled* cost
@@ -290,7 +294,7 @@ def test_obs_overhead_p256_within_budget():
     print(f"\nobs overhead at p={OBS_OVERHEAD_NPROCS}: "
           f"{disabled_wall * 1e3:.1f} ms disabled, "
           f"{enabled_wall * 1e3:.1f} ms enabled ({overhead:+.2%})")
-    _merge_results_json({
+    _merge_results_json(results_dir, {
         "obs_overhead": {
             "p": OBS_OVERHEAD_NPROCS,
             "disabled_wall_s": round(disabled_wall, 4),
@@ -304,7 +308,7 @@ def test_obs_overhead_p256_within_budget():
         f"(budget {OBS_OVERHEAD_BUDGET:.0%})"
 
 
-def test_faults_overhead_p256_within_budget():
+def test_faults_overhead_p256_within_budget(results_dir):
     """An installed (but never-firing) fault plan costs <= 3% of a p=256
     vector wall.
 
@@ -330,7 +334,7 @@ def test_faults_overhead_p256_within_budget():
           f"{cleared_wall * 1e3:.1f} ms cleared, "
           f"{installed_wall * 1e3:.1f} ms with a plan installed "
           f"({overhead:+.2%})")
-    _merge_results_json({
+    _merge_results_json(results_dir, {
         "faults_overhead": {
             "p": OBS_OVERHEAD_NPROCS,
             "cleared_wall_s": round(cleared_wall, 4),

@@ -4,6 +4,10 @@ Also registers the ``slow`` marker: stress tests and benchmarks (8-way
 writer contention, 10k-point sharded sweeps) are deselected by default so
 tier-1 stays fast; CI opts in with ``REPRO_SLOW=1`` (see scripts/check.sh)
 and a developer can run one explicitly with ``-m slow``.
+
+And the ``--record-results`` option: benchmarks write their
+``BENCH_*.json`` under pytest's ``tmp_path`` unless it is given, in which
+case they refresh the committed copies in ``benchmarks/results/``.
 """
 
 import os
@@ -14,6 +18,13 @@ import pytest
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "src"))
 
 SLOW_ENV = "REPRO_SLOW"
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record-results", action="store_true", default=False,
+        help="benchmarks write their BENCH_*.json into benchmarks/results/ "
+             "(the committed copies) instead of pytest's tmp_path")
 
 
 def pytest_configure(config):

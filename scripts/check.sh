@@ -38,6 +38,25 @@ python examples/machine_comparison.py > /dev/null
 echo "== campaign smoke: design-space sweep + persistent store"
 python scripts/campaign_smoke.py
 
+echo "== perfbench smoke: traced predict-sweep, correct, one parse per suite source"
+perfbench_last=$(python3 perfbench/run.py --workload predict-sweep --seed 1 \
+    --seconds 2 --trace 1 | tail -n 1)
+python3 - "$perfbench_last" <<'EOF'
+import json
+import sys
+
+last = json.loads(sys.argv[1])
+parses = last["metrics"]["frontend.parse_calls"]["value"]
+problems = [message for bad, message in (
+    (last["correct"] is not True, "outputs are not correct"),
+    (last["failed"] != 0, f"{last['failed']} points failed"),
+    (parses != 16, f"frontend.parse_calls is {parses}, expected 16"),
+) if bad]
+if problems:
+    sys.exit("perfbench predict-sweep smoke: " + "; ".join(problems))
+print(f"perfbench predict-sweep smoke: correct, 0 failed, {parses} parses")
+EOF
+
 echo "== sharding smoke: interrupt a sharded campaign, resume, verify the merge"
 python scripts/sharding_smoke.py
 

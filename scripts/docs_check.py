@@ -37,7 +37,7 @@ DOCTEST_MODULES = (
     "repro.explore.store",      # ResultStore
     "repro.obs",                # enable/span/counter facade
     "repro.serve.protocol",     # ServeOptions eager validation
-    "repro.stages",             # compile/price stage caches
+    "repro.stages",             # parse/compile/price stage caches
 )
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")

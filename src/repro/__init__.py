@@ -125,7 +125,7 @@ from .interpreter import (
     interpret,
 )
 
-# staged predict path (compile/price caches) ------------------------------------------------
+# staged predict path (parse/compile/price caches) ------------------------------------------
 from . import stages
 
 # functional interpreter and simulator ------------------------------------------------------
@@ -264,7 +264,9 @@ def measure(
     machine": it executes the compiled node program's data plane for real
     (NumPy, identical to the functional interpreter) while a per-rank timing
     plane accrues node-model compute time and message-level network time
-    with link contention and seeded noise.
+    with link contention and seeded noise.  Compilation goes through the
+    same cached compile stage as :func:`predict` (see :mod:`repro.stages`),
+    so predicting and then measuring one program compiles it once.
 
     Args:
         source: HPF/Fortran 90D program text (directives in ``!HPF$`` lines).
@@ -314,9 +316,8 @@ def measure(
         True
     """
     with obs.span("measure", nprocs=nprocs):
-        with obs.span("compile", nprocs=nprocs):
-            compiled = compile_source(source, nprocs=nprocs,
-                                      grid_shape=grid_shape, params=params)
+        compiled = stages.compile_cached(
+            source, nprocs=nprocs, grid_shape=grid_shape, params=params)
         target = resolve_machine(machine, nprocs)
         # simulate() opens its own "simulate" span nested under this one
         return simulate(compiled, target, options=options)

@@ -132,7 +132,7 @@ def compile_source(
 ) -> CompiledProgram:
     """Parse and compile HPF/Fortran 90D source text."""
     source = SourceFile(text=text, name=name)
-    program = parse_source(text, name=name)
+    program = parse_source(source, name=name)
     options = CompileOptions(
         nprocs=nprocs,
         grid_shape=grid_shape,

@@ -97,10 +97,22 @@ class AxisMapping:
         return layout.cyclic_owner(tidx, self.nprocs, self.dist.block)
 
     def local_count(self, pcoord: int) -> int:
-        """Number of array elements along this axis owned by processor coordinate *pcoord*."""
+        """Number of array elements along this axis owned by processor coordinate *pcoord*.
+
+        Index arithmetic, equal to ``len(local_indices(pcoord))``: the
+        processor's template indices that fall inside the array's window.
+        """
         if not self.is_distributed:
             return self.extent
-        return int(len(self.local_indices(pcoord)))
+        # the array's half-open window of template indices, clipped to the
+        # template: exactly the template indices local_indices keeps
+        lo = max(self.offset, 0)
+        hi = max(min(self.offset + self.extent, self.map_extent), lo)
+        if self.dist.kind == "block":
+            first, last = layout.block_bounds(pcoord, self.map_extent, self.nprocs)
+            return max(min(last, hi) - max(first, lo), 0)
+        return (layout.cyclic_local_count(pcoord, hi, self.nprocs, self.dist.block)
+                - layout.cyclic_local_count(pcoord, lo, self.nprocs, self.dist.block))
 
     def local_indices(self, pcoord: int) -> np.ndarray:
         """Global indices (0-based, array index space) owned by *pcoord*, ascending."""
@@ -158,6 +170,9 @@ class AxisMapping:
     def max_local_count(self) -> int:
         if not self.is_distributed:
             return self.extent
+        if self.offset == 0 and self.map_extent == self.extent:
+            return layout.max_local_count(self.extent, self.nprocs,
+                                          self.dist.kind, self.dist.block)
         return max(self.local_count(p) for p in range(self.nprocs))
 
     def avg_local_count(self) -> float:

@@ -865,8 +865,10 @@ class Parser:
 # ---------------------------------------------------------------------------
 
 
-def parse_source(source: str, name: str = "<string>") -> ast.Program:
-    """Parse HPF/Fortran 90D source text into a :class:`Program` AST."""
+def parse_source(source: str | SourceFile, name: str = "<string>") -> ast.Program:
+    """Parse HPF/Fortran 90D source text (or an already pre-processed
+    :class:`SourceFile`, whose own name then wins) into a :class:`Program`
+    AST."""
     return Parser(source, name=name).parse()
 
 

@@ -223,7 +223,7 @@ class PredictionService:
 
     def _compute_predict(self, req: PredictRequest) -> Mapping:
         """Worker-thread body: one fresh prediction through the campaign
-        worker (two-stage compile/price caches apply underneath).
+        worker (the parse/compile/price stage caches apply underneath).
 
         The ``serve.compute`` injection site fires here, and transient
         failures (injected or real ``OSError``) are retried up to

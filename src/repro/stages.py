@@ -1,28 +1,36 @@
-"""Two-stage cached predict path: *compile* and *price* as keyed stages.
+"""Three-stage cached predict path: *parse*, *compile* and *price* as keyed
+stages.
 
-``repro.predict`` is really two pipelines glued together:
+``repro.predict`` is really three pipelines glued together:
 
-1. **compile** — HPF/Fortran 90D source → parsed AST → partitioned,
-   sequentialised SPMD node program (the app model).  Depends on the
-   program text, process count, grid layout and parameter overrides —
-   and on *nothing about the target machine*.
-2. **price** — walk that app model with one machine's SAG/SAU parameter
+1. **parse** — HPF/Fortran 90D source text → logical lines → tokens →
+   program AST.  Depends on the program text and its name only.
+2. **compile** — parsed AST → partitioned, sequentialised SPMD node
+   program (the app model).  Depends on the program text, process count,
+   grid layout and parameter overrides — and on *nothing about the target
+   machine*.
+3. **price** — walk that app model with one machine's SAG/SAU parameter
    set and the analytic communication models (the interpretation parse).
    Depends on the compile stage's output plus the machine and the
    interpreter options.
 
-This module splits the two stages behind **independent, explicitly keyed
-caches** so hot program ASTs/app models compile once and are shared across
-machines and requests: a cross-machine sweep (or a prediction server
+This module puts each stage behind its own **independent, explicitly keyed
+cache** so hot program ASTs/app models are built once and shared across
+sizes, process counts, machines and requests: a sweep over problem sizes
+and process counts parses each program once and compiles each
+(size, nprocs) cell once, a cross-machine sweep (or a prediction server
 fielding the same program against many targets) pays one compile and N
-prices, and repeated identical predictions pay nothing at all.
+prices, and repeated identical predictions pay nothing at all.  Every
+compile shares its parse stage's :class:`~repro.frontend.SourceFile` and
+program AST, which the compiler only reads.
 
-Both caches are bounded thread-safe LRUs and are instrumented with
+All three caches are bounded thread-safe LRUs and are instrumented with
 ``repro.obs`` hit/miss counters (``repro_stage_cache_hits_total`` /
-``repro_stage_cache_misses_total``, labelled ``stage="compile"`` /
-``stage="price"``), which is how the serve-layer tests assert the
-acceptance property: a second request for the same program on a different
-machine hits the compile cache but misses the price cache.
+``repro_stage_cache_misses_total``, labelled ``stage="parse"`` /
+``stage="compile"`` / ``stage="price"``), which is how the serve-layer
+tests assert the acceptance property: a second request for the same
+program on a different machine hits the compile cache but misses the price
+cache.
 
 Example:
     >>> import repro
@@ -37,10 +45,15 @@ Example:
     ...       forall (i = 1:n) x(i) = 1.0 * i
     ...       end program tiny
     ... '''
-    >>> a = repro.predict(src, nprocs=2)                      # compile + price
+    >>> a = repro.predict(src, nprocs=2)                      # parse + compile + price
     >>> b = repro.predict(src, nprocs=2, machine="paragon")   # price only
     >>> a.compiled is b.compiled                              # shared app model
     True
+    >>> c = repro.predict(src, nprocs=4)                      # compile + price
+    >>> c.compiled.program is a.compiled.program              # shared AST
+    True
+    >>> stages.stage_cache_sizes()
+    {'parse': 1, 'compile': 2, 'price': 3}
 """
 
 from __future__ import annotations
@@ -53,12 +66,17 @@ from dataclasses import is_dataclass
 from typing import Any, Callable, Mapping, Optional
 
 from . import obs
-from .compiler import compile_source
+from .compiler import pipeline
+from .compiler.pipeline import CompileOptions
+from .frontend import SourceFile
 from .interpreter import InterpreterOptions, interpret
 from .system.machine import Machine
 
-#: Bounded sizes of the two stage caches.  Compiled programs are the heavy
-#: objects (ASTs + SPMD trees); priced estimates are small result records.
+#: Bounded sizes of the three stage caches.  Parsed programs are few (one
+#: per distinct source) and shared by every compile of that source;
+#: compiled programs are the heavy objects (SPMD trees); priced estimates
+#: are small result records.
+PARSE_CACHE_SIZE = 64
 COMPILE_CACHE_SIZE = 128
 PRICE_CACHE_SIZE = 1024
 
@@ -127,6 +145,10 @@ def _canonical_hash(payload: Mapping) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:20]
 
 
+def _source_sha(source: str) -> str:
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+
+
 def compile_stage_key(source: str, *, nprocs: int,
                       grid_shape: tuple[int, ...] | None = None,
                       params: Mapping[str, float] | None = None) -> str:
@@ -137,7 +159,7 @@ def compile_stage_key(source: str, *, nprocs: int,
     """
     return _canonical_hash({
         "stage": "compile",
-        "source_sha": hashlib.sha256(source.encode("utf-8")).hexdigest(),
+        "source_sha": _source_sha(source),
         "nprocs": int(nprocs),
         "grid_shape": list(grid_shape) if grid_shape else None,
         "params": sorted((str(k), float(v))
@@ -246,25 +268,51 @@ def price_stage_key(compile_key: str, machine: Machine,
 # the caches
 # ---------------------------------------------------------------------------
 
+_parse_cache = LRUCache(PARSE_CACHE_SIZE)
 _compile_cache = LRUCache(COMPILE_CACHE_SIZE)
 _price_cache = LRUCache(PRICE_CACHE_SIZE)
 
 
 def clear_stage_caches() -> None:
-    """Drop both stage caches (tests and long-lived servers under memory
-    pressure; the obs counters are left alone)."""
+    """Drop all three stage caches (tests and long-lived servers under
+    memory pressure; the obs counters are left alone)."""
+    _parse_cache.clear()
     _compile_cache.clear()
     _price_cache.clear()
 
 
 def stage_cache_sizes() -> dict[str, int]:
-    return {"compile": len(_compile_cache), "price": len(_price_cache)}
+    return {"parse": len(_parse_cache), "compile": len(_compile_cache),
+            "price": len(_price_cache)}
 
 
 def _note(stage: str, hit: bool) -> None:
     name = "repro_stage_cache_hits_total" if hit \
         else "repro_stage_cache_misses_total"
     obs.counter(name, stage=stage).inc()
+
+
+def parse_cached(source: str, *, name: str = "<string>"):
+    """The parse stage, memoised per (source sha256, name).
+
+    Returns ``(SourceFile, Program)``: the pre-processed source and its
+    AST.  Both are shared by every compile of this source, so callers must
+    treat them as read-only.  The name is part of the key because the
+    :class:`~repro.frontend.SourceFile` records it.
+    """
+    key = (_source_sha(source), name)
+    cached = _parse_cache.get(key)
+    if cached is not None:
+        _note("parse", hit=True)
+        return cached
+    _note("parse", hit=False)
+    with obs.span("parse"):
+        source_file = SourceFile(text=source, name=name)
+        # called through the pipeline module (as is compile_program below),
+        # so wrappers installed there, e.g. by a tracer, see every call
+        parsed = (source_file, pipeline.parse_source(source_file, name=name))
+    _parse_cache.put(key, parsed)
+    return parsed
 
 
 def compile_cached(source: str, *, name: str = "<string>", nprocs: int,
@@ -275,7 +323,9 @@ def compile_cached(source: str, *, name: str = "<string>", nprocs: int,
 
     Returns the cached :class:`~repro.compiler.CompiledProgram` on a hit —
     byte-identical by construction, since the key covers every compile
-    input — and compiles, caches and returns on a miss.
+    input — and compiles, caches and returns on a miss.  A miss takes the
+    source's AST from the parse stage (:func:`parse_cached`) instead of
+    parsing it again.
     """
     if key is None:
         key = compile_stage_key(source, nprocs=nprocs, grid_shape=grid_shape,
@@ -286,9 +336,11 @@ def compile_cached(source: str, *, name: str = "<string>", nprocs: int,
         return cached
     _note("compile", hit=False)
     with obs.span("compile", nprocs=nprocs):
-        compiled = compile_source(source, name=name, nprocs=nprocs,
-                                  grid_shape=grid_shape,
-                                  params=dict(params or {}))
+        source_file, program = parse_cached(source, name=name)
+        compiled = pipeline.compile_program(
+            program, source_file,
+            CompileOptions(nprocs=nprocs, grid_shape=grid_shape,
+                           params=dict(params or {})))
     _compile_cache.put(key, compiled)
     return compiled
 
@@ -319,6 +371,7 @@ def price_cached(compiled, machine: Machine, *, compile_key: str,
 
 
 __all__ = [
+    "PARSE_CACHE_SIZE",
     "COMPILE_CACHE_SIZE",
     "PRICE_CACHE_SIZE",
     "LRUCache",
@@ -327,6 +380,7 @@ __all__ = [
     "price_stage_key",
     "machine_stage_token",
     "options_stage_token",
+    "parse_cached",
     "compile_cached",
     "price_cached",
     "clear_stage_caches",

@@ -97,6 +97,32 @@ def test_array_distribution_local_sizes_sum_to_global(rows, cols, p0, p1, kind0,
             assert j in dist.local_indices(rank, 1)
 
 
+@st.composite
+def _axis_mappings(draw):
+    """BLOCK, CYCLIC(k) or collapsed axes, aligned with an offset to a
+    template that may be shorter or longer than the array."""
+    kind = draw(st.sampled_from(["block", "cyclic", "collapsed"]))
+    block = draw(st.integers(1, 6)) if kind == "cyclic" else 1
+    extent = draw(st.integers(0, 120))
+    template_extent = draw(st.one_of(
+        st.none(), st.just(extent), st.integers(0, extent + 20)))
+    return AxisMapping(extent=extent, dist=DimDistribution(kind, block),
+                       nprocs=draw(st.integers(1, 16)), grid_axis=0,
+                       template_extent=template_extent,
+                       offset=draw(st.one_of(st.just(0),
+                                             st.integers(-10, 10))))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(axis=_axis_mappings())
+def test_axis_local_counts_match_local_indices(axis):
+    """The index-arithmetic counts agree with the array-building oracle."""
+    lengths = [len(axis.local_indices(q)) for q in range(axis.nprocs)]
+    assert [axis.local_count(q) for q in range(axis.nprocs)] == lengths
+    assert axis.max_local_count() == max(lengths)
+
+
 @common_settings
 @given(p=st.integers(1, 64), rank=st.integers(1, 3))
 def test_default_grid_shape_preserves_processor_count(p, rank):
