@@ -57,6 +57,30 @@ if problems:
 print(f"perfbench predict-sweep smoke: correct, 0 failed, {parses} parses")
 EOF
 
+echo "== perfbench smoke: traced table2-accuracy, correct, prediction errors unchanged"
+perfbench_last=$(python3 perfbench/run.py --workload table2-accuracy --seed 1 \
+    --seconds 2 --trace 1 | tail -n 1)
+python3 - "$perfbench_last" <<'EOF'
+import json
+import sys
+
+# Exact: the simulator's "measured" times are deterministic, so any change
+# to these errors is a change to a simulated number.
+EXPECTED = {"error_pct_median": 0.5621533065772482,
+            "error_pct_max": 10.419545075841617}
+
+last = json.loads(sys.argv[1])
+errors = {name: last["metrics"][name]["value"] for name in EXPECTED}
+problems = [message for bad, message in (
+    (last["correct"] is not True, "outputs are not correct"),
+    (last["failed"] != 0, f"{last['failed']} points failed"),
+) if bad] + [f"{name} is {errors[name]!r}, expected {value!r}"
+             for name, value in EXPECTED.items() if errors[name] != value]
+if problems:
+    sys.exit("perfbench table2-accuracy smoke: " + "; ".join(problems))
+print("perfbench table2-accuracy smoke: correct, 0 failed, errors unchanged")
+EOF
+
 echo "== sharding smoke: interrupt a sharded campaign, resume, verify the merge"
 python scripts/sharding_smoke.py
 

@@ -168,6 +168,9 @@ class SPMDExecutor:
         self.node_metrics: dict[int, Metrics] = {}   # keyed by id(spmd node)
         self.comm_stats = CommStatistics()
         self.statements_executed = 0
+        # id(spmd node) -> its static cost (op count or scalar-statement
+        # time); see _static_cost.
+        self._static_costs: dict[int, object] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -206,6 +209,18 @@ class SPMDExecutor:
             target = new_clocks.get(rank, self.clocks[rank])
             delta[rank] = max(target - self.clocks[rank], 0.0)
         self._charge(node, category, delta)
+
+    def _static_cost(self, node: SPMDNode, compute):
+        """The node's static cost, from ``compute()`` on its first execution.
+
+        Operation counts and scalar-statement times depend only on the
+        node's AST, which compile, price and simulate never change, so one
+        evaluation per executor serves every DO-loop trip.
+        """
+        cost = self._static_costs.get(id(node))
+        if cost is None:
+            cost = self._static_costs[id(node)] = compute()
+        return cost
 
     def _apply_comm_noise(self, done: dict[int, float],
                           clocks: dict[int, float]) -> dict[int, float]:
@@ -317,15 +332,19 @@ class SPMDExecutor:
             return
         if isinstance(stmt, ast.Assignment):
             self.data.exec_assignment(stmt)
-            count = count_statement_body([stmt])
-            time = self.cost.scalar_statement_time(count)
-            self._charge(node, "computation", self.noise.compute(time))
+            self._charge(node, "computation",
+                         self.noise.compute(self._statement_time(node)))
             return
         if isinstance(stmt, ast.CallStmt):
             self._charge(node, "computation", self.machine.processing.call_overhead)
             return
         # declarations or other inert statements
         self._charge(node, "overhead", 0.0)
+
+    def _statement_time(self, node: SerialStmt | OwnerStmt) -> float:
+        """Node time of a scalar assignment, before noise."""
+        return self._static_cost(node, lambda: self.cost.scalar_statement_time(
+            count_statement_body([node.stmt])))
 
     def _exec_owner_stmt(self, node: OwnerStmt) -> None:
         stmt = node.stmt
@@ -349,9 +368,8 @@ class SPMDExecutor:
                 owner = dist.owner_rank(tuple(index))
             except Exception:
                 owner = 0
-        count = count_statement_body([stmt])
-        per_rank[owner] += self.noise.compute(
-            self.cost.scalar_statement_time(count), rank=owner)
+        per_rank[owner] += self.noise.compute(self._statement_time(node),
+                                              rank=owner)
         self._charge(node, "computation", per_rank)
 
         self.data.exec_assignment(stmt)
@@ -374,7 +392,8 @@ class SPMDExecutor:
                          len(node.loops) * self.machine.processing.loop_startup_overhead)
             return
 
-        count = count_statement_body(node.body, node.mask)
+        count = self._static_cost(
+            node, lambda: count_statement_body(node.body, node.mask))
         element_size = home_dist.element_size if home_dist is not None else 4
         precision = self._precision(node.home_array)
 
@@ -451,6 +470,16 @@ class SPMDExecutor:
 
         mapping = self.compiled.mapping
         dist = mapping.distribution_of(node.home_array) if node.home_array else None
+        count = self._static_cost(node, lambda: self._reduction_count(node))
+
+        total_extent = self._reduction_extent(node, dist)
+        element_size = dist.element_size if dist is not None else 4
+        per_rank = self._reduction_per_rank(dist, count, total_extent, element_size,
+                                            self._precision(node.home_array))
+        self._charge(node, "computation", per_rank)
+
+    @staticmethod
+    def _reduction_count(node: ReductionNode) -> OpCount:
         count = count_expr(node.source)
         if node.second_source is not None:
             count += count_expr(node.second_source)
@@ -458,12 +487,7 @@ class SPMDExecutor:
         if node.mask is not None:
             count += count_expr(node.mask)
         count.flops += 1.0
-
-        total_extent = self._reduction_extent(node, dist)
-        element_size = dist.element_size if dist is not None else 4
-        per_rank = self._reduction_per_rank(dist, count, total_extent, element_size,
-                                            self._precision(node.home_array))
-        self._charge(node, "computation", per_rank)
+        return count
 
     def _reduction_per_rank(self, dist: ArrayDistribution | None, count: OpCount,
                             total_extent: float, element_size: int,
@@ -516,7 +540,8 @@ class SPMDExecutor:
             self._charge(node, "computation", proc.call_overhead)
             return
 
-        offset = abs(int(self._scalar(node.offset_expr, 1)))
+        shift = int(self._scalar(node.offset_expr, 1))
+        offset = abs(shift)
         self._charge(node, "computation", self._shift_copy_per_rank(dist))
 
         axis = node.axis if node.axis < len(dist.axes) else 0
@@ -524,7 +549,7 @@ class SPMDExecutor:
         if not axis_map.is_distributed or axis_map.nprocs <= 1 or dist.grid is None:
             return
 
-        direction = 1 if offset >= 0 else -1
+        direction = 1 if shift >= 0 else -1
         pairs, sizes = self._shift_plan(dist, axis, axis_map, offset,
                                         dist.element_size, direction,
                                         clamp_shift_axis=False)

@@ -21,6 +21,18 @@ materialises to the same values in one vectorised call.  This is what lets
 the vector engine batch every draw while the loop oracle evaluates the
 identical deviates rank by rank, bit for bit.
 
+:class:`NoiseModel` serves every deviate from a per-run **tape**.  One
+:func:`keyed_uniform` pass draws both streams of a pair (compute jitter +
+interrupt, or comm jitter + floor) for a block of consecutive phases × every
+rank, and :func:`ndtri` runs once over the block; each batch, participant
+subset and scalar view then reads its phase's row by rank.  A block is
+``max(1, TAPE_DEVIATES // width)`` phases of *width* ranks: 512 phases at
+p=8, a single phase from p=4096 up, so large partitions draw nothing they
+do not use.  The tape is bit-identical to evaluating each key on its own:
+``keyed_uniform`` is a pure function of the key whatever the array shape
+around it, and ``ndtri`` is elementwise.  ``keyed_uniform`` of a
+:class:`NoiseKey` stays the reference every served deviate must equal.
+
 The legacy ``"sequential"`` scheme (one shared ``numpy`` Generator,
 interleaved per rank — the reason the old engine could not batch) was kept
 for one release after the counter engine landed and removed in repro 1.1.0.
@@ -56,6 +68,14 @@ STREAM_COMPUTE_JITTER = 1
 STREAM_COMPUTE_INTERRUPT = 2
 STREAM_COMM_JITTER = 3
 STREAM_COMM_FLOOR = 4
+
+#: Deviates per stream in one tape block: a block covers
+#: ``max(1, TAPE_DEVIATES // width)`` consecutive phases of *width* ranks.
+TAPE_DEVIATES = 4096
+
+#: The stream pairs the tape draws together, one pass per pair.
+_COMPUTE_PAIR = (STREAM_COMPUTE_JITTER, STREAM_COMPUTE_INTERRUPT)
+_COMM_PAIR = (STREAM_COMM_JITTER, STREAM_COMM_FLOOR)
 
 #: Fields of :class:`NoiseOptions` that must be finite and non-negative.
 _MAGNITUDE_FIELDS = (
@@ -164,8 +184,10 @@ def keyed_uniform(seed: int, stream: int, phase: int, ranks: np.ndarray,
     draw)`` — the counter scheme's ``NoiseKey`` → deviate mapping.
 
     Pure function of the key: evaluation order, batch composition and array
-    slicing cannot change any element's value.  Output is in the open
-    interval (0, 1), safe for inverse-CDF transforms.
+    slicing cannot change any element's value.  *stream* and *phase* may
+    also be ``uint64`` arrays that broadcast against *ranks* (the noise
+    tape draws streams × phases × ranks in one call).  Output is in the
+    open interval (0, 1), safe for inverse-CDF transforms.
     """
     with np.errstate(over="ignore"):      # uint64 wrap is the point
         h = _splitmix64(_U64(seed & _MASK_64) ^ _U64(stream & _MASK_64))
@@ -280,27 +302,42 @@ def _as_batch(durations_us) -> np.ndarray:
     return np.atleast_1d(np.asarray(durations_us, dtype=np.float64)).copy()
 
 
+@dataclass(frozen=True)
+class _TapeBlock:
+    """One stream pair's deviates for phases ``start <= phase < stop`` of
+    ranks ``0 .. width-1``, as ``(phase - start, rank)`` rows."""
+
+    start: int
+    stop: int
+    width: int
+    first: np.ndarray
+    second: np.ndarray
+
+
 class NoiseModel:
     """Deterministic, seeded noise generator.
 
-    The **phase counter** is the model's only mutable state: :meth:`begin_phase`
-    advances it once per noise application site (a compute charge, a
-    communication completion), and both simulator engines traverse the same
-    sites in the same order, so their phase sequences — and therefore every
-    keyed deviate — coincide exactly.  Draws themselves are pure functions of
-    :class:`NoiseKey`; nothing is consumed.
+    The **phase counter** is the model's only state that matters:
+    :meth:`begin_phase` advances it once per noise application site (a
+    compute charge, a communication completion), and both simulator engines
+    traverse the same sites in the same order, so their phase sequences —
+    and therefore every keyed deviate — coincide exactly.  Draws themselves
+    are pure functions of :class:`NoiseKey`; nothing is consumed.
+
+    Deviates come off the tape (see the module docstring): one block per
+    stream pair, redrawn when a phase leaves it or a rank lies beyond its
+    width.  A block never narrows, and grows to at least twice its width,
+    so rank-by-rank scalar calls redraw O(log p) times, not O(p).
     """
 
     def __init__(self, seed: int = 0, options: NoiseOptions | None = None):
         self.options = options or NoiseOptions()
         self.seed = int(seed)
         self._phase = 0
-        # (stream, phase, gaussian?) -> all-rank deviate array.  Scalar views
-        # (the loop oracle calls one rank at a time) amortise the vectorised
-        # keyed_uniform/ndtri evaluation across a phase's ranks; since every
-        # element is keyed by its rank *value*, array length is irrelevant to
-        # any element and the cache can be grown or dropped freely.
-        self._keyed_cache: dict[tuple[int, int, bool], np.ndarray] = {}
+        # stream pair -> its current block.  Every element is keyed by its
+        # (phase, rank) *value*, so a block can be redrawn wider or for other
+        # phases at any time without changing a single deviate.
+        self._tape: dict[tuple[int, int], _TapeBlock] = {}
 
     # ------------------------------------------------------------------
     # phase bookkeeping
@@ -318,27 +355,51 @@ class NoiseModel:
                                    np.array([key.rank], dtype=np.int64),
                                    key.draw)[0])
 
-    def _keyed_phase(self, stream: int, phase: int, rank: int,
-                     gaussian: bool) -> np.float64:
-        """One cached keyed deviate: element *rank* of the (stream, phase)
-        all-rank array, ndtri-transformed when *gaussian*.
+    # ------------------------------------------------------------------
+    # the deviate tape
+    # ------------------------------------------------------------------
 
-        Identical to what a batch over the phase produces for that rank —
-        the uniforms are pure functions of the key and ndtri is elementwise —
-        but costs O(1) amortised per scalar call instead of a fresh
-        vectorised evaluation each time.
-        """
-        key = (stream, phase, gaussian)
-        arr = self._keyed_cache.get(key)
-        if arr is None or arr.shape[0] <= rank:
-            n = max(64, 1 << int(rank).bit_length())
-            u = keyed_uniform(self.seed, stream, phase,
-                              np.arange(n, dtype=np.int64))
-            arr = ndtri(u) if gaussian else u
-            if len(self._keyed_cache) >= 24:   # a phase needs <= 3 streams
-                self._keyed_cache.clear()
-            self._keyed_cache[key] = arr
-        return arr[rank]
+    def _tape_rows(self, pair: tuple[int, int], phase: int,
+                   width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Both streams' deviates of *pair* at *phase*, for ranks ``< width``
+        at least (the rows may be wider)."""
+        block = self._tape.get(pair)
+        if block is None or width > block.width \
+                or not block.start <= phase < block.stop:
+            if block is not None:
+                width = block.width if width <= block.width \
+                    else max(width, 2 * block.width)
+            block = self._tape[pair] = self._draw_block(pair, phase, width)
+        row = phase - block.start
+        return block.first[row], block.second[row]
+
+    def _draw_block(self, pair: tuple[int, int], phase: int,
+                    width: int) -> _TapeBlock:
+        """Draw the block of *width* ranks holding *phase*: one keyed pass
+        over both streams and one ``ndtri`` over the gaussian ones."""
+        length = max(1, TAPE_DEVIATES // width)
+        start = phase - phase % length
+        u = keyed_uniform(self.seed,
+                          np.array(pair, dtype=np.uint64)[:, None, None],
+                          np.arange(start, start + length,
+                                    dtype=np.uint64)[:, None],
+                          np.arange(width, dtype=np.int64))
+        if pair == _COMM_PAIR:
+            first, second = ndtri(u)
+        else:       # the interrupt stream stays uniform (Poisson inversion)
+            first, second = ndtri(u[0]), u[1]
+        return _TapeBlock(start, start + length, width, first, second)
+
+    def _batch_rows(self, pair: tuple[int, int], phase: int, n: int,
+                    ranks) -> tuple[np.ndarray, np.ndarray]:
+        """*pair*'s deviates for a batch of *n* elements at *phase*: element
+        i belongs to rank ``ranks[i]`` (default ``i``)."""
+        if ranks is None:
+            first, second = self._tape_rows(pair, phase, n)
+            return first[:n], second[:n]
+        ranks = np.asarray(ranks, dtype=np.int64)
+        first, second = self._tape_rows(pair, phase, int(ranks.max()) + 1)
+        return first[ranks], second[ranks]
 
     def _poisson_scalar(self, u, lam: float) -> float:
         """Scalar view of :func:`poisson_from_uniform` — same recurrence in
@@ -372,52 +433,39 @@ class NoiseModel:
         opts = self.options
         if not opts.enabled or duration_us <= 0.0:
             return duration_us
-        z = self._keyed_phase(STREAM_COMPUTE_JITTER, phase, rank, True)
-        perturbed = duration_us * max(1.0 + opts.compute_jitter_sigma * z, 0.0)
+        z, u = self._tape_rows(_COMPUTE_PAIR, phase, rank + 1)
+        perturbed = duration_us * max(1.0 + opts.compute_jitter_sigma * z[rank],
+                                      0.0)
         if opts.interruption_rate_per_ms > 0.0:
             lam = opts.interruption_rate_per_ms * (duration_us / 1000.0)
-            u = self._keyed_phase(STREAM_COMPUTE_INTERRUPT, phase, rank, False)
             perturbed = perturbed + \
-                self._poisson_scalar(u, lam) * opts.interruption_cost_us
+                self._poisson_scalar(u[rank], lam) * opts.interruption_cost_us
         return float(perturbed)
 
     def compute_batch(self, durations_us, ranks: np.ndarray | None = None,
                       phase: int | None = None) -> np.ndarray:
         """Per-element :meth:`compute` noise over a per-rank duration array.
 
-        The primary path: one vectorised evaluation of the whole phase,
-        keyed per rank — element i uses rank ``ranks[i]`` (default ``i``),
-        so any slice of the phase materialises identically.
+        The primary path: one tape row serves the whole phase, keyed per
+        rank — element i uses rank ``ranks[i]`` (default ``i``), so any
+        slice of the phase materialises identically.  Non-positive durations
+        pass through unchanged.
         """
         durations = _as_batch(durations_us)
         if phase is None:
             phase = self.begin_phase()
-        if not self.options.enabled:
-            return durations
-        if ranks is None:
-            ranks = np.arange(durations.shape[0], dtype=np.int64)
-        return self._compute_phase(durations, np.asarray(ranks, dtype=np.int64),
-                                   phase)
-
-    def _compute_phase(self, durations: np.ndarray, ranks: np.ndarray,
-                       phase: int) -> np.ndarray:
-        """Keyed compute-noise core (enabled already checked by callers)."""
         opts = self.options
-        out = durations.copy()
-        positive = durations > 0.0
-        if not positive.any():
-            return out
-        d = durations[positive]
-        r = ranks[positive]
-        z = ndtri(keyed_uniform(self.seed, STREAM_COMPUTE_JITTER, phase, r))
-        perturbed = d * np.maximum(1.0 + opts.compute_jitter_sigma * z, 0.0)
+        if not opts.enabled or not durations.size:
+            return durations
+        z, u = self._batch_rows(_COMPUTE_PAIR, phase, durations.shape[0],
+                                ranks)
+        perturbed = durations * np.maximum(1.0 + opts.compute_jitter_sigma * z,
+                                           0.0)
         if opts.interruption_rate_per_ms > 0.0:
-            lam = opts.interruption_rate_per_ms * (d / 1000.0)
-            u = keyed_uniform(self.seed, STREAM_COMPUTE_INTERRUPT, phase, r)
+            lam = opts.interruption_rate_per_ms * (durations / 1000.0)
             perturbed = perturbed + \
                 poisson_from_uniform(u, lam) * opts.interruption_cost_us
-        out[positive] = perturbed
-        return out
+        return np.where(durations > 0.0, perturbed, durations)
 
     # ------------------------------------------------------------------
     # communication noise
@@ -432,10 +480,9 @@ class NoiseModel:
         opts = self.options
         if not opts.enabled or duration_us <= 0.0:
             return duration_us
-        z1 = self._keyed_phase(STREAM_COMM_JITTER, phase, rank, True)
-        z2 = self._keyed_phase(STREAM_COMM_FLOOR, phase, rank, True)
-        jitter = 1.0 + opts.comm_jitter_sigma * z1
-        floor = abs(opts.comm_jitter_floor_us * z2)
+        z1, z2 = self._tape_rows(_COMM_PAIR, phase, rank + 1)
+        jitter = 1.0 + opts.comm_jitter_sigma * z1[rank]
+        floor = abs(opts.comm_jitter_floor_us * z2[rank])
         return float(max(duration_us * max(jitter, 0.0) + floor, 0.0))
 
     def communication_batch(self, durations_us,
@@ -443,36 +490,21 @@ class NoiseModel:
                             phase: int | None = None) -> np.ndarray:
         """Per-element :meth:`communication` noise over a per-rank array.
 
-        Two keyed deviates per positive-duration element (jitter and floor
-        streams), keyed by ``ranks[i]`` so a participant subset of a phase
-        draws exactly what the full phase would.
+        Two deviates per element (jitter and floor streams) from one tape
+        row, keyed by ``ranks[i]`` so a participant subset of a phase draws
+        exactly what the full phase would.
         """
         durations = _as_batch(durations_us)
         if phase is None:
             phase = self.begin_phase()
-        if not self.options.enabled:
-            return durations
-        if ranks is None:
-            ranks = np.arange(durations.shape[0], dtype=np.int64)
-        return self._communication_phase(
-            durations, np.asarray(ranks, dtype=np.int64), phase)
-
-    def _communication_phase(self, durations: np.ndarray, ranks: np.ndarray,
-                             phase: int) -> np.ndarray:
         opts = self.options
-        out = durations.copy()
-        positive = durations > 0.0
-        if not positive.any():
-            return out
-        d = durations[positive]
-        r = ranks[positive]
-        z1 = ndtri(keyed_uniform(self.seed, STREAM_COMM_JITTER, phase, r))
-        z2 = ndtri(keyed_uniform(self.seed, STREAM_COMM_FLOOR, phase, r))
+        if not opts.enabled or not durations.size:
+            return durations
+        z1, z2 = self._batch_rows(_COMM_PAIR, phase, durations.shape[0], ranks)
         jitter = 1.0 + opts.comm_jitter_sigma * z1
         floor = np.abs(opts.comm_jitter_floor_us * z2)
-        out[positive] = np.maximum(
-            d * np.maximum(jitter, 0.0) + floor, 0.0)
-        return out
+        noisy = np.maximum(durations * np.maximum(jitter, 0.0) + floor, 0.0)
+        return np.where(durations > 0.0, noisy, durations)
 
     # ------------------------------------------------------------------
     # totals

@@ -16,17 +16,19 @@ collective schedules — and overrides only the per-rank hot loops:
 * **compute-time accrual** — the node cost model is evaluated once per
   *distinct* per-rank profile (:meth:`NodeCostModel.loop_nest_times`; block
   and cyclic layouts admit only a handful of distinct local shapes at any
-  ``p``) and broadcast back, with system-load noise materialised for the
-  whole phase in one counter-keyed call (:meth:`NoiseModel.compute_batch`;
-  each deviate is a pure function of ``(seed, stream, phase, rank)``, so the
-  batch equals the loop engine's scalar draws bit for bit);
+  ``p``) and broadcast back, with system-load noise for the whole phase
+  read as one row of the noise model's deviate tape
+  (:meth:`NoiseModel.compute_batch`; each deviate is a pure function of
+  ``(seed, stream, phase, rank)``, and the tape draws a block of phases ×
+  ranks in one pass, so the row equals the loop engine's scalar draws bit
+  for bit);
 * **boundary exchanges** — shift partners and boundary-slab sizes come from
   vectorised grid coordinate arithmetic and per-axis local-count tables;
 * **collective completion** — per-rank clocks stay an ``np.ndarray`` across
   whole communication phases: shifts, broadcasts, reductions and gathers run
   through the array-clock kernels of :mod:`repro.simulator.collectives`
-  (``*_clocks``), communication noise is drawn for the whole phase in one
-  keyed batch (:meth:`NoiseModel.communication_batch`), and clock
+  (``*_clocks``), communication noise for the whole phase is one tape row
+  (:meth:`NoiseModel.communication_batch`), and clock
   advancement is a single vectorised maximum — no per-rank dict is built
   anywhere between phase entry and exit;
 * **network draining** — the executor's :class:`~repro.simulator.network.
@@ -44,7 +46,7 @@ time bit-for-bit; the tier-1 property tests pin this across the whole
 machine registry and all topology kinds.
 
 Both engines report their phase timings through :mod:`repro.obs` spans —
-``node_cost`` (cost-model sweeps), ``noise`` (batched deviate draws) and
+``node_cost`` (cost-model sweeps), ``noise`` (deviate tape reads) and
 ``network`` (collective clock drains) — which is what the profiling script's
 ``--phase-breakdown`` and every run manifest's ``engine_shares`` read.
 """
@@ -343,7 +345,8 @@ class VectorSPMDExecutor(SPMDExecutor):
             self._charge(node, "computation", proc.call_overhead)
             return
 
-        offset = abs(int(self._scalar(node.offset_expr, 1)))
+        shift = int(self._scalar(node.offset_expr, 1))
+        offset = abs(shift)
         self._charge(node, "computation", self._shift_copy_per_rank(dist))
 
         axis = node.axis if node.axis < len(dist.axes) else 0
@@ -351,7 +354,7 @@ class VectorSPMDExecutor(SPMDExecutor):
         if not axis_map.is_distributed or axis_map.nprocs <= 1 or dist.grid is None:
             return
 
-        direction = 1 if offset >= 0 else -1
+        direction = 1 if shift >= 0 else -1
         src, dst, nbytes = self._shift_spec_arrays(
             dist, axis, axis_map, offset, dist.element_size, direction,
             clamp_shift_axis=False)

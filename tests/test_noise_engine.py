@@ -9,6 +9,8 @@ that the realised noise actually has the magnitudes ``NoiseOptions`` claims.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.frontend.errors import SimulationError
 from repro.simulator import (
@@ -19,8 +21,13 @@ from repro.simulator import (
     SimulatorOptions,
     simulate,
 )
+from repro.simulator import noise as noise_module
 from repro.simulator.noise import (
+    STREAM_COMM_FLOOR,
+    STREAM_COMM_JITTER,
+    STREAM_COMPUTE_INTERRUPT,
     STREAM_COMPUTE_JITTER,
+    TAPE_DEVIATES,
     keyed_uniform,
     ndtri,
     poisson_from_uniform,
@@ -155,6 +162,119 @@ class TestOrderAndSliceIndependence:
         direct = keyed_uniform(5, STREAM_COMPUTE_JITTER, 2,
                                np.array([3], dtype=np.int64))[0]
         assert model.uniform(key) == direct
+
+
+#: One rank, an odd count, the paper's p=8, four-phase blocks, and one rank
+#: past the budget (a block is a single phase).
+TAPE_RANK_COUNTS = (1, 3, 8, 1000, TAPE_DEVIATES + 1)
+
+#: About two interrupts per millisecond of compute, so the interrupt stream
+#: moves the served values as well as the three gaussian streams.
+TAPE_OPTIONS = NoiseOptions(interruption_rate_per_ms=2.0)
+
+TAPE_VIEWS = ("compute_batch", "compute_subset", "compute_keyed", "compute",
+              "communication_batch", "communication_subset",
+              "communication_keyed", "communication")
+
+
+def _key_deviates(seed, stream, phase, ranks, gaussian=True):
+    """The reference: each (seed, stream, phase, rank) key evaluated on its
+    own by ``keyed_uniform`` (and ``ndtri`` for the gaussian streams)."""
+    u = keyed_uniform(seed, stream, phase, np.asarray(ranks, dtype=np.int64))
+    return ndtri(u) if gaussian else u
+
+
+def _expected_compute(seed, phase, ranks, durations):
+    opts = TAPE_OPTIONS
+    z = _key_deviates(seed, STREAM_COMPUTE_JITTER, phase, ranks)
+    u = _key_deviates(seed, STREAM_COMPUTE_INTERRUPT, phase, ranks,
+                      gaussian=False)
+    lam = opts.interruption_rate_per_ms * (durations / 1000.0)
+    noisy = durations * np.maximum(1.0 + opts.compute_jitter_sigma * z, 0.0) \
+        + poisson_from_uniform(u, lam) * opts.interruption_cost_us
+    return np.where(durations > 0.0, noisy, durations)
+
+
+def _expected_communication(seed, phase, ranks, durations):
+    opts = TAPE_OPTIONS
+    z1 = _key_deviates(seed, STREAM_COMM_JITTER, phase, ranks)
+    z2 = _key_deviates(seed, STREAM_COMM_FLOOR, phase, ranks)
+    noisy = np.maximum(
+        durations * np.maximum(1.0 + opts.comm_jitter_sigma * z1, 0.0)
+        + np.abs(opts.comm_jitter_floor_us * z2), 0.0)
+    return np.where(durations > 0.0, noisy, durations)
+
+
+class TestDeviateTape:
+    """The model serves deviates from a per-run tape; both engines read it,
+    so engine parity cannot catch a tape bug.  The oracle here is each
+    deviate's ``NoiseKey`` evaluated directly."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**64 - 1),
+           nprocs=st.sampled_from(TAPE_RANK_COUNTS),
+           requests=st.lists(
+               st.tuples(st.sampled_from(TAPE_VIEWS),
+                         st.integers(0, 3),       # which block boundary
+                         st.integers(-1, 1),      # which side of it
+                         st.integers(0, 2**32 - 1)),
+               min_size=1, max_size=10))
+    def test_every_served_deviate_equals_its_key(self, seed, nprocs,
+                                                  requests):
+        model = NoiseModel(seed=seed, options=TAPE_OPTIONS)
+        block = max(1, TAPE_DEVIATES // nprocs)
+        claimed = 0                  # phases claimed by compute()/communication()
+        for view, boundary, side, draw_seed in requests:
+            rng = np.random.default_rng(draw_seed)
+            durations = rng.uniform(50.0, 4000.0, nprocs)
+            durations[rng.random(nprocs) < 0.1] = 0.0
+            phase = max(boundary * block + side, 0)
+            kind, _, how = view.partition("_")
+            if how == "batch":
+                ranks = np.arange(nprocs)
+                served = getattr(model, f"{kind}_batch")(durations,
+                                                         phase=phase)
+            elif how == "subset":
+                ranks = rng.permutation(nprocs)[:int(rng.integers(1, 7))]
+                served = getattr(model, f"{kind}_batch")(
+                    durations[ranks], ranks=ranks, phase=phase)
+            elif how == "keyed":
+                ranks = np.unique([0, nprocs - 1, rng.integers(nprocs)])
+                served = [getattr(model, f"{kind}_keyed")(
+                    phase, int(rank), durations[rank]) for rank in ranks]
+            else:
+                ranks = rng.integers(nprocs, size=1)
+                served = [getattr(model, kind)(durations[ranks[0]],
+                                               rank=int(ranks[0]))]
+                phase, claimed = claimed, claimed + 1
+            expected = _expected_compute if kind == "compute" \
+                else _expected_communication
+            assert np.array_equal(
+                np.asarray(served, dtype=np.float64),
+                expected(seed, phase, ranks, durations[ranks])), \
+                (view, phase, nprocs)
+
+    @pytest.mark.parametrize("nprocs,phases_per_block",
+                             [(1, 4096), (8, 512), (1000, 4), (4096, 1),
+                              (8192, 1)])
+    def test_block_length_is_the_budget_over_the_rank_count(
+            self, monkeypatch, nprocs, phases_per_block):
+        calls = []
+        original = noise_module.keyed_uniform
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(noise_module, "keyed_uniform", counted)
+        model = NoiseModel(seed=3)
+        durations = np.full(nprocs, 100.0)
+        for phase in range(phases_per_block):
+            model.compute_batch(durations, phase=phase)
+        assert len(calls) == 1           # both streams, every phase, one pass
+        model.compute_batch(durations, phase=phases_per_block)
+        assert len(calls) == 2
 
 
 class TestEmpiricalMagnitudes:

@@ -156,6 +156,67 @@ class TestEnginePropertyParity:
         assert vector.comm_stats.operations == loop.comm_stats.operations
 
 
+CSHIFT_SOURCE = """
+      program rotate
+      integer, parameter :: n = 16
+      real, dimension(n) :: a, b
+!HPF$ PROCESSORS p(4)
+!HPF$ TEMPLATE t(n)
+!HPF$ ALIGN a(i) WITH t(i)
+!HPF$ ALIGN b(i) WITH t(i)
+!HPF$ DISTRIBUTE t(BLOCK) ONTO p
+      forall (i = 1:n) a(i) = 1.0 * i
+      b = cshift(a, {shift})
+      print *, b(1), b(n)
+      end program rotate
+"""
+
+
+class TestCshiftDirection:
+    """The sign of a CSHIFT offset picks the neighbour each rank sends to."""
+
+    @staticmethod
+    def _shift_pairs(monkeypatch, engine, shift):
+        """(sender, receiver) pairs of every shift exchange the run prices."""
+        import repro.simulator.executor as loop_engine
+        import repro.simulator.vector as vector_engine
+
+        pairs = []
+        exchange = loop_engine.shift_exchange
+        exchange_clocks = vector_engine.shift_exchange_clocks
+
+        def record(network, shift_pairs, *args, **kwargs):
+            pairs.extend(shift_pairs)
+            return exchange(network, shift_pairs, *args, **kwargs)
+
+        def record_clocks(network, src, dst, *args, **kwargs):
+            pairs.extend(zip(src.tolist(), dst.tolist()))
+            return exchange_clocks(network, src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(loop_engine, "shift_exchange", record)
+        monkeypatch.setattr(vector_engine, "shift_exchange_clocks",
+                            record_clocks)
+        result = _per_rank(CSHIFT_SOURCE.format(shift=shift),
+                           get_machine("ipsc860", 4), engine, 4)
+        return sorted(pairs), result
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_negative_shift_mirrors_positive(self, monkeypatch, engine):
+        forward, _ = self._shift_pairs(monkeypatch, engine, 1)
+        backward, _ = self._shift_pairs(monkeypatch, engine, -1)
+        assert forward == [(0, 1), (1, 2), (2, 3), (3, 0)]
+        assert backward == sorted((dst, src) for src, dst in forward)
+
+    def test_engines_agree_on_both_directions(self, monkeypatch):
+        for shift in (1, -1):
+            loop_pairs, loop = self._shift_pairs(monkeypatch, "loop", shift)
+            vector_pairs, vector = self._shift_pairs(monkeypatch, "vector",
+                                                     shift)
+            assert loop_pairs == vector_pairs
+            assert loop.per_rank_us == vector.per_rank_us
+            assert loop.printed == vector.printed
+
+
 class TestEngineSwitch:
     def test_simulator_config_is_the_options_type(self):
         config = SimulatorConfig(engine="loop")
