@@ -81,6 +81,38 @@ if problems:
 print("perfbench table2-accuracy smoke: correct, 0 failed, errors unchanged")
 EOF
 
+echo "== perfbench smoke: traced sim-scale, correct, simulated counts unchanged"
+perfbench_last=$(python3 perfbench/run.py --workload sim-scale --seed 1 \
+    --seconds 2 --trace 1 | tail -n 1)
+python3 - "$perfbench_last" <<'EOF'
+import json
+import sys
+
+# Exact: simulated time, messages and statements are deterministic, so any
+# change here is a change to a simulated number.
+EXPECTED = {
+    f"simulator.{config}.{metric}": value
+    for config, values in {
+        "hypercube_p1024": {"simulated_us": 35932, "messages": 102400,
+                            "statements": 172},
+        "switched_p8192": {"simulated_us": 4435, "messages": 491520,
+                           "statements": 172},
+    }.items()
+    for metric, value in values.items()
+}
+
+last = json.loads(sys.argv[1])
+values = {name: last["metrics"][name]["value"] for name in EXPECTED}
+problems = [message for bad, message in (
+    (last["correct"] is not True, "outputs are not correct"),
+    (last["failed"] != 0, f"{last['failed']} calls failed"),
+) if bad] + [f"{name} is {values[name]!r}, expected {value!r}"
+             for name, value in EXPECTED.items() if values[name] != value]
+if problems:
+    sys.exit("perfbench sim-scale smoke: " + "; ".join(problems))
+print("perfbench sim-scale smoke: correct, 0 failed, simulated counts unchanged")
+EOF
+
 echo "== sharding smoke: interrupt a sharded campaign, resume, verify the merge"
 python scripts/sharding_smoke.py
 

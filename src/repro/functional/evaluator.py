@@ -8,6 +8,19 @@ oracle the simulator's results are validated against in the test suite.
 Execution is vectorised with NumPy: foralls, array assignments and WHERE
 statements evaluate their whole iteration space at once (right-hand sides are
 fully evaluated before any assignment, as Fortran requires).
+
+Inside a forall, references whose subscripts are affine in the forall
+indices are read as strided views, and a target of that form that uses
+every forall index is stored through its view; every other reference is
+gathered and scattered through full index grids (the rule is in
+:mod:`repro.functional.exprs`).  A right-hand side that shares memory with
+its target is copied before the store, and the mask is a copy taken before
+the body runs, so views never see the forall's own stores.
+
+Scalar subscripts of assignment and WHERE targets must lie inside the
+declared bounds (an :class:`~repro.frontend.errors.EvaluationError`
+otherwise); gathered forall stores keep NumPy's wrap-around for negative
+indices.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ import numpy as np
 from ..frontend import ast_nodes as ast
 from ..frontend.errors import EvaluationError
 from ..frontend.symbols import SymbolTable
-from .exprs import ExpressionEvaluator
+from .exprs import ExpressionEvaluator, ForallSpace
 from .state import ProgramState
 
 
@@ -167,17 +180,22 @@ class FunctionalEvaluator:
 
         if isinstance(target, ast.ArrayRef):
             array = self.state.array(target.name)
-            indices = []
-            for axis, index in enumerate(target.indices):
-                if isinstance(index, ast.Section):
-                    indices.append(self.exprs._section_slice(array, axis, index, {}))
-                else:
-                    indices.append(int(self._scalarise(self.exprs.eval(index)))
-                                   - array.lower_bounds[axis])
-            array.data[tuple(indices)] = value
+            array.data[self._target_index(target, array)] = value
             return
 
         raise EvaluationError("invalid assignment target")
+
+    def _target_index(self, target: ast.ArrayRef, array) -> tuple:
+        """Basic index of an assignment target: sections and in-bounds
+        scalar subscripts."""
+        indices = []
+        for axis, index in enumerate(target.indices):
+            if isinstance(index, ast.Section):
+                indices.append(self.exprs._section_slice(array, axis, index, {}))
+            else:
+                indices.append(self.exprs.element_index(
+                    array, axis, self._scalarise(self.exprs.eval(index))))
+        return tuple(indices)
 
     @staticmethod
     def _scalarise(value):
@@ -206,16 +224,10 @@ class FunctionalEvaluator:
             if not isinstance(target, ast.ArrayRef):
                 raise EvaluationError("WHERE assignment target must be an array section")
             array = self.state.array(target.name)
-            indices = []
-            for axis, index in enumerate(target.indices):
-                if isinstance(index, ast.Section):
-                    indices.append(self.exprs._section_slice(array, axis, index, {}))
-                else:
-                    indices.append(int(self._scalarise(self.exprs.eval(index)))
-                                   - array.lower_bounds[axis])
-            view = array.data[tuple(indices)]
+            indices = self._target_index(target, array)
+            view = array.data[indices]
             value = np.broadcast_to(np.asarray(self.exprs.eval(assign.value)), view.shape)
-            array.data[tuple(indices)] = np.where(use_mask, value, view)
+            array.data[indices] = np.where(use_mask, value, view)
 
     # -- loops ------------------------------------------------------------------------
 
@@ -291,8 +303,7 @@ def execute_forall(
     exprs = exprs or ExpressionEvaluator(state)
     record = ForallExecution()
 
-    ranges: list[np.ndarray] = []
-    names: list[str] = []
+    triplets: list[tuple[str, np.ndarray, int]] = []
     for triplet in stmt.triplets:
         lo = int(np.asarray(exprs.eval(triplet.lo)))
         hi = int(np.asarray(exprs.eval(triplet.hi)))
@@ -300,24 +311,23 @@ def execute_forall(
         if step == 0:
             raise EvaluationError("forall stride must be non-zero")
         values = np.arange(lo, hi + (1 if step > 0 else -1), step, dtype=np.int64)
-        ranges.append(values)
-        names.append(triplet.var.lower())
+        triplets.append((triplet.var.lower(), values, step))
         record.triplet_ranges[triplet.var.lower()] = values
 
-    if any(len(r) == 0 for r in ranges):
+    if any(len(values) == 0 for _name, values, _step in triplets):
         record.iterations = 0
         return record
 
-    grids = np.meshgrid(*ranges, indexing="ij") if ranges else []
-    index_env = {name: grid for name, grid in zip(names, grids)}
+    index_env = ForallSpace(triplets)
     record.grids = dict(index_env)
-    record.iterations = int(np.prod([len(r) for r in ranges])) if ranges else 1
+    record.iterations = int(np.prod(index_env.shape))
 
     mask = None
     if stmt.mask is not None:
+        # a copy: a mask read through a view must not see the body's stores
         mask = np.broadcast_to(
-            np.asarray(exprs.eval(stmt.mask, index_env), dtype=bool),
-            grids[0].shape if grids else (),
+            np.array(exprs.eval(stmt.mask, index_env), dtype=bool),
+            index_env.shape,
         )
         record.mask = mask
         record.assigned = int(np.count_nonzero(mask))
@@ -333,7 +343,7 @@ def _forall_assign(
     assign: ast.Assignment,
     state: ProgramState,
     exprs: ExpressionEvaluator,
-    index_env: dict[str, np.ndarray],
+    index_env: ForallSpace,
     mask: Optional[np.ndarray],
 ) -> None:
     target = assign.target
@@ -343,7 +353,27 @@ def _forall_assign(
 
     # evaluate every RHS value before any store (Fortran forall semantics)
     rhs = exprs.eval(assign.value, index_env)
+    if isinstance(rhs, np.ndarray) and np.may_share_memory(rhs, array.data):
+        rhs = rhs.copy()
 
+    view = exprs.strided_view(target, array, index_env)
+    if view is not None and view.shape == index_env.shape:
+        np.copyto(view, rhs, casting="unsafe",
+                  where=True if mask is None else mask)
+        return
+    _forall_scatter(target, array, rhs, exprs, index_env, mask)
+
+
+def _forall_scatter(
+    target: ast.ArrayRef,
+    array,
+    rhs,
+    exprs: ExpressionEvaluator,
+    index_env: Mapping[str, np.ndarray],
+    mask: Optional[np.ndarray],
+) -> None:
+    """The general forall store: every target subscript evaluated over the
+    index grids, then one fancy-indexed scatter (negative indices wrap)."""
     index_arrays = []
     for axis, index in enumerate(target.indices):
         value = exprs.eval(index, index_env)

@@ -6,6 +6,33 @@ the simulator's SPMD executor.  Expressions are evaluated against a
 ``index_env`` maps forall index variables to NumPy index grids so whole
 iteration spaces evaluate in one vectorised sweep (per the HPC guides: never
 loop element-by-element in Python).
+
+**Views versus gathers.**  Inside a forall (an index environment that is a
+:class:`ForallSpace`) an array reference is read through a basic-slicing
+*view* when every subscript has one of two forms:
+
+* ``c*v + b`` — ``v`` a forall index that occurs nowhere else in the
+  reference, ``c`` a non-zero integer literal, ``b`` built by ``+``, ``-``
+  and integer-literal ``*`` from scalars free of forall indices, each of
+  which evaluates to an integer or an integral float;
+* a scalar free of forall indices that evaluates to an integral value;
+
+and the whole range the reference spans lies inside the declared bounds.
+The view is transposed into forall-axis order and broadcast to the
+iteration shape, so it has exactly the shape and values of the gather.
+Every other reference — indirect subscripts such as ``ex(ix(k))``, a
+repeated index such as ``a(i, i)``, a range that leaves the array — takes
+the general *gather* path: index grids evaluated in full and fancy-indexed.
+The arguments of ``sum``, ``product`` and ``matmul``, whose floating-point
+results depend on memory order, are always gathered.
+
+**Out-of-range subscripts.**  Scalar subscripts on the basic path and
+non-empty sections must lie inside the declared bounds; otherwise an
+:class:`~repro.frontend.errors.EvaluationError` names the array, the axis,
+the index and the bounds.  Zero-trip sections such as ``a(5:4)`` are legal.
+Gathered forall references keep NumPy's semantics: negative indices wrap
+around, which masked foralls such as ``forall (i = 1:n, i > 1) b(i) = a(i-1)``
+rely on for their masked-out elements.
 """
 
 from __future__ import annotations
@@ -50,6 +77,15 @@ def _fortran_int_div(left, right):
     return np.trunc(np.divide(left, right)).astype(np.int64)
 
 
+#: intrinsics whose floating-point result depends on the memory order of
+#: their arguments; a view and a gather of the same values may differ there
+_ORDER_SENSITIVE = frozenset({"sum", "product", "matmul"})
+
+#: integers up to this magnitude are exact in float64, so a subscript's
+#: index arithmetic gives the same integers in any association order
+_EXACT_INT = 2 ** 53
+
+
 def _is_integer_like(value) -> bool:
     if isinstance(value, (bool, np.bool_)):
         return False
@@ -60,11 +96,97 @@ def _is_integer_like(value) -> bool:
     return False
 
 
+class ForallSpace(dict):
+    """A forall's index environment: index name -> index grid (the mapping
+    every evaluation reads), plus each index's triplet, which lets
+    :meth:`ExpressionEvaluator.strided_view` read affine references as
+    strided views instead of gathers."""
+
+    def __init__(self, triplets: list[tuple[str, np.ndarray, int]]):
+        """*triplets* holds ``(name, values, step)`` per forall index, in
+        iteration-axis order; every ``values`` is a non-empty arithmetic
+        sequence with difference ``step``."""
+        self.shape = tuple(len(values) for _name, values, _step in triplets)
+        # read-only broadcast grids: the meshgrid values without its copies
+        ndim = len(triplets)
+        super().__init__(
+            (name, np.broadcast_to(values.reshape(
+                [-1 if other == axis else 1 for other in range(ndim)]),
+                self.shape))
+            for axis, (name, values, _step) in enumerate(triplets))
+        self.names = frozenset(self)
+        #: index name -> (iteration axis, first value, step)
+        self.axes = {name: (axis, int(values[0]), step)
+                     for axis, (name, values, step) in enumerate(triplets)}
+
+
+def _int_literal(expr: ast.Expr) -> int | None:
+    """The value of an integer literal, optionally signed; else None."""
+    sign = 1
+    if isinstance(expr, ast.UnaryOp) and expr.op in ("+", "-"):
+        sign = -1 if expr.op == "-" else 1
+        expr = expr.operand
+    if isinstance(expr, ast.Num) and expr.is_int:
+        return sign * int(expr.value)
+    return None
+
+
+def _affine(expr: ast.Expr, names) -> tuple[str | None, int, list] | None:
+    """``expr`` as ``c*v + sum(k*t)``: ``(v, c, [(k, t), ...])``.
+
+    ``v`` is the one forall index (in *names*) that ``expr`` mentions, or
+    None when it mentions none; the ``t`` are maximal sub-expressions free
+    of forall indices and ``c``, ``k`` integers.  None when ``expr`` has any
+    other form: a second index occurrence, an index under anything but
+    ``+``, ``-`` and integer-literal ``*``.
+    """
+    if not any(isinstance(node, ast.Var) and node.name.lower() in names
+               for node in ast.walk_expr(expr)):
+        return None, 0, [(1, expr)]
+    if isinstance(expr, ast.Var):
+        return expr.name.lower(), 1, []
+    if isinstance(expr, ast.UnaryOp) and expr.op in ("+", "-"):
+        return _scaled(_affine(expr.operand, names), -1 if expr.op == "-" else 1)
+    if isinstance(expr, ast.BinOp) and expr.op in ("+", "-"):
+        left = _affine(expr.left, names)
+        right = _scaled(_affine(expr.right, names), 1 if expr.op == "+" else -1)
+        if left is None or right is None or (left[0] and right[0]):
+            return None
+        return left[0] or right[0], left[1] + right[1], left[2] + right[2]
+    if isinstance(expr, ast.BinOp) and expr.op == "*":
+        for literal, other in ((expr.left, expr.right), (expr.right, expr.left)):
+            factor = _int_literal(literal)
+            if factor is not None:
+                return _scaled(_affine(other, names), factor)
+    return None
+
+
+def _scaled(form, factor: int):
+    if form is None:
+        return None
+    name, coeff, terms = form
+    return name, coeff * factor, [(k * factor, t) for k, t in terms]
+
+
+def _integral(value) -> int | None:
+    """*value* as an int when it is an integer or an integral float."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    return None
+
+
 class ExpressionEvaluator:
     """Evaluates expressions against a program state."""
 
     def __init__(self, state: ProgramState):
         self.state = state
+        # id(array ref) -> (ref, forall index names, per-subscript affine
+        # forms): the syntactic half of strided_view, fixed per reference
+        self._view_forms: dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # entry point
@@ -142,6 +264,13 @@ class ExpressionEvaluator:
             raise EvaluationError(f"'{expr.name}' is subscripted but is not an array", )
         array = self.state.array(expr.name)
         data = array.data
+        if isinstance(env, ForallSpace):
+            view = self.strided_view(expr, array, env)
+            if view is not None:        # read-only, like any shared value
+                if view.shape != env.shape:
+                    return np.broadcast_to(view, env.shape)
+                view.flags.writeable = False
+                return view
 
         has_section = any(isinstance(ix, ast.Section) for ix in expr.indices)
         evaluated = []
@@ -167,7 +296,7 @@ class ExpressionEvaluator:
                 if isinstance(value, slice):
                     indices.append(value)
                 else:
-                    indices.append(int(value) - array.lower_bounds[axis])
+                    indices.append(self.element_index(array, axis, value))
             return data[tuple(indices)]
 
         # vectorised (forall) indexing: every subscript becomes a zero-based
@@ -177,6 +306,81 @@ class ExpressionEvaluator:
             zero_based = np.asarray(value) - array.lower_bounds[axis]
             indices.append(zero_based.astype(np.int64))
         return data[tuple(indices)]
+
+    def strided_view(self, expr: ast.ArrayRef, array,
+                     space: ForallSpace) -> np.ndarray | None:
+        """*expr*, a reference to *array*, over the forall *space* as a view
+        in forall-axis order.
+
+        The view has a length-1 axis for each forall index *expr* does not
+        use, so it broadcasts to ``space.shape``.  None when a subscript is
+        not of view form, a forall index occurs twice, no subscript uses a
+        forall index, or the spanned range leaves the declared bounds — the
+        reference must then be gathered (module docstring).
+        """
+        cached = self._view_forms.get(id(expr))
+        if cached is None or cached[0] is not expr or cached[1] != space.names:
+            cached = self._view_forms[id(expr)] = (
+                expr, space.names,
+                [_affine(ix, space.names) for ix in expr.indices])
+        forms = cached[2]
+        if None in forms:
+            return None
+        extents = array.data.shape
+        index = []
+        order = []          # the forall index of each view axis
+        for axis, (name, coeff, terms) in enumerate(forms):
+            if name in order or (name is not None and coeff == 0):
+                return None
+            offset = bound = 0
+            for factor, term in terms:
+                value = _integral(self._eval(term, space))
+                if value is None:
+                    return None
+                offset += factor * value
+                bound += abs(factor * value)
+            start = offset - array.lower_bounds[axis]
+            if name is None:
+                if not 0 <= start < extents[axis]:
+                    return None
+                index.append(start)
+                continue
+            position, first, step = space.axes[name]
+            length = space.shape[position]
+            last_value = first + (length - 1) * step
+            bound += abs(coeff) * max(abs(first), abs(last_value))
+            start += coeff * first
+            stride = coeff * step
+            stop = start + (length - 1) * stride
+            if bound >= _EXACT_INT or not (0 <= start < extents[axis]
+                                           and 0 <= stop < extents[axis]):
+                return None
+            stop += 1 if stride > 0 else -1
+            index.append(slice(start, stop if stop >= 0 else None, stride))
+            order.append(name)
+        if not order:
+            return None
+        view = array.data[tuple(index)]
+        positions = [space.axes[name][0] for name in order]
+        if positions != sorted(positions):
+            view = view.transpose(sorted(range(len(positions)),
+                                         key=positions.__getitem__))
+        if len(positions) < len(space.shape):
+            view = view.reshape([length if position in positions else 1
+                                 for position, length in enumerate(space.shape)])
+        return view
+
+    def element_index(self, array, axis: int, value) -> int:
+        """Zero-based index of the scalar Fortran subscript *value* on *axis*,
+        which must lie inside the declared bounds."""
+        lb = array.lower_bounds[axis]
+        ub = lb + array.data.shape[axis] - 1
+        index = int(value)
+        if not lb <= index <= ub:
+            raise EvaluationError(
+                f"subscript {index} of '{array.name}' on axis {axis + 1} is "
+                f"outside its declared bounds {lb}:{ub}")
+        return index - lb
 
     def _section_slice(self, array, axis: int, section: ast.Section,
                        env: Mapping[str, np.ndarray]) -> slice:
@@ -188,6 +392,10 @@ class ExpressionEvaluator:
         lo_i, hi_i, stride_i = int(lo), int(hi), int(stride)
         if stride_i == 0:
             raise EvaluationError("array section stride must be non-zero")
+        if (hi_i - lo_i) * stride_i >= 0:       # at least one element
+            last = lo_i + (hi_i - lo_i) // stride_i * stride_i
+            for index in (lo_i, last):
+                self.element_index(array, axis, index)
         start = lo_i - lb
         stop = hi_i - lb + (1 if stride_i > 0 else -1)
         if stride_i < 0 and stop < 0:
@@ -220,6 +428,8 @@ class ExpressionEvaluator:
 
     def _eval_call(self, expr: ast.FuncCall, env: Mapping[str, np.ndarray]):
         name = expr.name.lower()
+        if name in _ORDER_SENSITIVE and isinstance(env, ForallSpace):
+            env = dict(env)         # gather the arguments (module docstring)
         args = [self._eval(a, env) for a in expr.args]
 
         if name in _ELEMENTAL:

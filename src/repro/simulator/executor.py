@@ -474,7 +474,8 @@ class SPMDExecutor:
 
         total_extent = self._reduction_extent(node, dist)
         element_size = dist.element_size if dist is not None else 4
-        per_rank = self._reduction_per_rank(dist, count, total_extent, element_size,
+        per_rank = self._reduction_per_rank(node, dist, count, total_extent,
+                                            element_size,
                                             self._precision(node.home_array))
         self._charge(node, "computation", per_rank)
 
@@ -489,7 +490,8 @@ class SPMDExecutor:
         count.flops += 1.0
         return count
 
-    def _reduction_per_rank(self, dist: ArrayDistribution | None, count: OpCount,
+    def _reduction_per_rank(self, node: ReductionNode,
+                            dist: ArrayDistribution | None, count: OpCount,
                             total_extent: float, element_size: int,
                             precision: str) -> np.ndarray:
         """Per-rank local-partial-reduction times (each rank sweeps its share)."""

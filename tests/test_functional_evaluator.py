@@ -211,3 +211,82 @@ class TestEvaluatorErrors:
         assert result.state.checksum() == pytest.approx(8.0)
         snap = result.state.snapshot()
         assert np.allclose(snap["a"], 2.0)
+
+
+class TestOutOfRangeSubscripts:
+    """Scalar subscripts and non-empty sections must lie inside the declared
+    bounds; gathered forall references keep NumPy's wrap-around."""
+
+    DECLS = "      real :: a(4)\n      forall (i = 1:4) a(i) = i"
+
+    def out_of_range(self, statement: str, index: int, axis: int = 1,
+                     bounds: str = "1:4"):
+        with pytest.raises(EvaluationError) as info:
+            run(f"{self.DECLS}\n      {statement}")
+        message = str(info.value)
+        assert "'a'" in message and f"axis {axis}" in message
+        assert f"subscript {index} " in message and bounds in message
+
+    def test_scalar_target_below_bounds(self):
+        # used to overwrite a(4)
+        self.out_of_range("a(0) = 5.0", 0)
+
+    def test_scalar_read_below_bounds(self):
+        # used to read a(4)
+        self.out_of_range("x = a(0)", 0)
+
+    def test_scalar_read_above_bounds(self):
+        # used to raise a raw numpy IndexError
+        self.out_of_range("x = a(5)", 5)
+
+    def test_section_starting_below_bounds(self):
+        # used to sum an empty slice to 0.0
+        self.out_of_range("x = sum(a(0:2))", 0)
+
+    def test_section_ending_above_bounds(self):
+        # numpy used to clip the section silently (7.0)
+        self.out_of_range("x = sum(a(3:5))", 5)
+
+    def test_strided_section_checks_its_last_element(self):
+        self.out_of_range("x = sum(a(1:7:3))", 7)
+        assert run(f"{self.DECLS}\n      x = sum(a(1:6:3))").scalar("x") == 5.0
+
+    def test_negative_stride_section(self):
+        self.out_of_range("x = sum(a(5:1:-1))", 5)
+        assert run(f"{self.DECLS}\n      x = sum(a(4:1:-2))").scalar("x") == 6.0
+
+    def test_zero_trip_sections_stay_legal(self):
+        result = run(f"{self.DECLS}\n      x = sum(a(5:4))\n"
+                     "      y = sum(a(0:9:-1))\n      a(7:2) = 9.0")
+        assert result.scalar("x") == 0.0 and result.scalar("y") == 0.0
+        assert np.array_equal(result.array("a"), [1.0, 2.0, 3.0, 4.0])
+
+    def test_section_target_out_of_bounds(self):
+        self.out_of_range("a(2:5) = 0.0", 5)
+
+    def test_where_target_scalar_subscript(self):
+        for row in (0, 3):
+            with pytest.raises(EvaluationError,
+                               match=rf"subscript {row} of 'm' on axis 1 is "
+                                     r"outside its declared bounds 1:2"):
+                run("      real :: m(2, 3)\n      m = 1.0\n"
+                    f"      where (m(1, 1:3) > 0.0) m({row}, 1:3) = 2.0")
+
+    def test_lower_bound_and_axis_are_named(self):
+        with pytest.raises(EvaluationError,
+                           match=r"subscript 3 of 'g' on axis 2 is outside "
+                                 r"its declared bounds -1:2"):
+            run("      real :: g(4, -1:2)\n      g(1, 3) = 1.0")
+
+    def test_masked_forall_keeps_wraparound_for_masked_out_elements(self):
+        # i - 1 = 0 for the masked-out i = 1: the gather reads a(4) there
+        # (wrap-around) and the mask discards it; no error, same values.
+        result = run("      real :: a(4), b(4)\n      forall (i = 1:4) a(i) = i\n"
+                     "      b = -1.0\n      forall (i = 1:4, i > 1) b(i) = a(i - 1)")
+        assert np.array_equal(result.array("b"), [-1.0, 1.0, 2.0, 3.0])
+
+    def test_unmasked_forall_gather_still_wraps(self):
+        # vector subscripts keep NumPy semantics: index 0 reads a(4)
+        result = run("      real :: a(4), b(4)\n      forall (i = 1:4) a(i) = i\n"
+                     "      forall (i = 1:4) b(i) = a(i - 1)")
+        assert np.array_equal(result.array("b"), [4.0, 1.0, 2.0, 3.0])

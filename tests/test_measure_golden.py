@@ -11,6 +11,11 @@ simulator's numbers must leave it as it is.
 
 p=3 is deliberate: a non-power-of-two partition exercises the uneven BLOCK
 split and the partition-safe hypercube routes.
+
+A second digest pins the same fields over :data:`SCALE_SCENARIOS`: larger
+partitions on every topology kind (contended hypercube, switched, mesh,
+fat tree, torus) and the suite's masked, strided and indirect foralls,
+which lie outside the p <= 8 iPSC/860 pin above.
 """
 
 import hashlib
@@ -29,25 +34,62 @@ MEASURE_DIGEST = \
     "6c2df64935d4b7f6cd7045a624093bd31b89e6f3d4ba6a3809350e258b36e056"
 
 
+#: (app, size, extra params, machine, p) of the scale pin; a size of None
+#: is the app's first paper size.
+SCALE_SCENARIOS = (
+    ("laplace_block_block", 64, {"maxiter": 5.0}, "ipsc860", 256),
+    ("laplace_block_star", 64, {"maxiter": 5.0}, "modern-cluster", 1024),
+    ("laplace_star_block", 64, {"maxiter": 5.0}, "paragon", 64),
+    ("nbody", None, {}, "paragon", 64),
+    ("nbody", None, {}, "cm5", 64),
+    ("lfk2", None, {}, "torus-cluster", 16),
+    ("lfk14", None, {}, "torus-cluster", 16),
+    ("finance", None, {}, "cm5", 32),
+)
+
+#: sha256 of :func:`scale_lines` joined by newlines, computed before
+#: per-trip reuse and strided forall views; neither may move it.
+SCALE_DIGEST = \
+    "d4c16a6f72b4df9410b01064fdee23cee5d1cb2e4f4edc35a13841b386385b0d"
+
+
+def _measure_line(key: str, size: int, params: dict, machine: str,
+                  nprocs: int) -> str:
+    entry = all_entries()[key]
+    compiled = stages.compile_cached(entry.source, name=entry.key,
+                                     nprocs=nprocs, params=params)
+    result = simulate(compiled, get_machine(machine, nprocs),
+                      options=SimulatorOptions(engine="vector"))
+    return " ".join([
+        key, str(size), str(nprocs),
+        float(result.measured_time_us).hex(),
+        ",".join(float(t).hex() for t in result.per_rank_us),
+        float(result.array_checksum).hex(),
+        str(result.comm_stats.messages),
+        str(result.comm_stats.bytes),
+    ])
+
+
 def measure_lines() -> list[str]:
     """One line per (app, first size, p): every pinned output, exactly."""
     lines = []
     for key, entry in sorted(all_entries().items()):
         size = entry.sizes[0]
         for nprocs in PROC_COUNTS:
-            compiled = stages.compile_cached(entry.source, name=entry.key,
-                                             nprocs=nprocs,
-                                             params=entry.params_for(size))
-            result = simulate(compiled, get_machine(MACHINE, nprocs),
-                              options=SimulatorOptions(engine="vector"))
-            lines.append(" ".join([
-                key, str(size), str(nprocs),
-                float(result.measured_time_us).hex(),
-                ",".join(float(t).hex() for t in result.per_rank_us),
-                float(result.array_checksum).hex(),
-                str(result.comm_stats.messages),
-                str(result.comm_stats.bytes),
-            ]))
+            lines.append(_measure_line(key, size, entry.params_for(size),
+                                       MACHINE, nprocs))
+    return lines
+
+
+def scale_lines() -> list[str]:
+    """One line per :data:`SCALE_SCENARIOS` entry, machine named first."""
+    lines = []
+    for key, size, extra, machine, nprocs in SCALE_SCENARIOS:
+        entry = all_entries()[key]
+        size = entry.sizes[0] if size is None else size
+        params = {**entry.params_for(size), **extra}
+        lines.append(machine + " "
+                     + _measure_line(key, size, params, machine, nprocs))
     return lines
 
 
@@ -56,3 +98,10 @@ def test_suite_measure_outputs_are_pinned():
     assert len(lines) == len(all_entries()) * len(PROC_COUNTS)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
         == MEASURE_DIGEST
+
+
+def test_scale_measure_outputs_are_pinned():
+    lines = scale_lines()
+    assert len(lines) == len(SCALE_SCENARIOS)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
+        == SCALE_DIGEST

@@ -156,6 +156,89 @@ class TestEnginePropertyParity:
         assert vector.comm_stats.operations == loop.comm_stats.operations
 
 
+#: Every DO trip changes something the vector engine's per-trip reuse keys
+#: on: the first forall's bound k and mask threshold t (trips 1-2 share
+#: their bounds and differ only in the mask), the second forall's first
+#: and last value at a fixed length and no mask, and through the stride st
+#: the next three's first value, last value and length, each with the other
+#: two fixed; then a CSHIFT offset and the extent of a reduced section.
+#: Trips that repeat a signature are reused.
+TRIPS_SOURCE = """
+      program trips
+      integer, parameter :: n = 32
+      integer, parameter :: ntrips = 6
+      real, dimension(n) :: a, b
+      real :: t, s
+      integer :: it, k, m, sh, st
+!HPF$ PROCESSORS p(4)
+!HPF$ TEMPLATE tp(n)
+!HPF$ ALIGN a(i) WITH tp(i)
+!HPF$ ALIGN b(i) WITH tp(i)
+!HPF$ DISTRIBUTE tp(BLOCK) ONTO p
+      forall (i = 1:n) a(i) = mod(7.0 * i, 5.0)
+      forall (i = 1:n) b(i) = 0.0
+      s = 0.0
+      do it = 1, ntrips
+        k = 8 * ((it + 1) / 2)
+        t = 1.5 * mod(it, 2)
+        m = 1 + 4 * (it / 2)
+        sh = mod(it, 3) - 1
+        st = 1 + mod(it, 2)
+        forall (i = 1:k, a(i) > t) b(i) = a(i) + 1.0
+        forall (i = m:m + 7) b(i) = 0.5 * b(i)
+        forall (i = 24 - 3 * st:24:st) b(i) = b(i) + 0.25
+        forall (i = 5:5 + 9 * st:3 * st) b(i) = b(i) - 0.125
+        forall (i = 2:8:st) b(i) = 1.5 * b(i)
+        forall (i = 2:n - 1) a(i) = 0.5 * (b(i - 1) + b(i + 1))
+        b = cshift(b, sh)
+        s = s + sum(b(1:k))
+      end do
+      print *, s
+      end program trips
+"""
+
+
+class TestPerTripReuse:
+    """The vector engine reuses a trip's node costs and shift plans only
+    when the trip's signature matches; the loop engine recomputes them."""
+
+    @pytest.mark.parametrize("machine_name", ["ipsc860", "modern-cluster"])
+    @pytest.mark.parametrize("nprocs", [3, 4])
+    def test_parity_when_bounds_mask_offset_and_extent_change(
+            self, machine_name, nprocs):
+        machine = get_machine(machine_name, nprocs)
+        loop = _per_rank(TRIPS_SOURCE, machine, "loop", nprocs)
+        vector = _per_rank(TRIPS_SOURCE, machine, "vector", nprocs)
+        assert vector.per_rank_us == loop.per_rank_us
+        assert vector.measured_time_us == loop.measured_time_us
+        assert vector.array_checksum == loop.array_checksum
+        assert vector.printed == loop.printed
+        for field in ("messages", "bytes", "operations"):
+            assert getattr(vector.comm_stats, field) \
+                == getattr(loop.comm_stats, field)
+
+    def test_node_costs_do_not_grow_with_the_trip_count(self, monkeypatch):
+        """Laplace repeats every trip: each loop nest and reduction is priced
+        on its first trip only, so 2 and 6 iterations make the same number
+        of cost-model sweeps."""
+        from repro.simulator.node import NodeCostModel
+        from repro.suite import get_entry
+
+        sweeps = []
+        price = NodeCostModel.loop_nest_times
+        monkeypatch.setattr(NodeCostModel, "loop_nest_times",
+                            lambda *a, **k: sweeps.append(1) or price(*a, **k))
+        entry = get_entry("laplace_block_block")
+        counts = []
+        for maxiter in (2.0, 6.0):
+            params = {**entry.params_for(16), "maxiter": maxiter}
+            compiled = compile_source(entry.source, nprocs=4, params=params)
+            sweeps.clear()
+            simulate(compiled, get_machine("ipsc860", 4))
+            counts.append(len(sweeps))
+        assert counts[0] == counts[1]
+
+
 CSHIFT_SOURCE = """
       program rotate
       integer, parameter :: n = 16
