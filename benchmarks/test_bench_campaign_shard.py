@@ -4,7 +4,8 @@
 process can fan out over workers without giving up the store's determinism
 guarantees.  This benchmark sweeps a ≥10k-point Laplace space twice —
 
-* **serial** — plain :func:`run_campaign` with ``executor="serial"``,
+* **serial** — plain :func:`run_campaign`, one point after another in
+  this process,
 * **sharded** — :func:`run_sharded_campaign` with ``shards=4`` forked
   workers streaming to per-shard segments, then merging,
 
@@ -69,8 +70,7 @@ def test_sharded_campaign_throughput(tmp_path, results_dir):
     serial_store = str(tmp_path / "serial.jsonl")
     started = time.perf_counter()
     serial_run = run_campaign(space, name="bench-serial",
-                              store=ResultStore(serial_store),
-                              executor="serial")
+                              store=ResultStore(serial_store))
     serial_wall = time.perf_counter() - started
     assert serial_run.evaluated == len(points)
 

@@ -74,7 +74,7 @@ def main() -> int:
         # the fault-free reference, before any plan is installed
         clean_path = os.path.join(tmp, "clean.jsonl")
         run_campaign(SMOKE_SPACE, name="ci-chaos-smoke", mode="predict",
-                     store=ResultStore(clean_path), executor="serial")
+                     store=ResultStore(clean_path))
 
         store_path = os.path.join(tmp, "chaos.jsonl")
         faults.install(chaos_plan(os.path.join(tmp, "ledger.txt")))

@@ -26,7 +26,7 @@ python -m pytest benchmarks/test_bench_simulator_scale.py -x -q -k "p1024_conten
 echo "== simulator-scale smoke: p=4096 vector run inside the wall-clock budget"
 python -m pytest benchmarks/test_bench_simulator_scale.py -x -q -k "p4096_vector_smoke"
 
-echo "== noise-engine retirement note: sequential scheme removed, archive verified"
+echo "== noise-engine retirement note: archived counter-engine times verified"
 python scripts/noise_drift_report.py
 
 echo "== docs check: markdown links + public-API doctests"

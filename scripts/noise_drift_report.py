@@ -5,15 +5,13 @@ counter-keyed engine and kept ``NoiseOptions(scheme="sequential")`` for one
 release so stores could be regenerated/compared; the measured drift between
 the two realisations was recorded in
 ``benchmarks/results/STORE_DIFF_noise_engine.md``.  That window is over: the
-sequential path was deleted in repro 1.1.0 and requesting it now fails
-eagerly with a removal notice.
+sequential path was deleted in repro 1.1.0, and the one-valued
+``NoiseOptions.scheme`` field that named it has since been removed as well.
 
 This script regenerates the store-diff note in its final, archival form:
 
-* asserts ``NoiseOptions(scheme="sequential")`` raises the removal notice
-  and that ``"counter"`` is the default (and only) scheme,
 * re-runs the original 16-scenario measure-mode drift space under the
-  counter scheme and verifies the simulated times still match the archived
+  counter engine and verifies the simulated times still match the archived
   migration table's "current" column — i.e. the archived drift numbers
   remain anchored to what the engine produces today, and
 * rewrites ``benchmarks/results/STORE_DIFF_noise_engine.md`` as a
@@ -32,12 +30,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.explore import ScenarioSpace, run_campaign  # noqa: E402
-from repro.frontend.errors import SimulationError  # noqa: E402
-from repro.simulator import (  # noqa: E402
-    NOISE_SCHEMES,
-    NoiseOptions,
-    SimulatorOptions,
-)
+from repro.simulator import NoiseOptions, SimulatorOptions  # noqa: E402
 
 DEFAULT_REPORT = os.path.join(os.path.dirname(__file__), "..",
                               "benchmarks", "results",
@@ -86,8 +79,9 @@ NOTE_LINES = [
     "different deterministic realisations, so every simulated measurement",
     "drifted slightly when a store was regenerated.  The migration window",
     "(`NoiseOptions(scheme=\"sequential\")` kept for one release) closed in",
-    "repro 1.1.0: the sequential path is deleted and requesting it raises",
-    "an eager `SimulationError` naming this note.",
+    "repro 1.1.0, when the sequential path was deleted.  The one-valued",
+    "`NoiseOptions.scheme` field is gone too: passing `scheme=` raises the",
+    "`TypeError` of any unknown field.",
     "",
     "Migration record (measured before retirement, full per-scenario table",
     "in this file's git history):",
@@ -112,21 +106,8 @@ def main() -> int:
     report_path = sys.argv[1] if len(sys.argv) > 1 \
         else os.path.normpath(DEFAULT_REPORT)
 
-    # 1. the retirement contract: sequential is gone, counter is the scheme
-    assert NOISE_SCHEMES == ("counter",), NOISE_SCHEMES
-    assert NoiseOptions().scheme == "counter"
-    try:
-        NoiseOptions(scheme="sequential")
-    except SimulationError as err:
-        message = str(err)
-        assert "removed in repro 1.1.0" in message, message
-        assert "STORE_DIFF_noise_engine" in message, message
-    else:
-        raise AssertionError(
-            "NoiseOptions(scheme='sequential') no longer raises")
-
-    # 2. the archive anchor: today's counter engine still produces the
-    #    migration table's "current" column
+    # the archive anchor: today's counter engine still produces the
+    # migration table's "current" column
     run = run_campaign(
         DRIFT_SPACE, name="noise-retirement-verify", mode="measure",
         simulator_options=SimulatorOptions(noise=NoiseOptions()))

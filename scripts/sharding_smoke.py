@@ -113,7 +113,7 @@ def main() -> int:
         # merged store must match an uninterrupted single-process sweep
         clean_path = os.path.join(tmp, "clean.jsonl")
         run_campaign(SMOKE_SPACE, name="ci-shard-smoke", mode="predict",
-                     store=ResultStore(clean_path), executor="serial")
+                     store=ResultStore(clean_path))
         diff = store_diff(ResultStore(clean_path).results(),
                           ResultStore(store_path).results())
         assert diff.drifted == [] and not diff.added and not diff.removed, \

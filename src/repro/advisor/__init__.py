@@ -15,8 +15,9 @@ this speedup":
   distribution swaps, nprocs changes, machine retargets, topology-layout
   pins, each traced to the finding that motivated it,
 * :mod:`~repro.advisor.search`    — :func:`advise`: drive the candidates
-  through the design-space exploration machinery (store-memoised, parallel,
-  optionally refined by the ``genetic``/``anneal`` campaign strategies),
+  through the design-space exploration machinery (deduplicated,
+  store-memoised, optionally refined by the ``genetic``/``anneal``
+  campaign strategies),
 * :mod:`~repro.advisor.report`    — ranked :class:`Recommendation` s with
   predicted speedup, simulator-corroborated confidence and a one-line
   explanation.

@@ -5,8 +5,8 @@ the baseline scenario, walks the metrics tree for bottleneck
 :class:`~repro.advisor.diagnose.Finding` s, generates the typed
 :class:`~repro.advisor.mutations.Mutation` s those findings suggest, drives
 every candidate through the design-space exploration machinery
-(:func:`repro.explore.evaluate_points`, with all its dedup, parallelism and
-persistent :class:`~repro.explore.store.ResultStore` memoisation) and returns
+(:func:`repro.explore.evaluate_points`, with all its dedup and persistent
+:class:`~repro.explore.store.ResultStore` memoisation) and returns
 the candidates that measurably improve the predicted time, ranked, explained
 and — when simulation budget is granted — cross-checked against the
 execution simulator for a confidence grade.
@@ -137,7 +137,6 @@ def advise(
     max_nprocs: int = 64,
     refine: str | None = None,
     seed: int = 0,
-    max_workers: int | None = None,
 ) -> AdvisorReport:
     """Diagnose *target* and recommend directive/configuration changes.
 
@@ -170,7 +169,6 @@ def advise(
             ``"genetic"`` or ``"anneal"`` campaign over their axis values;
             adds its own evaluations on top of ``budget``.
         seed: determinism seed for the refinement strategies.
-        max_workers: parallelism for candidate evaluation.
 
     Returns:
         An :class:`~repro.advisor.report.AdvisorReport`: ``baseline`` result,
@@ -284,12 +282,12 @@ def advise(
         if store is not None and store_refreshed:
             results, _, fresh = evaluate_points(
                 batch, mode=mode, store=None, program_for=program_for,
-                machine_resolver=resolver, max_workers=max_workers, memo=memo)
+                machine_resolver=resolver, memo=memo)
             persist(results)
             return results, 0, fresh
         return evaluate_points(
             batch, mode=mode, store=store, program_for=program_for,
-            machine_resolver=resolver, max_workers=max_workers, memo=memo)
+            machine_resolver=resolver, memo=memo)
 
     def served_set(batch, mode):
         """The points of *batch* the store would serve rather than evaluate."""
@@ -359,8 +357,7 @@ def advise(
             retry_memo.update({p.point: p for p in probes})
             results, _, retried = evaluate_points(
                 batch, mode=mode, store=None, program_for=program_for,
-                machine_resolver=resolver, max_workers=max_workers,
-                memo=retry_memo)
+                machine_resolver=resolver, memo=retry_memo)
             persist(results)
             hits, fresh = 0, fresh + retried + len(probes)
         return results, hits, fresh
@@ -403,8 +400,7 @@ def advise(
         with obs.span("refine", strategy=refine):
             run = run_campaign(space, name=f"advise-{key}-{refine}",
                                mode="predict", strategy=refine, store=None,
-                               seed=seed, max_workers=max_workers,
-                               memo=result_memo)
+                               seed=seed, memo=result_memo)
         if store is not None:
             persist(run.results)
         store_hits += run.store_hits

@@ -8,7 +8,7 @@ canonical example).  This subsystem turns that workflow into an engine:
 * :mod:`~repro.explore.space`    — declarative :class:`ScenarioSpace`
   (machine × topology shape × directives × problem size × nprocs) expanding
   to validity-filtered :class:`ScenarioPoint` s,
-* :mod:`~repro.explore.campaign` — :func:`run_campaign`: parallel, memoised
+* :mod:`~repro.explore.campaign` — :func:`run_campaign`: memoised, in-process
   evaluation with exhaustive, random-sampling and hill-climbing strategies,
 * :mod:`~repro.explore.store`    — the persistent, schema-versioned,
   content-addressed :class:`ResultStore` (JSONL) that lets campaigns resume
@@ -16,10 +16,10 @@ canonical example).  This subsystem turns that workflow into an engine:
 * :mod:`~repro.explore.report`   — best-config tables, Pareto frontiers and
   error-band summaries rendered through the Output Module,
 * :mod:`~repro.explore.sharding` + :mod:`~repro.explore.checkpoint` — the
-  scale layer: :func:`run_sharded_campaign` partitions a space
-  deterministically across worker processes, streams per-shard store
-  segments, checkpoints after every chunk for zero-recompute resume, and
-  merges through :func:`store_diff` — with optional
+  scale layer and the one parallel path: :func:`run_sharded_campaign`
+  partitions a space deterministically across worker processes, streams
+  per-shard store segments, checkpoints after every chunk for
+  zero-recompute resume, and merges through :func:`store_diff` — with optional
   ``fidelity="screen+sim"`` successive-halving corroboration.
 
 >>> from repro.explore import ScenarioSpace, ResultStore, run_campaign
@@ -30,7 +30,6 @@ canonical example).  This subsystem turns that workflow into an engine:
 """
 
 from .campaign import (
-    EXECUTORS,
     MODES,
     STRATEGIES,
     Campaign,
@@ -39,7 +38,6 @@ from .campaign import (
     evaluate_point,
     evaluate_points,
     resolve_campaign_machine,
-    resolve_executor,
     run_campaign,
 )
 from .checkpoint import (
@@ -93,7 +91,6 @@ from .store import (
 )
 
 __all__ = [
-    "EXECUTORS",
     "MODES",
     "STRATEGIES",
     "Campaign",
@@ -102,7 +99,6 @@ __all__ = [
     "evaluate_point",
     "evaluate_points",
     "resolve_campaign_machine",
-    "resolve_executor",
     "run_campaign",
     "CHECKPOINT_SCHEMA_VERSION",
     "CampaignCheckpoint",

@@ -24,27 +24,26 @@ of ArchGym's exploration harnesses around fast cost models:
 
 All strategies are deterministic for a fixed ``seed``.
 
-Points are evaluated **in parallel** through :mod:`concurrent.futures` and
+Points are evaluated **one after another in the calling process** and
 **memoised** twice: within a run (duplicate points are evaluated once) and
 across runs through the optional persistent
 :class:`~repro.explore.store.ResultStore` — a re-run of a finished campaign
-touches the store only.  The default ``executor="auto"`` runs predict-only
-campaigns on a thread pool (interpretation is cheap and releases the GIL
-poorly but briefly) and switches to a :class:`ProcessPoolExecutor` when
-every point requests the execution simulator (``mode`` of ``measure`` /
-``both``).  Simulation-heavy campaigns also prefer the simulator's
-**vector engine** (``SimulatorConfig(engine="vector")``, the default): each
-simulated point computes its per-rank state in bulk, which is what makes
-p ≥ 64 sweeps affordable; pass explicit ``simulator_options`` to pin the
-``loop`` oracle instead.
+touches the store only.  The one way to spread a campaign over worker
+processes is :func:`~repro.explore.sharding.run_sharded_campaign`, which
+takes ``grid`` and ``random`` only: the other strategies build each batch
+from the results of the last, so their simulated points always run
+serially here.
+Simulated points run the simulator's **vector engine**
+(``SimulatorOptions(engine="vector")``, the default): each simulated point
+computes its per-rank state in bulk, which is what makes p ≥ 64 sweeps
+affordable; pass explicit ``simulator_options`` to pin the ``loop`` oracle
+instead.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time as _time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Sequence
@@ -58,7 +57,6 @@ from .store import ResultStore, ScenarioResult
 
 STRATEGIES = ("grid", "random", "hillclimb", "genetic", "anneal", "bandit")
 MODES = ("predict", "measure", "both")
-EXECUTORS = ("auto", "thread", "process", "serial")
 
 #: ``(point) -> Machine`` override used by workbench presets that receive a
 #: pre-built Machine instance instead of a registry name.
@@ -114,12 +112,7 @@ def evaluate_point(
     machine_resolver: MachineResolver | None = None,
     simulator_options: SimulatorOptions | None = None,
 ) -> ScenarioResult:
-    """Compile and evaluate one scenario point (the campaign worker).
-
-    Top-level and closure-free in its default configuration, so it can run
-    under a :class:`~concurrent.futures.ProcessPoolExecutor` as well as the
-    default thread pool.
-    """
+    """Compile and evaluate one scenario point (the campaign worker)."""
     if mode not in MODES:
         raise ScenarioError(f"unknown campaign mode {mode!r}; known: {MODES}")
     started = _time.perf_counter()
@@ -225,61 +218,12 @@ class Campaign:
 
 
 # ---------------------------------------------------------------------------
-# evaluation with memoisation + parallelism
+# evaluation with memoisation
 # ---------------------------------------------------------------------------
 
 
 #: ``(app key) -> ProgramSpec | None`` lookup for ad-hoc (non-suite) programs.
 ProgramResolver = Callable[[str], "ProgramSpec | None"]
-
-#: ``"auto"`` only pays the process-pool start-up when it has at least this
-#: many fresh evaluations to amortise it over.
-PROCESS_AUTO_MIN_BATCH = 4
-
-
-def resolve_executor(executor: str, mode: str,
-                     machine_resolver: MachineResolver | None) -> str:
-    """Resolve ``"auto"`` to a concrete executor for this campaign.
-
-    Simulation-heavy campaigns (every point runs the execution simulator,
-    i.e. ``mode`` of ``measure`` / ``both``) default to the process pool.
-    Each simulated point already runs the simulator's vector engine (see
-    :func:`evaluate_point`), but even its batched python sections hold the
-    GIL, so process-level parallelism still pays once the batch is large
-    enough.  A ``machine_resolver`` closure cannot cross a process
-    boundary and pins auto back to threads.
-
-    Auto only picks the pool on fork-start platforms: forked workers inherit
-    runtime registrations (:func:`~repro.system.registry.register_machine`,
-    ad-hoc directive-alternate groups) from the parent, whereas spawn-start
-    workers (macOS/Windows default) re-import the package without them and
-    would fail on any runtime-registered name.  An explicit
-    ``executor="process"`` is honoured on every platform.
-    """
-    if executor != "auto":
-        return executor
-    if mode in ("measure", "both") and machine_resolver is None \
-            and _fork_start_method():
-        return "process"
-    return "thread"
-
-
-def _fork_start_method() -> bool:
-    """Whether worker processes would be plain forks of this process.
-
-    Probes with ``allow_none=True`` so a library call never fixes the
-    application's start method as a side effect; an unset method is resolved
-    to the platform default (fork on Linux before Python 3.14, spawn/
-    forkserver elsewhere) without touching multiprocessing state.
-    """
-    import sys
-    try:
-        start = multiprocessing.get_start_method(allow_none=True)
-    except Exception:           # unusual interpreter with no multiprocessing
-        return False
-    if start is None:
-        return sys.platform.startswith("linux") and sys.version_info < (3, 14)
-    return start == "fork"
 
 
 def evaluate_points(
@@ -290,34 +234,29 @@ def evaluate_points(
     program_for: ProgramResolver | None = None,
     machine_resolver: MachineResolver | None = None,
     simulator_options: SimulatorOptions | None = None,
-    max_workers: int | None = None,
-    executor: str = "auto",
+    executor: str = "serial",
     memo: dict[ScenarioPoint, ScenarioResult] | None = None,
 ) -> tuple[list[ScenarioResult], int, int]:
-    """Evaluate *points* (deduplicated, store-memoised, in parallel).
+    """Evaluate *points* (deduplicated, store-memoised, one after another).
 
     The space-less face of the campaign engine: callers that already hold
     concrete :class:`ScenarioPoint` s (the performance advisor's mutation
-    candidates, ad-hoc scripts) share the same dedup / store / parallelism
-    machinery the strategies run on.  Returns (results in input order,
-    persistent-store hits, fresh evaluations).  In-run ``memo`` revisits
-    (duplicate points, hill-climb re-encounters) are free dedup and count
-    as neither; a seeded memo entry only satisfies a request of the same
-    evaluation ``mode``.
+    candidates, ad-hoc scripts) share the same dedup / store machinery the
+    strategies run on.  Returns (results in input order, persistent-store
+    hits, fresh evaluations).  In-run ``memo`` revisits (duplicate points,
+    hill-climb re-encounters) are free dedup and count as neither; a seeded
+    memo entry only satisfies a request of the same evaluation ``mode``.
+    ``executor`` accepts only ``"serial"``: fresh points run in this process
+    and are appended to ``store`` in order.  Spread points over worker
+    processes with :func:`~repro.explore.sharding.run_sharded_campaign`.
     """
     if mode not in MODES:
         raise ScenarioError(f"unknown campaign mode {mode!r}; known: {MODES}")
-    if executor not in EXECUTORS:
+    if executor != "serial":
         raise ScenarioError(
-            f"unknown campaign executor {executor!r}; known: {EXECUTORS}")
-    auto = executor == "auto"
-    executor = resolve_executor(executor, mode, machine_resolver)
-    if executor == "process" and machine_resolver is not None:
-        # rejected up front — not only when a big-enough cold batch happens
-        # to reach the pool — so the contract does not depend on store warmth
-        raise ScenarioError(
-            "executor='process' cannot ship a machine_resolver closure; "
-            "use the default thread executor")
+            f"unknown campaign executor {executor!r}; points are evaluated "
+            "serially, use run_sharded_campaign to spread them over worker "
+            "processes")
     if program_for is None:
         program_for = lambda app: None          # noqa: E731
     if memo is None:
@@ -361,66 +300,16 @@ def evaluate_points(
             obs.counter("repro_campaign_store_misses_total",
                         mode=mode).inc(len(todo))
 
-    if todo:
-        # auto-chosen process pools must earn their start-up cost; explicit
-        # executor="process" is honoured regardless
-        if auto and executor == "process" and len(todo) < PROCESS_AUTO_MIN_BATCH:
-            executor = "thread"
-        actual = "serial" if executor == "serial" or len(todo) == 1 \
-            else executor
-        obs.counter("repro_campaign_executor_batches_total",
-                    executor=actual).inc()
-
-        def job(point: ScenarioPoint) -> ScenarioResult:
-            return evaluate_point(point, mode=mode,
-                                  program=program_for(point.app),
-                                  machine_resolver=machine_resolver,
-                                  simulator_options=simulator_options)
-
-        if executor == "serial" or len(todo) == 1:
-            fresh = [job(point) for point in todo]
-        elif executor == "process":
-            # the worker is closure-free (no machine_resolver — rejected
-            # above) so the argument tuples pickle
-            args = [(point, mode, program_for(point.app), None,
-                     simulator_options) for point in todo]
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                outcomes = list(pool.map(_evaluate_star, args))
-            fresh = [result for result, _delta in outcomes]
-            if obs.enabled():
-                # worker registries die with the pool; each task shipped its
-                # metric delta home, so fold them in here
-                registry = obs.get_registry()
-                for _result, delta in outcomes:
-                    if delta:
-                        registry.merge(delta)
-        else:
-            workers = max_workers or min(8, len(todo))
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                fresh = list(pool.map(job, todo))
-        for point, result in zip(todo, fresh):
-            memo[point] = result
-            if store is not None:
-                store.add(result)
+    fresh = [evaluate_point(point, mode=mode, program=program_for(point.app),
+                            machine_resolver=machine_resolver,
+                            simulator_options=simulator_options)
+             for point in todo]
+    for point, result in zip(todo, fresh):
+        memo[point] = result
+        if store is not None:
+            store.add(result)
 
     return [memo[point] for point in points], hits, len(todo)
-
-
-def _evaluate_star(args) -> tuple[ScenarioResult, dict | None]:
-    """Process-pool worker: the evaluation plus its metric delta.
-
-    Worker processes hold their own ``repro.obs`` registry (forked workers
-    inherit the parent's enabled flag; spawned workers re-read ``REPRO_OBS``),
-    and that registry vanishes when the pool shuts down.  Snapshotting around
-    the evaluation and returning the delta lets the parent merge worker
-    metrics instead of losing them.
-    """
-    if not obs.enabled():
-        return evaluate_point(*args), None
-    registry = obs.get_registry()
-    before = registry.collect()
-    result = evaluate_point(*args)
-    return result, registry.delta_since(before)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +337,6 @@ def run_campaign(
     objective: Callable[[ScenarioResult], float] | None = None,
     machine_resolver: MachineResolver | None = None,
     simulator_options: SimulatorOptions | None = None,
-    max_workers: int | None = None,
-    executor: str = "auto",
     memo: dict[ScenarioPoint, ScenarioResult] | None = None,
 ) -> CampaignRun:
     """Evaluate *space* under one search strategy; the subsystem's front door.
@@ -481,10 +368,6 @@ def run_campaign(
             presets with pre-built Machine instances.
         simulator_options: :class:`~repro.simulator.SimulatorOptions` for
             simulated points (noise, seed, ``engine="vector"|"loop"``).
-        max_workers: parallelism cap for the futures executor.
-        executor: ``"auto"`` (process pool when every point simulates and
-            workers would fork, threads otherwise), ``"thread"``,
-            ``"process"`` or ``"serial"``.
         memo: pre-seeded ``{point: result}`` cache (the advisor threads its
             targeted-mutation results into its refinement campaign this
             way); seeded entries count as neither store hits nor fresh
@@ -497,16 +380,21 @@ def run_campaign(
         fresh-evaluation counts), rejected points with reasons, and — for
         the trajectory strategies — the visited ``trajectory``.
 
+    Fresh points are evaluated one after another in this process; spread
+    a ``grid`` or ``random`` space over worker processes with
+    :func:`~repro.explore.sharding.run_sharded_campaign`.  The trajectory
+    strategies have no parallel path: in ``"measure"`` / ``"both"`` mode
+    their population and neighbour batches simulate serially.
+
     Raises:
-        ScenarioError: unknown ``strategy`` / ``mode`` / ``executor``, an
-            empty-but-invalid space, or an executor/machine_resolver
-            combination that cannot cross a process boundary.
+        ScenarioError: unknown ``strategy`` / ``mode``, or an
+            empty-but-invalid space.
 
     Example:
         >>> from repro.explore import ScenarioSpace, run_campaign
         >>> space = ScenarioSpace(apps=("laplace_block_star",), sizes=(16,),
         ...                       proc_counts=(2, 4))
-        >>> run = run_campaign(space, mode="predict", executor="serial")
+        >>> run = run_campaign(space, mode="predict")
         >>> len(run.results)
         2
         >>> run.best().point.nprocs in (2, 4)
@@ -517,9 +405,6 @@ def run_campaign(
             f"unknown campaign strategy {strategy!r}; known: {STRATEGIES}")
     if mode not in MODES:
         raise ScenarioError(f"unknown campaign mode {mode!r}; known: {MODES}")
-    if executor not in EXECUTORS:
-        raise ScenarioError(
-            f"unknown campaign executor {executor!r}; known: {EXECUTORS}")
 
     started = _time.perf_counter()
     obs_mark = obs.get_tracer().mark()
@@ -528,9 +413,8 @@ def run_campaign(
     run = CampaignRun(name=name, space=space, mode=mode, strategy=strategy,
                       rejected=rejected)
     if not points:
-        _finalize_campaign_obs(run, store=store, executor=executor,
-                               machine_resolver=machine_resolver,
-                               started=started, mark=obs_mark)
+        _finalize_campaign_obs(run, store=store, started=started,
+                               mark=obs_mark)
         return run
 
     memo = dict(memo) if memo is not None else {}
@@ -540,8 +424,7 @@ def run_campaign(
         results, hits, fresh = evaluate_points(
             batch, mode=mode, store=store, program_for=space.program_for,
             machine_resolver=machine_resolver,
-            simulator_options=simulator_options,
-            max_workers=max_workers, executor=executor, memo=memo)
+            simulator_options=simulator_options, memo=memo)
         run.store_hits += hits
         run.evaluated += fresh
         return results, hits, fresh
@@ -573,22 +456,15 @@ def run_campaign(
                         cooling=cooling)
         run.results = list(memo.values())
 
-    _finalize_campaign_obs(run, store=store, executor=executor,
-                           machine_resolver=machine_resolver,
-                           started=started, mark=obs_mark)
+    _finalize_campaign_obs(run, store=store, started=started, mark=obs_mark)
     return run
 
 
 def _finalize_campaign_obs(run: CampaignRun, *, store: ResultStore | None,
-                           executor: str,
-                           machine_resolver: MachineResolver | None,
                            started: float, mark: int) -> None:
     """Build (and, when a store exists, write) this run's manifest.
 
-    Only active when observability is enabled.  ``executor`` records the
-    campaign-level resolution of ``"auto"``; per-batch demotions (a small
-    cold batch falling back from the process pool to threads) are visible in
-    the manifest's ``repro_campaign_executor_batches_total`` counters.
+    Only active when observability is enabled.
     """
     if not obs.enabled():
         return
@@ -597,7 +473,7 @@ def _finalize_campaign_obs(run: CampaignRun, *, store: ResultStore | None,
         name=run.name,
         mode=run.mode,
         strategy=run.strategy,
-        executor=resolve_executor(executor, run.mode, machine_resolver),
+        executor="serial",
         wall_time_s=_time.perf_counter() - started,
         points_evaluated=len(run.results),
         fresh_evaluations=run.evaluated,

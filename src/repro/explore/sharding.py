@@ -27,7 +27,9 @@ sizes:
   analytic predict over the *full* space, then simulator-corroborates only
   the survivors of a successive-halving schedule (Hyperband-style
   cheap-screen / expensive-corroborate), keeping the simulator budget at
-  ``O(screen_top)`` instead of ``O(|space|)``;
+  ``O(screen_top)`` instead of ``O(|space|)``.  The screen fans out over
+  the shard workers; the corroboration rungs run after the merge in the
+  calling process, one simulation after another;
 * **a supervising watchdog** — workers stamp a heartbeat by atomically
   rewriting their shard checkpoint every chunk; the supervisor's
   ``connection.wait`` loop polls those stamps, SIGKILLs a worker whose
@@ -306,8 +308,7 @@ def _shard_worker(task: _ShardTask) -> ShardCheckpoint:
                     return evaluate_points(
                         chunk, mode=task.mode, store=segment,
                         program_for=program_for,
-                        simulator_options=task.simulator_options,
-                        executor="serial", memo=memo)
+                        simulator_options=task.simulator_options, memo=memo)
 
                 _results, hits, fresh = faults.retry_call(
                     _evaluate, site="shard.chunk")
@@ -455,7 +456,8 @@ def run_sharded_campaign(
             ``min(shards, max(2, cpu_count))``).
         fidelity: ``None`` or ``"screen+sim"`` — predict-screen the full
             space, then simulator-corroborate successive-halving survivors
-            (``sim_top`` / ``eta`` / ``screen_top``).
+            (``sim_top`` / ``eta`` / ``screen_top``).  The rungs simulate
+            serially in this process after the merge.
         keep_segments: leave segments + checkpoints on disk after a
             successful merge (required for later zero-recompute re-runs).
         heartbeat_timeout_s: how stale a worker's checkpoint heartbeat may
@@ -884,7 +886,8 @@ def _corroborate(run: ShardedCampaignRun, canonical: ResultStore,
     starts at ``screen_top`` (default ``sim_top * eta**2``) survivors and
     halves by ``eta`` per rung until ``sim_top`` remain — every rung
     re-ranks on *measured* time, store-memoised so repeat measurements of a
-    survivor are free.
+    survivor are free.  Later rungs re-rank a subset of the opening one,
+    so only the opening rung simulates, serially in this process.
     """
     if run.fidelity != "screen+sim" or not run.results:
         return

@@ -7,10 +7,10 @@ use fixed log-spaced latency buckets (µs) by default so point latencies
 from microsecond predicts to multi-second simulates land in useful bins.
 
 Registries snapshot to plain picklable dicts (:meth:`MetricRegistry.collect`)
-and merge snapshots back (:meth:`MetricRegistry.merge`) — the mechanism the
-campaign layer uses to carry worker-process metrics across a
-``ProcessPoolExecutor`` boundary instead of losing them when the worker
-exits: each task returns ``delta_since(before)`` and the parent merges it.
+and merge snapshots back (:meth:`MetricRegistry.merge`) — the mechanism
+sharded campaigns use to carry worker-process metrics home instead of
+losing them when the worker exits: each shard worker ships
+``delta_since(before)`` in its checkpoint and the parent merges it.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ class MetricRegistry:
         with self._lock:
             self._instruments.clear()
 
-    # -- snapshot / merge (process-pool transport) -------------------------
+    # -- snapshot / merge (worker-process transport) -----------------------
 
     def collect(self) -> Dict[InstrumentKey, Dict[str, Any]]:
         """A plain picklable snapshot of every instrument's state."""

@@ -333,12 +333,10 @@ class PredictionService:
         if req.shards > 1:
             run = self._run_sharded(req, space)
         else:
-            # worker threads must not fork a process pool mid-request; the
-            # thread executor is the safe choice inside a live server
             run = run_campaign(space, name=req.name, mode=req.mode,
                                strategy=req.strategy, store=self.store,
                                samples=req.samples, max_steps=req.max_steps,
-                               seed=req.seed, executor="thread")
+                               seed=req.seed)
         best = run.best() if run.results else None
         return {
             "name": run.name,

@@ -6,9 +6,11 @@ noise) and a NumPy data plane identical to the functional interpreter,
 producing the "measured" times that the interpretation parse's estimates are
 validated against.  The network routes over the target machine's pluggable
 :class:`~repro.system.topology.Topology` — iPSC/860 hypercube, Paragon-style
-2-D mesh, or switched cluster.
+2-D mesh, or switched cluster; the topologies and their routing helpers
+(``HypercubeTopology``, ``ecube_route``, …) are imported from
+:mod:`repro.system.topology`.
 
-Two execution cores are provided behind ``SimulatorConfig(engine=...)``:
+Two execution cores are provided behind ``SimulatorOptions(engine=...)``:
 the ``"vector"`` engine (default) computes per-rank state in bulk and drains
 each network phase in one batched pass, and the ``"loop"`` engine keeps the
 original per-rank python loops as the correctness oracle.  They produce
@@ -31,16 +33,8 @@ from .events import BatchClock, EventQueue, batch_order, drain_batch
 from .executor import (
     ENGINES,
     CommStatistics,
-    SimulatorConfig,
     SimulatorOptions,
     SPMDExecutor,
-)
-from .hypercube import (
-    HypercubeTopology,
-    TopologyError,
-    cube_dimension,
-    ecube_route,
-    hamming_distance,
 )
 from .network import (
     STAGE_DISJOINT,
@@ -51,7 +45,7 @@ from .network import (
     TransferResult,
 )
 from .node import IterationProfile, NodeCostModel
-from .noise import NOISE_SCHEMES, NoiseKey, NoiseModel, NoiseOptions
+from .noise import NoiseKey, NoiseModel, NoiseOptions
 from .runtime import SimulationResult, simulate, simulate_repeated
 from .vector import VectorSPMDExecutor
 
@@ -75,21 +69,14 @@ __all__ = [
     "STAGE_SERIAL",
     "ENGINES",
     "CommStatistics",
-    "SimulatorConfig",
     "SimulatorOptions",
     "SPMDExecutor",
     "VectorSPMDExecutor",
-    "HypercubeTopology",
-    "TopologyError",
-    "cube_dimension",
-    "ecube_route",
-    "hamming_distance",
     "Message",
     "Network",
     "TransferResult",
     "IterationProfile",
     "NodeCostModel",
-    "NOISE_SCHEMES",
     "NoiseKey",
     "NoiseModel",
     "NoiseOptions",

@@ -88,12 +88,7 @@ class SimulatorOptions:
             known = " | ".join(repr(name) for name in ENGINES)
             raise SimulationError(
                 f"unknown simulator engine {self.engine!r}; known engines: "
-                f"{known} (pass e.g. SimulatorConfig(engine=\"vector\"))")
-
-
-#: The name the ISSUE/docs use for the simulation parameter block; the engine
-#: switch made it a configuration object, so both names are supported.
-SimulatorConfig = SimulatorOptions
+                f"{known} (pass e.g. SimulatorOptions(engine=\"vector\"))")
 
 
 @dataclass

@@ -36,8 +36,7 @@ around it, and ``ndtri`` is elementwise.  ``keyed_uniform`` of a
 The legacy ``"sequential"`` scheme (one shared ``numpy`` Generator,
 interleaved per rank — the reason the old engine could not batch) was kept
 for one release after the counter engine landed and removed in repro 1.1.0.
-``NoiseOptions(scheme="sequential")`` now fails eagerly with the removal
-notice; the measured drift between the two realisations is archived in
+The measured drift between the two realisations is archived in
 ``benchmarks/results/STORE_DIFF_noise_engine.md``.
 """
 
@@ -49,19 +48,6 @@ from math import isfinite
 import numpy as np
 
 from ..frontend.errors import SimulationError
-
-#: Deviate-generation schemes of :class:`NoiseOptions`.
-NOISE_SCHEMES = ("counter",)
-
-#: Schemes that once existed; requesting one gets a removal notice rather
-#: than the generic unknown-scheme error.
-_REMOVED_SCHEMES = {
-    "sequential":
-        "the legacy one-stream sequential scheme was removed in repro 1.1.0 "
-        "after its one-release deprecation window; the counter scheme is the "
-        "only deviate generator (drift between the two realisations is "
-        "archived in benchmarks/results/STORE_DIFF_noise_engine.md)",
-}
 
 #: Stream ids (domain separators) of the counter scheme's draw kinds.
 STREAM_COMPUTE_JITTER = 1
@@ -92,13 +78,9 @@ _MAGNITUDE_FIELDS = (
 class NoiseOptions:
     """Magnitudes of the individual noise sources (all dimensionless or µs).
 
-    ``scheme`` names the deviate generator; ``"counter"`` (batchable,
-    order-independent keyed draws) is the only scheme since the legacy
-    ``"sequential"`` stream was removed in 1.1.0.  Validation is eager — a
-    removed/unknown scheme or a negative/non-finite magnitude fails where
-    the options are written, mirroring ``SimulatorOptions.engine``; an
-    unknown *field* fails in the dataclass constructor itself
-    (``TypeError``).
+    Validation is eager — a negative/non-finite magnitude fails where the
+    options are written, mirroring ``SimulatorOptions.engine``; an unknown
+    *field* fails in the dataclass constructor itself (``TypeError``).
     """
 
     enabled: bool = True
@@ -108,18 +90,8 @@ class NoiseOptions:
     interruption_rate_per_ms: float = 0.002   # OS daemon interruptions
     interruption_cost_us: float = 120.0
     timer_resolution_us: float = 1.0
-    scheme: str = "counter"                   # "counter" (sole scheme)
 
     def __post_init__(self) -> None:
-        if self.scheme not in NOISE_SCHEMES:
-            if self.scheme in _REMOVED_SCHEMES:
-                raise SimulationError(
-                    f"noise scheme {self.scheme!r} has been removed: "
-                    f"{_REMOVED_SCHEMES[self.scheme]}")
-            known = " | ".join(repr(name) for name in NOISE_SCHEMES)
-            raise SimulationError(
-                f"unknown noise scheme {self.scheme!r}; known schemes: {known} "
-                f"(pass e.g. NoiseOptions(scheme=\"counter\"))")
         for name in _MAGNITUDE_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)) \

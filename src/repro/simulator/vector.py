@@ -85,7 +85,7 @@ from .node import IterationProfile
 
 
 class VectorSPMDExecutor(SPMDExecutor):
-    """Array-based execution core (``SimulatorConfig(engine="vector")``)."""
+    """Array-based execution core (``SimulatorOptions(engine="vector")``)."""
 
     engine_name = "vector"
 

@@ -8,7 +8,7 @@ tabulates.
 
 The sweep itself is a preset over the design-space exploration subsystem:
 each application row is one ``mode="both"`` campaign over (problem size ×
-system size), so the study inherits parallel evaluation and (optionally)
+system size), so the study inherits the campaign's dedup and (optionally)
 persistent memoisation through a :class:`~repro.explore.store.ResultStore`.
 """
 

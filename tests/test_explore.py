@@ -1,9 +1,8 @@
 """Tests for the design-space exploration subsystem (`repro.explore`):
 scenario spaces with validity filtering, the persistent content-addressed
 result store (round-trip, resume, hash stability, schema rejection), the
-campaign strategies (grid / random / hill-climb) with parallel evaluation and
-store memoisation, the report renderers, and the campaign-backed workbench
-presets."""
+campaign strategies (grid / random / hill-climb) with store memoisation, the
+report renderers, and the campaign-backed workbench presets."""
 
 import json
 
@@ -28,6 +27,7 @@ from repro.explore import (
     pareto_table,
     quarantine_path_for,
     run_campaign,
+    run_sharded_campaign,
     scenario_key,
 )
 from repro.explore.store import STORE_FORMAT, STORE_SCHEMA_VERSION
@@ -312,9 +312,9 @@ class TestEvaluatePoint:
 
 
 class TestCampaignAcceptance:
-    """The issue's acceptance scenario: one run_campaign call sweeping
-    (3 machines x 2 distributions x 3 sizes x 3 nprocs), in parallel, with
-    every point persisted and a re-run served entirely from the store."""
+    """The acceptance scenario: one run_campaign call sweeping
+    (3 machines x 2 distributions x 3 sizes x 3 nprocs), with every point
+    persisted and a re-run served entirely from the store."""
 
     SPACE = ScenarioSpace(
         apps=("laplace_block_star", "laplace_star_block"),
@@ -325,8 +325,7 @@ class TestCampaignAcceptance:
 
     def test_full_sweep_persists_and_resumes(self, tmp_path):
         store = ResultStore(tmp_path / "campaign.jsonl")
-        run = run_campaign(self.SPACE, store=store, mode="predict",
-                           max_workers=4)
+        run = run_campaign(self.SPACE, store=store, mode="predict")
         total = 2 * 3 * 3 * 3
         assert len(run.results) == total
         assert run.evaluated == total and run.store_hits == 0
@@ -340,11 +339,15 @@ class TestCampaignAcceptance:
             assert first.point == second.point
             assert first.estimated_us == second.estimated_us
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, tmp_path):
+        # run_sharded_campaign is the one parallel path; its forked workers
+        # must price every point exactly as the in-process run does
         space = ScenarioSpace(apps=("lfk3",), sizes=(128, 512),
                               proc_counts=(2, 4), machines=("ipsc860", "cluster"))
-        parallel = run_campaign(space, max_workers=4)
-        serial = run_campaign(space, executor="serial")
+        parallel = run_sharded_campaign(space, shards=2,
+                                        store=str(tmp_path / "s.jsonl"))
+        serial = run_campaign(space)
+        assert len(parallel.results) == len(serial.results) == 8
         for a, b in zip(parallel.results, serial.results):
             assert a.point == b.point
             assert a.estimated_us == b.estimated_us
@@ -391,9 +394,12 @@ class TestStrategies:
         with pytest.raises(ScenarioError):
             run_campaign(SMALL_SPACE, strategy="annealing")
 
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ScenarioError):
-            run_campaign(SMALL_SPACE, executor="processes")
+    @pytest.mark.parametrize("executor",
+                             ["thread", "process", "auto", "processes"])
+    def test_unknown_executor_rejected(self, executor):
+        from repro.explore import evaluate_points
+        with pytest.raises(ScenarioError, match="run_sharded_campaign"):
+            evaluate_points(SMALL_SPACE.expand(), executor=executor)
 
 
 class TestReports:
@@ -551,42 +557,46 @@ class TestNewStrategies:
 
 
 class TestExecutors:
-    def test_auto_resolution(self):
-        import multiprocessing
+    """run_campaign and evaluate_points evaluate fresh points in the calling
+    process; run_sharded_campaign is the only way to fan them out."""
 
-        from repro.explore import resolve_executor
-        # auto only risks the pool where forked workers inherit runtime
-        # machine registrations (spawn platforms stay on threads)
-        pooled = "process" if multiprocessing.get_start_method() == "fork" \
-            else "thread"
-        assert resolve_executor("auto", "predict", None) == "thread"
-        assert resolve_executor("auto", "measure", None) == pooled
-        assert resolve_executor("auto", "both", None) == pooled
-        assert resolve_executor("auto", "both", lambda p: None) == "thread"
-        assert resolve_executor("serial", "both", None) == "serial"
+    def test_serial_executor_accepted(self):
+        # callers may still name the one executor explicitly
+        from repro.explore import evaluate_points
+        points = SMALL_SPACE.expand()
+        named, _, fresh = evaluate_points(points, mode="both",
+                                          executor="serial")
+        default, _, _ = evaluate_points(points, mode="both")
+        assert fresh == len(points) == 2
+        assert [(r.point, r.estimated_us, r.measured_us) for r in named] \
+            == [(r.point, r.estimated_us, r.measured_us) for r in default]
 
-    def test_process_executor_matches_serial(self):
-        space = ScenarioSpace(apps=("laplace_block_star",), sizes=(16,),
-                              proc_counts=(2, 4), machines=("ipsc860",))
-        process = run_campaign(space, mode="both", executor="process",
-                               max_workers=2)
-        serial = run_campaign(space, mode="both", executor="serial")
-        assert len(process.results) == 2
-        for a, b in zip(process.results, serial.results):
-            assert a.point == b.point
-            assert a.estimated_us == b.estimated_us
-            assert a.measured_us == b.measured_us
+    def test_pool_options_are_gone(self):
+        import inspect
 
-    def test_process_executor_rejects_machine_resolver(self):
+        from repro.advisor import advise
+        from repro.explore import evaluate_points
+        with pytest.raises(TypeError):
+            run_campaign(SMALL_SPACE, executor="serial")
+        with pytest.raises(TypeError):
+            run_campaign(SMALL_SPACE, max_workers=2)
+        with pytest.raises(TypeError):
+            evaluate_points([], max_workers=2)
+        assert "max_workers" not in inspect.signature(advise).parameters
+
+    def test_machine_resolver_changes_no_number(self):
+        # mode "both" runs the predict and the measure branch; rebuilding
+        # the registry's machine through a resolver must change no number
         from repro import get_machine
-        from repro.explore import evaluate_points, resolve_campaign_machine
-        _, resolver = resolve_campaign_machine(get_machine("ipsc860", 4))
-        with pytest.raises(ScenarioError):
-            run_campaign(SMALL_SPACE, executor="process",
-                         machine_resolver=resolver)
-        # rejected up front, even for batches too small to reach the pool
-        with pytest.raises(ScenarioError):
-            evaluate_points([], executor="process", machine_resolver=resolver)
+        resolved = run_campaign(
+            SMALL_SPACE, mode="both",
+            machine_resolver=lambda p: get_machine(p.machine, p.nprocs))
+        named = run_campaign(SMALL_SPACE, mode="both")
+        assert len(resolved.results) == 2
+        assert [(r.point, r.estimated_us, r.measured_us)
+                for r in resolved.results] \
+            == [(r.point, r.estimated_us, r.measured_us)
+                for r in named.results]
 
 
 class TestEvaluatePoints:

@@ -421,7 +421,7 @@ class TestChaosAcceptance:
         # the fault-free reference: a serial sweep, before any plan exists
         clean_path = str(tmp_path / "clean.jsonl")
         run_campaign(space, name="chaos", mode="predict",
-                     store=ResultStore(clean_path), executor="serial")
+                     store=ResultStore(clean_path))
 
         store_path = str(tmp_path / "chaos.jsonl")
         ledger = str(tmp_path / "ledger.txt")
@@ -484,7 +484,7 @@ class TestChaosAcceptance:
         space = small_space()
         clean_path = str(tmp_path / "clean.jsonl")
         run_campaign(space, name=f"storm-{seed}", mode="predict",
-                     store=ResultStore(clean_path), executor="serial")
+                     store=ResultStore(clean_path))
 
         store_path = str(tmp_path / "storm.jsonl")
         faults.install(faults.FaultPlan.storm(

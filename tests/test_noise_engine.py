@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.frontend.errors import SimulationError
 from repro.simulator import (
-    NOISE_SCHEMES,
     NoiseKey,
     NoiseModel,
     NoiseOptions,
@@ -327,42 +326,34 @@ class TestBatchInputNormalisation:
     """Regression: np.fromiter(..., count=len(...)) crashed on inputs with
     no len() — 0-d arrays and generators."""
 
-    @pytest.mark.parametrize("scheme", NOISE_SCHEMES)
-    def test_zero_d_array(self, scheme):
-        model = NoiseModel(seed=1, options=NoiseOptions(scheme=scheme))
+    def test_zero_d_array(self):
+        model = NoiseModel(seed=1)
         out = model.compute_batch(np.float64(1000.0))
         assert out.shape == (1,)
         assert out[0] > 0.0
 
-    @pytest.mark.parametrize("scheme", NOISE_SCHEMES)
-    def test_generator_input(self, scheme):
-        model = NoiseModel(seed=1, options=NoiseOptions(scheme=scheme))
+    def test_generator_input(self):
+        model = NoiseModel(seed=1)
         out = model.compute_batch(float(v) for v in (100.0, 200.0, 300.0))
         assert out.shape == (3,)
         comm = model.communication_batch(float(v) for v in (10.0, 20.0))
         assert comm.shape == (2,)
 
-    @pytest.mark.parametrize("scheme", NOISE_SCHEMES)
-    def test_input_array_is_not_mutated(self, scheme):
-        model = NoiseModel(seed=1, options=NoiseOptions(scheme=scheme))
+    def test_input_array_is_not_mutated(self):
+        model = NoiseModel(seed=1)
         src = np.full(8, 1234.5)
         model.compute_batch(src)
         assert np.all(src == 1234.5)
 
 
 class TestNoiseOptionsValidation:
-    def test_unknown_scheme_raises_and_names_schemes(self):
-        with pytest.raises(SimulationError, match="unknown noise scheme"):
-            NoiseOptions(scheme="philox4x32")
-        try:
-            NoiseOptions(scheme="nope")
-        except SimulationError as err:
-            for scheme in NOISE_SCHEMES:
-                assert repr(scheme) in str(err)
-
-    def test_unknown_field_raises_type_error(self):
+    @pytest.mark.parametrize("field,value", [
+        ("compute_jitter_sgima", 0.01),     # typo'd field
+        ("scheme", "counter"),
+    ])
+    def test_unknown_field_raises_type_error(self, field, value):
         with pytest.raises(TypeError):
-            NoiseOptions(compute_jitter_sgima=0.01)  # typo'd field
+            NoiseOptions(**{field: value})
 
     @pytest.mark.parametrize("field,value", [
         ("compute_jitter_sigma", -0.01),
@@ -375,33 +366,14 @@ class TestNoiseOptionsValidation:
         with pytest.raises(SimulationError, match=field):
             NoiseOptions(**{field: value})
 
-    def test_valid_schemes_accepted(self):
-        for scheme in NOISE_SCHEMES:
-            assert NoiseOptions(scheme=scheme).scheme == scheme
-
 
 class TestSequentialSchemeRemoval:
-    """The legacy one-stream scheme is gone; asking for it must say so."""
-
-    def test_sequential_scheme_raises_removal_notice(self):
-        with pytest.raises(SimulationError, match="removed in repro 1.1.0"):
-            NoiseOptions(scheme="sequential")
-
-    def test_removal_notice_points_at_archive(self):
-        with pytest.raises(SimulationError,
-                           match="STORE_DIFF_noise_engine"):
-            NoiseOptions(scheme="sequential")
-
-    def test_counter_is_default_and_only_scheme(self):
-        assert NoiseOptions().scheme == "counter"
-        assert NOISE_SCHEMES == ("counter",)
-
     def test_model_has_no_legacy_stream(self):
         assert not hasattr(NoiseModel(seed=1), "rng")
 
     def test_engines_agree_under_counter_scheme(self, laplace_compiled,
                                                 machine4):
-        noise = NoiseOptions(scheme="counter")
+        noise = NoiseOptions()
         loop = simulate(laplace_compiled, machine4,
                         options=SimulatorOptions(engine="loop", noise=noise))
         vec = simulate(laplace_compiled, machine4,

@@ -1,5 +1,5 @@
 """repro.obs tests: no-op fast path, span semantics, metrics, exports,
-process-pool metric transport, and the campaign run-manifest contract."""
+shard-worker metric transport, and the campaign run-manifest contract."""
 
 import json
 import threading
@@ -7,7 +7,12 @@ import threading
 import pytest
 
 from repro import obs
-from repro.explore import ResultStore, ScenarioSpace, run_campaign
+from repro.explore import (
+    ResultStore,
+    ScenarioSpace,
+    run_campaign,
+    run_sharded_campaign,
+)
 from repro.simulator import SimulatorOptions, simulate
 
 
@@ -322,6 +327,14 @@ class TestCampaignManifest:
         assert loaded.points_evaluated == run.manifest.points_evaluated
         assert loaded.schema == obs.MANIFEST_SCHEMA_VERSION
 
+    def test_manifest_records_the_executor_that_ran(self, tmp_path):
+        obs.enable()
+        serial = run_campaign(SMALL_SPACE, mode="predict")
+        sharded = run_sharded_campaign(SMALL_SPACE, mode="predict", shards=2,
+                                       store=str(tmp_path / "s.jsonl"))
+        assert serial.manifest.executor == "serial"
+        assert sharded.manifest.executor == "sharded"
+
     def test_rerun_manifest_records_all_hits(self, tmp_path):
         obs.enable()
         store_path = str(tmp_path / "run.jsonl")
@@ -357,26 +370,22 @@ class TestCampaignManifest:
             obs.RunManifest.load(str(truncated))
 
 
-class TestProcessPoolMetricTransport:
+class TestShardWorkerMetricTransport:
     def test_worker_metrics_merge_into_the_parent(self):
         obs.enable()
-        run = run_campaign(SMALL_SPACE, mode="measure", executor="process",
-                           max_workers=2)
+        run = run_sharded_campaign(SMALL_SPACE, mode="measure", shards=2)
         assert len(run.results) == 2
         flat = obs.get_registry().flatten()
-        # the simulations ran in worker processes; without the delta
-        # transport these counters would vanish with the pool
+        # the simulations ran in shard worker processes; without the delta
+        # transport these counters would vanish with the workers
         assert flat['repro_simulations_total{engine="vector"}'] == 2.0
         assert flat['repro_campaign_points_evaluated_total{mode="measure"}'] \
             == 2.0
         assert flat['repro_point_latency_us_count{mode="measure"}'] == 2
-        assert flat[
-            'repro_campaign_executor_batches_total{executor="process"}'] == 1.0
 
     def test_manifest_latency_falls_back_to_histogram(self):
         obs.enable()
-        run = run_campaign(SMALL_SPACE, mode="measure", executor="process",
-                           max_workers=2)
+        run = run_sharded_campaign(SMALL_SPACE, mode="measure", shards=2)
         latency = run.manifest.point_latency_us
         # point spans stayed in the workers; the merged histogram answers
         assert latency["source"] == "histogram"

@@ -78,8 +78,7 @@ def test_one_app_sweep_parses_its_source_once(tmp_path):
                           proc_counts=(1, 2, 4, 8),
                           machines=("ipsc860", "paragon"))
     obs.enable()
-    run = run_campaign(space, store=ResultStore(tmp_path / "sweep.jsonl"),
-                       executor="serial")
+    run = run_campaign(space, store=ResultStore(tmp_path / "sweep.jsonl"))
     assert run.evaluated == len(space.expand())
     compile_hits, compile_misses = stage_counts("compile")
     assert compile_misses == len(entry.sizes) * 4

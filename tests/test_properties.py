@@ -10,8 +10,9 @@ from repro.distribution import layout
 from repro.frontend.lexer import tokenize_line
 from repro.frontend.parser import parse_expression
 from repro.frontend.symbols import eval_const_expr
-from repro.simulator import EventQueue, Message, Network, ecube_route, hamming_distance
+from repro.simulator import EventQueue, Message, Network
 from repro.system import CommunicationComponent, p2p_time
+from repro.system.topology import ecube_route, hamming_distance
 
 common_settings = settings(max_examples=60, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])

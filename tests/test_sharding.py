@@ -117,7 +117,7 @@ class TestShardsOneIsPlainCampaign:
     def test_store_is_bit_for_bit_identical(self, tmp_path):
         space = small_space()
         plain_path = tmp_path / "plain.jsonl"
-        run_campaign(space, store=ResultStore(plain_path), executor="serial")
+        run_campaign(space, store=ResultStore(plain_path))
         sharded_path = tmp_path / "sharded.jsonl"
         run = run_sharded_campaign(space, shards=1, chunk_size=4,
                                    store=str(sharded_path))
@@ -128,8 +128,7 @@ class TestShardsOneIsPlainCampaign:
     def test_random_strategy_matches_plain_sample(self, tmp_path):
         space = small_space()
         plain = run_campaign(space, strategy="random", samples=6, seed=11,
-                             store=ResultStore(tmp_path / "p.jsonl"),
-                             executor="serial")
+                             store=ResultStore(tmp_path / "p.jsonl"))
         sharded = run_sharded_campaign(
             space, shards=1, strategy="random", samples=6, seed=11,
             store=str(tmp_path / "s.jsonl"))
@@ -138,11 +137,13 @@ class TestShardsOneIsPlainCampaign:
         assert (tmp_path / "p.jsonl").read_bytes() \
             == (tmp_path / "s.jsonl").read_bytes()
 
-    def test_multi_shard_merge_matches_single_process_run(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["predict", "both", "measure"])
+    def test_multi_shard_merge_matches_single_process_run(self, tmp_path,
+                                                          mode):
         space = small_space()
-        plain = run_campaign(space, store=ResultStore(tmp_path / "p.jsonl"),
-                             executor="serial")
-        run = run_sharded_campaign(space, shards=4, chunk_size=3,
+        plain = run_campaign(space, mode=mode,
+                             store=ResultStore(tmp_path / "p.jsonl"))
+        run = run_sharded_campaign(space, mode=mode, shards=4, chunk_size=3,
                                    store=str(tmp_path / "s.jsonl"))
         # results come back in space-expansion order with identical records
         assert [r.key for r in run.results] == [r.key for r in plain.results]
@@ -552,30 +553,27 @@ class TestBanditStrategy:
     def test_registered_and_deterministic(self):
         assert "bandit" in STRATEGIES
         space = small_space()
-        a = run_campaign(space, strategy="bandit", max_steps=8, seed=5,
-                         executor="serial")
-        b = run_campaign(space, strategy="bandit", max_steps=8, seed=5,
-                         executor="serial")
+        a = run_campaign(space, strategy="bandit", max_steps=8, seed=5)
+        b = run_campaign(space, strategy="bandit", max_steps=8, seed=5)
         assert [r.key for r in a.trajectory] == [r.key for r in b.trajectory]
         assert len(a.trajectory) == 8
 
     def test_warm_up_covers_every_arm(self):
         space = small_space()
-        run = run_campaign(space, strategy="bandit", max_steps=6, seed=1,
-                           executor="serial")
+        run = run_campaign(space, strategy="bandit", max_steps=6, seed=1)
         pulled_apps = {r.point.app for r in run.results}
         assert pulled_apps == set(space.apps)
 
     def test_trajectory_is_best_so_far(self):
         run = run_campaign(small_space(), strategy="bandit", max_steps=10,
-                           seed=2, executor="serial")
+                           seed=2)
         objectives = [r.objective_us for r in run.trajectory]
         assert objectives == sorted(objectives, reverse=True) \
             or all(b <= a for a, b in zip(objectives, objectives[1:]))
 
     def test_exploration_constant_zero_is_greedy(self):
         run = run_campaign(small_space(), strategy="bandit", max_steps=8,
-                           seed=4, ucb_c=0.0, executor="serial")
+                           seed=4, ucb_c=0.0)
         assert len(run.trajectory) == 8
         assert run.best().objective_us \
             == min(r.objective_us for r in run.results)

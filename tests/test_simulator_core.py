@@ -7,7 +7,6 @@ import pytest
 from repro.interpreter.expression_cost import OpCount
 from repro.simulator import (
     EventQueue,
-    HypercubeTopology,
     IterationProfile,
     Message,
     Network,
@@ -17,13 +16,16 @@ from repro.simulator import (
     allgather,
     allreduce,
     broadcast,
-    cube_dimension,
-    ecube_route,
-    hamming_distance,
     shift_exchange,
     unstructured_gather,
 )
 from repro.system import CommunicationComponent, ipsc860
+from repro.system.topology import (
+    HypercubeTopology,
+    cube_dimension,
+    ecube_route,
+    hamming_distance,
+)
 
 
 class TestEventQueue:

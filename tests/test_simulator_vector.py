@@ -21,7 +21,6 @@ from repro.simulator import (
     STAGE_SERIAL,
     Message,
     Network,
-    SimulatorConfig,
     SimulatorOptions,
     allgather,
     allgather_clocks,
@@ -301,10 +300,10 @@ class TestCshiftDirection:
 
 
 class TestEngineSwitch:
-    def test_simulator_config_is_the_options_type(self):
-        config = SimulatorConfig(engine="loop")
-        assert isinstance(config, SimulatorOptions)
-        assert config.engine == "loop"
+    def test_options_type_is_exported_at_top_level(self):
+        import repro
+        assert repro.SimulatorOptions is SimulatorOptions
+        assert repro.SimulatorOptions(engine="loop").engine == "loop"
 
     def test_default_engine_is_vector(self):
         assert SimulatorOptions().engine == "vector"
@@ -326,7 +325,7 @@ class TestEngineSwitch:
         # the typo must fail at construction, not deep inside the run, and
         # the message must list every known engine
         with pytest.raises(SimulationError) as err:
-            SimulatorConfig(engine="turbo")
+            SimulatorOptions(engine="turbo")
         message = str(err.value)
         for name in ENGINES:
             assert repr(name) in message
