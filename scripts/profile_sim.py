@@ -6,6 +6,11 @@ under ``cProfile`` and prints the top cumulative hot spots — the first stop
 when a perf PR wants to know where the simulator's wall-clock actually goes
 (historically: the network drain, then per-rank noise draws).
 
+The default crossbar run never reaches a contended network stage.  To
+profile contention, run ``--machine ipsc860 --nprocs 1024``: the same
+program on the 1024-node hypercube drains 40 serial stages (links collide;
+``Network._drain_levels``) and 200 paired stages per run.
+
 ``--phase-breakdown`` adds a one-table summary of where the wall-clock goes,
 bucketed by simulator subsystem (node cost model, noise draws, network +
 collectives, everything else).  The buckets come from the engines' own
@@ -19,8 +24,9 @@ drill-down.
 
 Usage::
 
-    PYTHONPATH=src python scripts/profile_sim.py [--nprocs 256] [--top 25]
-            [--engine vector] [--sort cumulative] [--phase-breakdown]
+    PYTHONPATH=src python scripts/profile_sim.py [--nprocs 256]
+            [--machine modern-cluster] [--top 25] [--engine vector]
+            [--sort cumulative] [--phase-breakdown]
 """
 
 from __future__ import annotations

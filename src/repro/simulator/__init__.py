@@ -11,10 +11,11 @@ validated against.  The network routes over the target machine's pluggable
 :mod:`repro.system.topology`.
 
 Two execution cores are provided behind ``SimulatorOptions(engine=...)``:
-the ``"vector"`` engine (default) computes per-rank state in bulk and drains
-each network phase in one batched pass, and the ``"loop"`` engine keeps the
-original per-rank python loops as the correctness oracle.  They produce
-identical times; see ``docs/simulator.md``.
+the ``"vector"`` engine (default) computes per-rank state in bulk and prices
+each network stage with array kernels, and the ``"loop"`` engine keeps the
+original per-rank python loops and the per-event network heap as the
+correctness oracle.  They produce identical times; see
+``docs/simulator.md``.
 """
 
 from .collectives import (
@@ -29,7 +30,7 @@ from .collectives import (
     unstructured_gather,
     unstructured_gather_clocks,
 )
-from .events import BatchClock, EventQueue, batch_order, drain_batch
+from .events import EventQueue, batch_order
 from .executor import (
     ENGINES,
     CommStatistics,
@@ -60,10 +61,8 @@ __all__ = [
     "shift_exchange_clocks",
     "unstructured_gather",
     "unstructured_gather_clocks",
-    "BatchClock",
     "EventQueue",
     "batch_order",
-    "drain_batch",
     "STAGE_DISJOINT",
     "STAGE_PAIRED",
     "STAGE_SERIAL",

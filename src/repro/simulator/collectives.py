@@ -19,20 +19,19 @@ Two invariants every routine keeps (regression-tested):
   next through a shared mutable;
 * the input ``clocks`` mapping is never mutated.
 
-On a ``batched`` network (the vector engine) the pairwise stages and shift
-exchanges skip :class:`Message` construction entirely and price each stage
-through :meth:`Network.drain_times`, which applies identical timing rules in
-one pass; both paths return identical times.
+The dict-based routines build :class:`Message` objects and price every stage
+on the per-event heap (:meth:`Network.transfer`); they are what the ``loop``
+engine runs and the oracle the tests compare against.
 
 **Array-clock kernels** (the ``*_clocks`` functions) are the scaled form the
-``vector`` engine actually calls: per-rank clocks stay an ``np.ndarray``
-indexed by rank end to end — phase entry clocks in, phase completion clocks
-out — and each stage goes through :meth:`Network.drain_stage` as a
-structure-of-arrays batch, so no per-rank dict is ever built between phases.
+``vector`` engine calls: per-rank clocks stay an ``np.ndarray`` indexed by
+rank end to end — phase entry clocks in, phase completion clocks out — and
+each stage goes through :meth:`Network.drain_stage` as a structure-of-arrays
+batch, so no per-rank dict is ever built between phases.  The exchange
+schedule comes straight from :meth:`Topology.exchange_stages` as arrays.
 Every kernel applies element by element exactly the arithmetic of its
 dict-based twin (same ``max`` placement, same operation order), so the two
-forms are bit-identical; the dict-based routines remain the oracle the
-``loop`` engine runs.
+forms are bit-identical.
 """
 
 from __future__ import annotations
@@ -67,22 +66,6 @@ def shift_exchange(
     ranks = sorted({r for pair in pairs for r in pair})
     done = _as_list(clocks, ranks)
     if not pairs:
-        return done
-
-    if network.batched:
-        specs = []
-        for (src, dst) in pairs:
-            nbytes = nbytes_per_pair if isinstance(nbytes_per_pair, int) \
-                else int(nbytes_per_pair.get((src, dst), 0))
-            specs.append((done.get(src, 0.0) + software_overhead, src, dst, nbytes))
-        send_done, recv_done = network.drain_times(specs)
-        for rank in ranks:
-            base = done[rank]
-            completion = send_done.get(rank, base)
-            arrival = recv_done.get(rank, base)
-            if arrival > completion:
-                completion = arrival
-            done[rank] = max(base + software_overhead, completion)
         return done
 
     messages = []
@@ -157,28 +140,8 @@ def _pairwise_stages(
     """
     p = len(ranks)
     schedule = network.topology.exchange_schedule(p)
-    batched = network.batched
     for stage_no, stage in enumerate(schedule):
         nbytes = nbytes_for_stage(stage_no)
-        if batched:
-            # vector-engine fast path: no Message objects, one sorted drain
-            specs = []
-            partner_of = {}
-            for i, j in stage:
-                a, b = ranks[i], ranks[j]
-                partner_of[a] = b
-                partner_of[b] = a
-                specs.append((done[a], a, b, nbytes))
-                specs.append((done[b], b, a, nbytes))
-            if not specs:
-                continue
-            _send_done, recv_done = network.drain_times(specs)
-            new_done = dict(done)
-            for rank, _partner in partner_of.items():
-                arrival = recv_done.get(rank, done[rank])
-                new_done[rank] = post_exchange(done[rank], arrival)
-            done = new_done
-            continue
         messages = []
         partner_of: dict[int, int] = {}
         for i, j in stage:
@@ -274,23 +237,22 @@ def unstructured_gather(
 
 
 def _exchange_stages(network: Network, p: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Topology exchange schedule as ``(senders, partners, participants)`` arrays.
+    """Exchange schedule as per-stage ``(src, dst, participants)`` arrays.
 
-    Positions equal ranks because the kernels always run over the full
-    partition 0..p-1.  Cached on the network: schedules are pure functions of
-    the topology and p.
+    Each stage's ``(i, j)`` pairs from :meth:`Topology.exchange_stages`
+    become both directions of its messages, ``src = [i, j]`` and ``dst =
+    [j, i]``, plus the sorted ranks that take part.  Positions equal ranks
+    because the kernels always run over the full partition 0..p-1.  Cached
+    on the network: schedules are pure functions of the topology and p.
     """
     key = ("exchange", p)
     stages = network._schedule_arrays.get(key)
     if stages is None:
         stages = []
-        for stage in network.topology.exchange_schedule(p):
-            i_arr = np.fromiter((i for i, _ in stage), dtype=np.int64,
-                                count=len(stage))
-            j_arr = np.fromiter((j for _, j in stage), dtype=np.int64,
-                                count=len(stage))
-            parts = np.unique(np.concatenate([i_arr, j_arr]))
-            stages.append((i_arr, j_arr, parts))
+        for i_arr, j_arr in network.topology.exchange_stages(p):
+            src = np.concatenate([i_arr, j_arr])
+            dst = np.concatenate([j_arr, i_arr])
+            stages.append((src, dst, np.flatnonzero(np.bincount(src))))
         network._schedule_arrays[key] = stages
     return stages
 
@@ -445,10 +407,8 @@ def _pairwise_stages_clocks(
     p = done.shape[0]
     if p <= 1:
         return done
-    for stage_no, (i_arr, j_arr, parts) in enumerate(_exchange_stages(network, p)):
+    for stage_no, (src, dst, parts) in enumerate(_exchange_stages(network, p)):
         size = int(nbytes_for_stage(stage_no))
-        src = np.concatenate([i_arr, j_arr])
-        dst = np.concatenate([j_arr, i_arr])
         sizes = np.full(src.shape[0], size, dtype=np.int64)
         _send_done, recv_done = network.drain_stage(done[src], src, dst, sizes)
         arrival = recv_done[parts]          # every participant receives once

@@ -1,30 +1,21 @@
 """A small discrete-event core used by the network simulation.
 
 Events are (time, sequence, callback) triples in a binary heap; ties are
-broken by insertion order so simulations are fully deterministic.
+broken by insertion order so simulations are fully deterministic.  The heap
+(:meth:`EventQueue.schedule` + :meth:`EventQueue.run`) drives the network's
+oracle drain, :meth:`repro.simulator.network.Network.transfer`.
 
-Two draining modes are provided:
-
-* the classic heap (:meth:`EventQueue.schedule` + :meth:`EventQueue.run`),
-  which supports callbacks that schedule further events, and
-* a **batch** mode (:func:`drain_batch`) for the common network case where a
-  whole phase's messages are known up front and no callback schedules
-  anything new: the events are sorted once and dispatched in a single pass,
-  skipping the per-event heap push/pop entirely.  The visit order — ascending
-  time, insertion order on ties — is identical to the heap's, so both modes
-  produce bit-identical simulations.
-
-:func:`batch_order` is the array-resident form of the batch ordering: given a
-structure-of-arrays phase (start times, sources, destinations) it returns the
-heap-equivalent dispatch permutation in one stable ``lexsort``, for drains
-that never materialise per-event callbacks at all.
+:func:`batch_order` is the same dispatch order for a structure-of-arrays
+phase (start times, sources, destinations): the heap-equivalent permutation
+in one stable ``lexsort``, for the array drain, which never materialises
+per-event callbacks at all.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -85,50 +76,14 @@ class EventQueue:
         self.processed = 0
 
 
-class BatchClock:
-    """Minimal clock handed to callbacks during a batched drain.
-
-    Exposes the same ``now`` attribute callbacks read from an
-    :class:`EventQueue`, without any scheduling machinery.
-    """
-
-    __slots__ = ("now", "processed")
-
-    def __init__(self) -> None:
-        self.now = 0.0
-        self.processed = 0
-
-
 def batch_order(start: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Dispatch order of a structure-of-arrays message batch.
 
     Returns the permutation that visits messages in ascending
     ``(start_time, src, dst)`` order with input order breaking exact ties —
-    the same contract as :func:`drain_batch` and the event heap, but computed
-    with one stable ``np.lexsort`` instead of a python ``sorted`` over tuples.
-    The batched network drain uses this to order its array-resident phases.
+    the order in which :meth:`~repro.simulator.network.Network.transfer`
+    posts messages to the event heap, computed with one stable
+    ``np.lexsort`` instead of a python ``sorted`` over tuples.  The array
+    drain orders its serial stages with it.
     """
     return np.lexsort((dst, src, start))
-
-
-def drain_batch(events: Iterable[tuple[float, Callable[[], None]]],
-                clock: BatchClock | None = None) -> BatchClock:
-    """Dispatch a known-up-front batch of events in one sorted pass.
-
-    ``events`` are (time, callback) pairs; ties are broken by input order,
-    matching the heap's insertion-order tie-break.  Callbacks MUST NOT need
-    to schedule further events — this is the same-phase message case, where
-    the whole batch is posted before any event fires.  Returns the clock so
-    callers can read the final ``now`` / ``processed``.
-    """
-    clock = clock or BatchClock()
-    ordered = sorted(
-        ((time, seq, callback) for seq, (time, callback) in enumerate(events)),
-        key=lambda item: (item[0], item[1]),
-    )
-    for time, _seq, callback in ordered:
-        if time > clock.now:
-            clock.now = time
-        callback()
-        clock.processed += 1
-    return clock

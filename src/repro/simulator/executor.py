@@ -54,9 +54,10 @@ from .noise import NoiseModel, NoiseOptions
 
 
 #: Execution-core engines: ``"vector"`` computes per-rank state in bulk
-#: (array-based iteration counting, memoised cost-model calls, batched
-#: network drain); ``"loop"`` is the original per-rank python loop
-#: implementation, kept as the oracle.  Both produce identical results.
+#: (array-based iteration counting, memoised cost-model calls, array network
+#: drain); ``"loop"`` is the original per-rank python loop implementation on
+#: the per-event network heap, kept as the oracle.  Both produce identical
+#: results.
 ENGINES = ("vector", "loop")
 
 
@@ -66,8 +67,9 @@ class SimulatorOptions:
 
     ``engine`` selects the execution core: ``"vector"`` (default) computes
     per-rank iteration counts, compute-time accrual and boundary exchanges in
-    bulk and drains each network phase in one batched pass; ``"loop"`` is the
-    original per-rank python implementation, kept as the correctness oracle.
+    bulk and prices each network stage with array kernels; ``"loop"`` is the
+    original per-rank python implementation on the per-event network heap,
+    kept as the correctness oracle.
     The two are required (and tested) to agree on every per-rank time to
     within 1e-9 — in practice bit-for-bit.
     """

@@ -8,22 +8,17 @@ carry one message at a time, so concurrent messages that share a link
 serialise — this is the contention the static interpreter's analytic
 collective models do not capture.
 
-Three drain paths share the same per-message timing rules and produce
+Two drain paths apply the same per-message timing rules and produce
 bit-identical results:
 
-* the classic per-event **heap** (:mod:`repro.simulator.events.EventQueue`),
-  kept as the oracle for the simulator's ``loop`` engine;
-* a **batched** drain (``batched=True``): because a ``transfer`` call posts
-  every message of a phase up front and no message spawns another event, the
-  heap is pure churn — the batch path sorts the phase once and dispatches it
-  in a single pass (the same ordering contract as
-  :func:`repro.simulator.events.drain_batch`, inlined here for speed), and
-  memoises routes and link ids per (src, dst) pair, which repeat heavily
-  across the stages of a collective;
-* an **array** drain (:meth:`Network.drain_stage`): the phase arrives as a
-  structure-of-arrays batch (``src`` / ``dst`` / ``nbytes`` / ``start`` as
-  numpy arrays, no :class:`Message` objects at all) and is classified once
-  per distinct stage shape by :meth:`Network.stage_route_info`:
+* the per-event **heap** (:meth:`Network.transfer`, one
+  :class:`repro.simulator.events.EventQueue` event per message), which the
+  simulator's ``loop`` engine runs and the tests keep as the oracle;
+* the **array** drain (:meth:`Network.drain_stage`), which the ``vector``
+  engine runs: the phase arrives as a structure-of-arrays batch (``src`` /
+  ``dst`` / ``nbytes`` / ``start`` as numpy arrays, no :class:`Message`
+  objects at all) and is classified once per distinct stage shape by
+  :meth:`Network.stage_route_info`, from the topology's route matrix:
 
   - **link-disjoint** stages (shift exchanges, any stage on a
     :class:`~repro.system.topology.SwitchedTopology` with distinct endpoints,
@@ -34,18 +29,18 @@ bit-identical results:
     the two opposite directions of an exchange pair (recursive doubling on
     the hypercube, two-node rings) — admit a closed form: the later message
     of each pair waits for its partner's link to free;
-  - anything else genuinely collides and falls back to the sorted scalar
-    batched pass above, so contention is never approximated.
+  - **serial** stages genuinely collide on a link or a NIC.  They are
+    drained level by level: each level holds the messages whose
+    predecessors on their links and NIC are all priced, and is priced hop
+    by hop with array expressions, so contention is never approximated.
 
-  The simulator's ``vector`` engine runs its collectives through this path.
-
-The simulation is fully deterministic on all three paths.
+The simulation is fully deterministic on both paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 import numpy as np
 
@@ -57,7 +52,7 @@ from .events import EventQueue, batch_order
 #: Stage verdicts of :meth:`Network.stage_route_info`.
 STAGE_DISJOINT = "disjoint"   # no two messages share a link; sources distinct
 STAGE_PAIRED = "paired"       # single-link routes; collisions only within a<->b pairs
-STAGE_SERIAL = "serial"       # links genuinely collide: scalar batched drain
+STAGE_SERIAL = "serial"       # links or NICs collide: level-by-level drain
 
 _NEG_INF = float("-inf")
 
@@ -91,34 +86,37 @@ class TransferResult:
         return max(self.send_complete.get(node, default), self.recv_complete.get(node, default))
 
 
-class Network:
-    """Simulates batches of messages over one interconnect partition.
+class StageRoute(NamedTuple):
+    """What :meth:`Network.stage_route_info` knows of one stage shape."""
 
-    ``batched=True`` switches :meth:`transfer` from the per-event heap to the
-    single-pass sorted drain with route memoisation; results are identical.
-    """
+    #: link count of each message's route
+    hops: np.ndarray
+    #: :data:`STAGE_DISJOINT`, :data:`STAGE_PAIRED` or :data:`STAGE_SERIAL`
+    verdict: str
+    #: paired stages: each message's pair mate (itself when unpaired)
+    partners: np.ndarray | None
+    #: serial stages: the ``(n, H)`` route matrix of link ids, -1 padded
+    links: np.ndarray | None
+    #: serial stages: whether some source sends more than once
+    shared_nic: bool
+
+
+class Network:
+    """Simulates batches of messages over one interconnect partition."""
 
     def __init__(self, comm: CommunicationComponent, num_nodes: int,
-                 topology: Topology | None = None, batched: bool = False):
+                 topology: Topology | None = None):
         self.comm = comm
         self.topology = topology if topology is not None \
             else make_topology("hypercube", max(num_nodes, 1))
         self.num_nodes = num_nodes
-        self.batched = batched
-        #: (src, dst) -> (route hops, canonical link ids), filled lazily by the
-        #: batched drain; routes are pure functions of the topology, so the
-        #: cache can never go stale for a fixed partition.
-        self._route_cache: dict[tuple[int, int],
-                                tuple[tuple[tuple[int, int], ...],
-                                      tuple[Hashable, ...]]] = {}
-        #: nbytes -> (latency, link occupancy), also batched-drain only; both
-        #: are pure functions of the communication parameter set.
+        #: nbytes -> (latency, link occupancy) for the array drain; both are
+        #: pure functions of the communication parameter set.
         self._timing_cache: dict[int, tuple[float, float]] = {}
-        #: (src bytes, dst bytes) -> (hops array, stage verdict, pair partner
-        #: permutation) for the array drain; stage shapes repeat across the
-        #: iterations of a program, so classification is paid once per shape.
-        self._stage_cache: dict[tuple[bytes, bytes],
-                                tuple[np.ndarray, str, np.ndarray | None]] = {}
+        #: (src bytes, dst bytes) -> StageRoute; stage shapes repeat across
+        #: the iterations of a program, so classification is paid once per
+        #: shape.
+        self._stage_cache: dict[tuple[bytes, bytes], StageRoute] = {}
         #: collective schedules in array form, filled lazily by the
         #: array-clock kernels in :mod:`repro.simulator.collectives`.
         self._schedule_arrays: dict = {}
@@ -141,18 +139,14 @@ class Network:
     # -- batch simulation with link contention --------------------------------------
 
     def transfer(self, messages: list[Message]) -> TransferResult:
-        """Simulate *messages* with link contention; fills per-message completions."""
-        if self.batched:
-            return self._transfer_batched(messages)
-        return self._transfer_heap(messages)
+        """Simulate *messages* with link contention; fills per-message completions.
 
-    def _transfer_heap(self, messages: list[Message]) -> TransferResult:
-        """Oracle drain: one heap event per message (the ``loop`` engine path).
-
-        Deliberately self-contained — it spells out the timing rules inline
-        rather than sharing :meth:`_message_timing` with the batched/array
-        paths, so the parity tests compare two independently-written
-        implementations rather than one formula with itself.
+        The oracle drain: one heap event per message (the ``loop`` engine's
+        path).  Deliberately self-contained — it spells out the timing rules
+        inline rather than sharing :meth:`_message_timing` or the topology's
+        route matrix with the array drain, so the parity tests compare two
+        independently-written implementations rather than one formula with
+        itself.
         """
         result = TransferResult(messages=messages)
         if not messages:
@@ -199,9 +193,8 @@ class Network:
     def _message_timing(self, nbytes: int) -> tuple[float, float]:
         """Memoised ``(latency, link occupancy)`` of one message size.
 
-        The single timing formula behind the batched and array drains; the
-        heap oracle intentionally keeps its own inline copy (see
-        :meth:`_transfer_heap`).
+        The timing formula of the array drain; the heap oracle intentionally
+        keeps its own inline copy (see :meth:`transfer`).
         """
         cached = self._timing_cache.get(nbytes)
         if cached is None:
@@ -213,146 +206,23 @@ class Network:
             self._timing_cache[nbytes] = cached
         return cached
 
-    def _route_links(self, src: int, dst: int) -> tuple[tuple[tuple[int, int], ...],
-                                                        tuple[Hashable, ...]]:
-        """Memoised (route, link ids) of the (src, dst) pair."""
-        key = (src, dst)
-        cached = self._route_cache.get(key)
-        if cached is None:
-            route = tuple(self.topology.route(src, dst))
-            links = tuple(self.topology.link_id(a, b) for a, b in route)
-            cached = (route, links)
-            self._route_cache[key] = cached
-        return cached
-
-    def _transfer_batched(self, messages: list[Message]) -> TransferResult:
-        """Batched drain: the whole phase sorted once, routes memoised.
-
-        Shares its timing core with :meth:`drain_times`; the rules are those
-        of :meth:`_transfer_heap` minus the heap churn, so computed times are
-        identical.
-        """
-        result = TransferResult(messages=messages)
-        if not messages:
-            return result
-        self._drain(
-            [(m.start_time, m.src, m.dst, m.nbytes, m) for m in messages],
-            result)
-        return result
-
-    def drain_times(self, specs: list[tuple[float, int, int, int]],
-                    ) -> tuple[dict[int, float], dict[int, float]]:
-        """Batched completion times of ``(start_time, src, dst, nbytes)`` specs.
-
-        The collective fast path: applies exactly the timing rules of
-        :meth:`transfer` — same sort order, same NIC serialisation, same link
-        contention — without materialising :class:`Message` objects, and
-        returns only the per-node ``(send_complete, recv_complete)`` maps the
-        collective algorithms consume.  Only meaningful on a ``batched``
-        network; the ``loop`` engine's collectives go through
-        :meth:`transfer` unconditionally.
-        """
-        if not specs:
-            return {}, {}
-        result = TransferResult(messages=[])
-        self._drain([(start, src, dst, nbytes, None)
-                     for start, src, dst, nbytes in specs], result)
-        return result.send_complete, result.recv_complete
-
-    def _drain(self, items: list[tuple[float, int, int, int, Message | None]],
-               result: TransferResult, presorted: bool = False) -> None:
-        """The single batched timing core behind ``_transfer_batched`` and
-        ``drain_times``.
-
-        ``items`` are ``(start_time, src, dst, nbytes, message-or-None)``;
-        completion times land in *result*, and per-message completions are
-        written back when a :class:`Message` rides along.  The loop applies
-        exactly :meth:`_transfer_heap`'s rules — same ``(start_time, src,
-        dst)`` sort key with input order breaking ties (stable sort, the
-        heap's insertion-order tie-break), same NIC serialisation, same link
-        contention — so all drain paths stay bit-identical.  ``presorted``
-        callers (the array drain's serial fallback) have already applied
-        :func:`repro.simulator.events.batch_order`.
-        """
-        comm = self.comm
-        link_free: dict[Hashable, float] = {}
-        nic_free: dict[int, float] = {}
-        per_hop = comm.per_hop
-        timing = self._timing_cache
-        route_cache = self._route_cache
-        max_link_busy = 0.0
-        total_bytes = 0
-        send_complete = result.send_complete
-        recv_complete = result.recv_complete
-
-        if not presorted:
-            items = sorted(items, key=lambda item: (item[0], item[1], item[2]))
-        for start_time, src, dst, nbytes, msg in items:
-            cached = timing.get(nbytes)
-            if cached is None:
-                cached = self._message_timing(nbytes)
-            latency, occupancy = cached
-
-            # heap semantics inline: events fire in (time, order) order and
-            # the clock reads the event's own time, so send_start simplifies.
-            send_start = nic_free.get(src, 0.0)
-            if start_time > send_start:
-                send_start = start_time
-            launch = send_start + latency
-
-            routed = route_cache.get((src, dst))
-            if routed is None:
-                routed = self._route_links(src, dst)
-            route, links = routed
-
-            arrival = launch
-            first = True
-            for lid in links:
-                ready = arrival if first else arrival + per_hop
-                first = False
-                busy = link_free.get(lid, 0.0)
-                if busy > ready:
-                    ready = busy
-                free_at = ready + occupancy
-                link_free[lid] = free_at
-                if free_at > max_link_busy:
-                    max_link_busy = free_at
-                arrival = ready
-            if not route:  # self-message (local copy through the NIC)
-                arrival = launch
-            recv_done = arrival + occupancy
-            send_done = launch + occupancy * 0.5  # sender frees once streaming
-            nic_free[src] = send_done
-            if msg is not None:
-                msg.send_complete = send_done
-                msg.recv_complete = recv_done
-            if send_done > send_complete.get(src, 0.0):
-                send_complete[src] = send_done
-            if recv_done > recv_complete.get(dst, 0.0):
-                recv_complete[dst] = recv_done
-            total_bytes += nbytes
-
-        result.total_bytes = total_bytes
-        result.max_link_busy = max_link_busy
-
     # -- array drain (structure-of-arrays phases) ------------------------------------
 
-    def stage_route_info(self, src: np.ndarray, dst: np.ndarray,
-                         ) -> tuple[np.ndarray, str, np.ndarray | None]:
-        """Classify one stage shape: ``(hops, verdict, pair partners)``.
+    def stage_route_info(self, src: np.ndarray, dst: np.ndarray) -> StageRoute:
+        """Classify one stage shape into a :class:`StageRoute`.
 
-        ``hops[k]`` is the link count of message *k*'s route.  The verdict is
-        :data:`STAGE_DISJOINT` when no two messages share a link (and sources
-        are distinct, so NICs never serialise either), :data:`STAGE_PAIRED`
-        when every route is a single link and the only collisions are the two
-        opposite directions of an exchange pair (``partners[k]`` is then the
-        index of *k*'s pair mate, or ``k`` itself when unpaired), and
-        :data:`STAGE_SERIAL` otherwise.  A topology that declares
-        ``link_disjoint_paths`` (the crossbar: per-node up/down links) is
-        trusted structurally — distinct sources and destinations imply
-        disjointness without walking the link sets.  Verdicts are memoised
-        per stage shape: collective schedules repeat their stages every
-        iteration, so classification is a one-time cost.
+        The verdict is :data:`STAGE_DISJOINT` when no two messages share a
+        link (and sources are distinct, so NICs never serialise either),
+        :data:`STAGE_PAIRED` when every route is a single link and the only
+        collisions are the two opposite directions of an exchange pair, and
+        :data:`STAGE_SERIAL` otherwise.  Link sharing is read off the
+        topology's :meth:`~repro.system.topology.Topology.route_matrix`.  A
+        topology that declares ``link_disjoint_paths`` (the crossbar:
+        per-node up/down links) is trusted structurally — distinct sources
+        and destinations imply disjointness without routing a single
+        message.  Classifications are memoised per stage shape: collective
+        schedules repeat their stages every iteration, so this is a one-time
+        cost, and serial stages keep their route matrix for the level drain.
         """
         # normalise before keying: the byte representation must identify the
         # stage regardless of the caller's dtype or memory layout
@@ -364,60 +234,37 @@ class Network:
             return cached
 
         n = src.shape[0]
-        srcs = src.tolist()
-        dsts = dst.tolist()
-
-        # Structural fast path: on a crossbar every distinct-endpoint route is
-        # exactly ``switch_hops`` links and a self-message is zero, so a stage
-        # with distinct sources and destinations classifies without walking a
-        # single route (the per-message route walk was the dominant one-time
-        # cost of large-p stage classification).
+        distinct_src = int(np.bincount(src).max(initial=0)) <= 1
         switch_hops = getattr(self.topology, "switch_hops", None)
-        if switch_hops is not None \
+        if distinct_src and switch_hops is not None \
                 and getattr(self.topology, "link_disjoint_paths", False) \
-                and len(set(srcs)) == n and len(set(dsts)) == n:
+                and int(np.bincount(dst).max(initial=0)) <= 1:
             hops = np.where(src == dst, 0, int(switch_hops)).astype(np.int64)
-            cached = (hops, STAGE_DISJOINT, None)
-            self._stage_cache[key] = cached
-            return cached
-        hops = np.empty(n, dtype=np.int64)
-        link_lists = []
-        for k in range(n):
-            _route, links = self._route_links(srcs[k], dsts[k])
-            hops[k] = len(links)
-            link_lists.append(links)
+            route = StageRoute(hops, STAGE_DISJOINT, None, None, False)
+            self._stage_cache[key] = route
+            return route
 
-        partners: np.ndarray | None = None
-        if len(set(srcs)) != n:
-            verdict = STAGE_SERIAL          # a NIC would serialise its sends
-        elif getattr(self.topology, "link_disjoint_paths", False) \
-                and len(set(dsts)) == n:
-            verdict = STAGE_DISJOINT        # structural guarantee (crossbar)
-        else:
-            flat = [lid for links in link_lists for lid in links]
-            if len(set(flat)) == len(flat):
-                verdict = STAGE_DISJOINT
-            elif int(hops.max()) <= 1:
-                # single-link routes with distinct sources: a link can only be
-                # shared by the two opposite directions of one exchange pair
-                verdict = STAGE_PAIRED
+        links, hops = self.topology.route_matrix(src, dst)
+        route = StageRoute(hops, STAGE_SERIAL, None, links, not distinct_src)
+        if distinct_src:
+            most = int(np.bincount(links[links >= 0]).max(initial=0))
+            if most <= 1:
+                route = StageRoute(hops, STAGE_DISJOINT, None, None, False)
+            elif most == 2 and int(hops.max()) <= 1:
+                # single-link routes with distinct sources: a link is shared
+                # only by the two opposite directions of one exchange pair
+                rows = np.flatnonzero(hops)
+                lids = links[rows, 0]
+                by_link = np.argsort(lids, kind="stable")
+                first = np.flatnonzero(lids[by_link[1:]] == lids[by_link[:-1]])
+                a = rows[by_link[first]]
+                b = rows[by_link[first + 1]]
                 partners = np.arange(n, dtype=np.int64)
-                first_on: dict[Hashable, int] = {}
-                for k, links in enumerate(link_lists):
-                    if not links:
-                        continue
-                    mate = first_on.setdefault(links[0], k)
-                    if mate != k:
-                        if partners[mate] != mate:   # >2 on one link: impossible
-                            verdict, partners = STAGE_SERIAL, None
-                            break
-                        partners[mate], partners[k] = k, mate
-            else:
-                verdict = STAGE_SERIAL
-
-        cached = (hops, verdict, partners)
-        self._stage_cache[key] = cached
-        return cached
+                partners[a] = b
+                partners[b] = a
+                route = StageRoute(hops, STAGE_PAIRED, partners, None, False)
+        self._stage_cache[key] = route
+        return route
 
     def _stage_timing(self, nbytes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-message ``(latency, occupancy)`` arrays, via the timing memo."""
@@ -443,9 +290,9 @@ class Network:
         Takes the phase as a structure-of-arrays batch and returns per-node
         ``(send_complete, recv_complete)`` arrays of length ``num_nodes``
         (``-inf`` where a node neither sent nor received).  Link-disjoint and
-        pair-exchange stages are priced by vectorised expressions; colliding
-        stages fall back to the scalar batched pass, so every path applies
-        exactly :meth:`_transfer_heap`'s timing rules.
+        pair-exchange stages are priced by closed-form expressions, colliding
+        stages by :meth:`_drain_levels`; every path applies exactly
+        :meth:`transfer`'s timing rules.
         """
         p = self.num_nodes
         send_arr = np.full(p, _NEG_INF)
@@ -454,30 +301,19 @@ class Network:
         if n == 0:
             return send_arr, recv_arr
 
-        hops, verdict, partners = self.stage_route_info(src, dst)
-        if verdict == STAGE_SERIAL:
-            order = batch_order(start, src, dst)
-            result = TransferResult(messages=[])
-            starts = start.tolist()
-            srcs = src.tolist()
-            dsts = dst.tolist()
-            sizes = nbytes.tolist()
-            self._drain([(starts[k], srcs[k], dsts[k], sizes[k], None)
-                         for k in order.tolist()], result, presorted=True)
-            for node, t in result.send_complete.items():
-                send_arr[node] = t
-            for node, t in result.recv_complete.items():
-                recv_arr[node] = t
-            return send_arr, recv_arr
-
+        route = self.stage_route_info(src, dst)
         latency, occupancy = self._stage_timing(nbytes)
+        if route.verdict == STAGE_SERIAL:
+            return self._drain_levels(start, src, dst, latency, occupancy, route)
+
         launch = np.maximum(start, 0.0) + latency
         send_done = launch + occupancy * 0.5
+        hops = route.hops
 
-        if verdict == STAGE_DISJOINT:
+        if route.verdict == STAGE_DISJOINT:
             # No interactions at all: each message pays its own latency, hop
             # delays and occupancy.  The per-hop delay accrues by repeated
-            # addition (hop by hop, exactly as the scalar loop adds it) so the
+            # addition (hop by hop, exactly as the heap adds it) so the
             # float results stay bit-identical.
             arrival = launch.copy()
             max_hops = int(hops.max())
@@ -487,7 +323,7 @@ class Network:
         else:                                   # STAGE_PAIRED
             # Single-link exchanges: the lexicographically later message of a
             # pair waits until its partner frees the shared link.
-            mate = partners
+            mate = route.partners
             second = (start > start[mate]) | \
                 ((start == start[mate]) & (src > src[mate]))
             ready = np.maximum(launch, launch[mate] + occupancy[mate])
@@ -496,3 +332,98 @@ class Network:
         send_arr[src] = send_done               # sources are distinct
         np.maximum.at(recv_arr, dst, recv_done)
         return send_arr, recv_arr
+
+    def _drain_levels(self, start: np.ndarray, src: np.ndarray, dst: np.ndarray,
+                      latency: np.ndarray, occupancy: np.ndarray,
+                      route: StageRoute) -> tuple[np.ndarray, np.ndarray]:
+        """Exact drain of a serial stage, level by level.
+
+        Messages are taken in the heap's dispatch order
+        (:func:`~repro.simulator.events.batch_order`).  Each waits on its
+        predecessor on its NIC (the previous message from its source) and,
+        hop by hop, on its predecessor on each link (the previous message
+        through that link).  A message's level is the length of the longest
+        chain of such waits that ends at it, so messages of one level share
+        no link and no NIC, and every predecessor sits at a lower level.
+        Each level is then priced with the heap's arithmetic as array
+        expressions, in the heap's operation order, reading and updating
+        per-link and per-NIC free times; a node's completion is the latest
+        of its messages, reported only when above 0.0.
+        """
+        order = batch_order(start, src, dst)
+        links = route.links[order]
+        n, width = links.shape
+
+        # waits[:, k] holds the dispatch positions message k waits on: its
+        # link's previous user at each hop, then its NIC's previous message;
+        # n (a slot whose level stays -1) where there is none
+        waits = np.full((width + 1, n), n, dtype=np.int64)
+        flat = links.ravel()
+        entries = np.flatnonzero(flat >= 0)
+        # entries sorted by link, dispatch order within a link (unique keys)
+        by_link = entries[np.argsort(flat[entries] * flat.size + entries)]
+        repeat = np.flatnonzero(flat[by_link[1:]] == flat[by_link[:-1]])
+        later, earlier = by_link[repeat + 1], by_link[repeat]
+        waiter, holder = later // width, earlier // width
+        other = waiter != holder                # a route may reuse its own link
+        waits[later[other] % width, waiter[other]] = holder[other]
+        srcs = src[order]
+        if route.shared_nic:
+            by_src = np.argsort(srcs, kind="stable")
+            repeat = np.flatnonzero(srcs[by_src[1:]] == srcs[by_src[:-1]])
+            waits[width, by_src[repeat + 1]] = by_src[repeat]
+
+        # longest-path relaxation; chains are short (a handful of levels)
+        depth = np.zeros(n + 1, dtype=np.int64)
+        depth[n] = -1
+        while True:
+            deeper = depth[waits].max(axis=0) + 1
+            if np.array_equal(deeper, depth[:n]):
+                break
+            depth[:n] = deeper
+        level = depth[:n]
+
+        # visit level by level, longest routes first within a level, so the
+        # messages still travelling at hop h are a prefix of their level
+        hops = route.hops[order]
+        visit = np.lexsort((-hops, level))
+        cells = np.bincount(level * (width + 1) + hops,
+                            minlength=(int(level.max()) + 1) * (width + 1))
+        cells = cells.reshape(-1, width + 1)
+        bounds = np.concatenate(([0], np.cumsum(cells.sum(axis=1)))).tolist()
+        # travelling[l][h]: messages of level l with more than h hops
+        travelling = np.cumsum(cells[:, :0:-1], axis=1)[:, ::-1].tolist()
+
+        order = order[visit]
+        links = links[visit]
+        srcs = srcs[visit]
+        starts = start[order]
+        latency = latency[order]
+        occupancy = occupancy[order]
+        half = occupancy * 0.5
+        launch = np.empty(n)
+        arrival = np.empty(n)
+        link_free = np.zeros(int(links.max(initial=-1)) + 1)
+        nic_free = np.zeros(self.num_nodes)
+        per_hop = self.comm.per_hop
+        for lo, hi, moving in zip(bounds[:-1], bounds[1:], travelling):
+            np.maximum(starts[lo:hi], nic_free[srcs[lo:hi]], out=launch[lo:hi])
+            launch[lo:hi] += latency[lo:hi]
+            arrival[lo:hi] = launch[lo:hi]      # a self-message never leaves
+            for hop_no, m in enumerate(moving):
+                if not m:
+                    break
+                ready = arrival[lo:lo + m]      # a view: arrival advances with it
+                if hop_no:
+                    ready += per_hop
+                lid = links[lo:lo + m, hop_no]
+                np.maximum(ready, link_free[lid], out=ready)
+                link_free[lid] = ready + occupancy[lo:lo + m]
+            nic_free[srcs[lo:hi]] = launch[lo:hi] + half[lo:hi]
+
+        send_arr = np.zeros(self.num_nodes)
+        recv_arr = np.zeros(self.num_nodes)
+        np.maximum.at(send_arr, srcs, launch + half)
+        np.maximum.at(recv_arr, dst[order], arrival + occupancy)
+        return (np.where(send_arr > 0.0, send_arr, _NEG_INF),
+                np.where(recv_arr > 0.0, recv_arr, _NEG_INF))

@@ -31,13 +31,13 @@ collective schedules — and overrides only the per-rank hot loops:
   (:meth:`NoiseModel.communication_batch`), and clock
   advancement is a single vectorised maximum — no per-rank dict is built
   anywhere between phase entry and exit;
-* **network draining** — the executor's :class:`~repro.simulator.network.
-  Network` runs in batched mode, and each collective stage reaches it as a
-  structure-of-arrays batch (:meth:`Network.drain_stage`): link-disjoint
-  stages (shift exchanges, crossbar stages, spread fat-tree channels) and
-  pair-exchange stages (recursive doubling) are priced by one vectorised
-  expression each, and only stages whose links genuinely collide fall back
-  to the sorted scalar pass;
+* **network draining** — each collective stage reaches the executor's
+  :class:`~repro.simulator.network.Network` as a structure-of-arrays batch
+  (:meth:`Network.drain_stage`): link-disjoint stages (shift exchanges,
+  crossbar stages, spread fat-tree channels) and pair-exchange stages
+  (recursive doubling) are priced by one vectorised expression each, and
+  stages whose links or NICs genuinely collide are drained level by level
+  with array expressions;
 * **per-trip reuse** — a loop nest, reduction or boundary shift inside a DO
   loop usually repeats its trip unchanged, so each keeps one entry per SPMD
   node (per comm spec for shifts): the trip's *signature* and the per-rank
@@ -91,7 +91,6 @@ class VectorSPMDExecutor(SPMDExecutor):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.network.batched = True
         # id(spmd node or comm spec) -> (signature, result) of its last trip
         self._trips: dict[int, tuple[tuple, object]] = {}
 

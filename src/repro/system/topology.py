@@ -24,6 +24,11 @@ would use on them (binomial/recursive-doubling trees on the cube and the
 switch, row–column trees on the mesh).  Both the static interpreter and the
 simulator consume the same schedule, so estimate-vs-measurement differences
 remain purely dynamic (contention, imbalance, jitter) rather than algorithmic.
+
+The simulator's array drain reads routes and exchange schedules as numpy
+arrays (:meth:`Topology.route_matrix`, :meth:`Topology.exchange_stages`).
+:class:`BaseTopology` derives both generically; the hypercube builds its
+route matrix by bit arithmetic.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Protocol, runtime_checkable
+
+import numpy as np
 
 from ..frontend.errors import ReproError
 
@@ -77,6 +84,9 @@ class Topology(Protocol):
 
     def route(self, src: int, dst: int) -> list[Hop]: ...
 
+    def route_matrix(self, src: np.ndarray,
+                     dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
+
     def hops(self, src: int, dst: int) -> int: ...
 
     def link_id(self, a: int, b: int) -> Hashable: ...
@@ -90,6 +100,8 @@ class Topology(Protocol):
     def average_distance(self) -> float: ...
 
     def broadcast_schedule(self, p: int) -> list[Stage]: ...
+
+    def exchange_stages(self, p: int) -> list[tuple[np.ndarray, np.ndarray]]: ...
 
     def exchange_schedule(self, p: int) -> list[Stage]: ...
 
@@ -136,6 +148,28 @@ class BaseTopology:
     def hops(self, src: int, dst: int) -> int:
         return len(self.route(src, dst))
 
+    def route_matrix(self, src: np.ndarray,
+                     dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Routes of the messages ``src[k] -> dst[k]`` as ``(links, hops)``.
+
+        ``links`` is an ``(n, H)`` int64 matrix whose row *k* holds the ids
+        of message *k*'s links in route order, padded with -1 past
+        ``hops[k]``.  Two entries share an id exactly when their hops share
+        a :meth:`link_id`; ids mean nothing across calls.  This generic form
+        walks :meth:`route` message by message and numbers the link ids it
+        meets; a topology whose routes have a closed form overrides it.
+        """
+        ids: dict[Hashable, int] = {}
+        rows = [[ids.setdefault(self.link_id(a, b), len(ids))
+                 for a, b in self.route(s, d)]
+                for s, d in zip(np.asarray(src).tolist(), np.asarray(dst).tolist())]
+        hops = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        links = np.full((len(rows), int(hops.max(initial=0))), -1, dtype=np.int64)
+        links[np.arange(links.shape[1]) < hops[:, None]] = np.fromiter(
+            (lid for row in rows for lid in row), dtype=np.int64,
+            count=int(hops.sum()))
+        return links, hops
+
     def average_distance(self) -> float:
         if self.num_nodes <= 1:
             return 0.0
@@ -177,20 +211,28 @@ class BaseTopology:
             span <<= 1
         return stages
 
-    def exchange_schedule(self, p: int) -> list[Stage]:
-        """Recursive-doubling pairwise-exchange stages over positions 0..p-1."""
-        stages: list[Stage] = []
+    def exchange_stages(self, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Recursive-doubling pairwise-exchange stages over positions 0..p-1.
+
+        Stage *s* pairs position ``i`` with ``j = i ^ 2**s`` for every
+        ``i < j < p``, as two int64 position arrays ``(i, j)`` in ascending
+        ``i``.  This is where a topology defines its exchange schedule;
+        :meth:`exchange_schedule` is the list view of it.
+        """
+        positions = np.arange(p, dtype=np.int64)
+        stages = []
         span = 1
-        while span < p:
-            stage = []
-            for i in range(p):
-                j = i ^ span
-                if i < j < p:
-                    stage.append((i, j))
-            if stage:
-                stages.append(stage)
+        while span < p:                 # position 0 always pairs with span
+            low = positions[:p - span]              # j = i ^ span < p ...
+            low = low[(low & span) == 0]            # ... and i < j
+            stages.append((low, low | span))
             span <<= 1
         return stages
+
+    def exchange_schedule(self, p: int) -> list[Stage]:
+        """:meth:`exchange_stages` as lists of ``(i, j)`` position pairs."""
+        return [list(zip(i.tolist(), j.tolist()))
+                for i, j in self.exchange_stages(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +321,61 @@ class HypercubeTopology(BaseTopology):
         if all(b < self.num_nodes for _, b in route):
             return route
         return self._partition_safe_route(src, dst)
+
+    def route_matrix(self, src: np.ndarray,
+                     dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`BaseTopology.route_matrix` by e-cube bit arithmetic.
+
+        The hop across dimension ``d`` leaves ``cur = src ^ (diff & ((1 << d)
+        - 1))`` and its id is ``(cur & ~(1 << d)) * D + d``: the link's lower
+        endpoint times the cube dimension ``D``, plus ``d``, which is one id
+        per :meth:`link_id`.  As in :meth:`route`, a row whose e-cube route
+        leaves a non-power-of-two partition takes the partition-safe route.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        outside = (src < 0) | (src >= self.num_nodes) \
+            | (dst < 0) | (dst >= self.num_nodes)
+        if outside.any():
+            k = int(np.flatnonzero(outside)[0])
+            self.route(int(src[k]), int(dst[k]))          # raises TopologyError
+        n = src.shape[0]
+        links = np.full((n, self.dimension), -1, dtype=np.int64)
+        hops = np.zeros(n, dtype=np.int64)
+        peak = self._walk(src.copy(), src ^ dst, links, hops)
+        unsafe = np.flatnonzero(peak >= self.num_nodes)
+        if unsafe.size:
+            s, d = src[unsafe], dst[unsafe]
+            safe_links = np.full((unsafe.size, self.dimension), -1, dtype=np.int64)
+            safe_hops = np.zeros(unsafe.size, dtype=np.int64)
+            cur = s.copy()
+            self._walk(cur, s & ~d, safe_links, safe_hops)    # clear src-only bits
+            self._walk(cur, d & ~s, safe_links, safe_hops)    # set dst-only bits
+            links[unsafe] = safe_links
+            hops[unsafe] = safe_hops
+        return links[:, :int(hops.max(initial=0))], hops
+
+    def _walk(self, cur: np.ndarray, flips: np.ndarray, links: np.ndarray,
+              hops: np.ndarray) -> np.ndarray:
+        """Append to each row of *links* the hops that flip the set bits of
+        *flips* in *cur*, lowest dimension first.
+
+        *cur* and the per-row hop counts *hops* advance in place.  Returns
+        the highest label each row visits.
+        """
+        dim = self.dimension
+        peak = cur.copy()
+        for d in range(dim):
+            bit = 1 << d
+            rows = np.flatnonzero(flips & bit)
+            if rows.size == 0:
+                continue
+            here = cur[rows]
+            links[rows, hops[rows]] = (here & ~bit) * dim + d
+            hops[rows] += 1
+            cur[rows] = here ^ bit
+            peak[rows] = np.maximum(peak[rows], cur[rows])
+        return peak
 
     def _partition_safe_route(self, src: int, dst: int) -> list[Hop]:
         """Dimension-ordered route that clears bits before setting them."""

@@ -12,7 +12,7 @@ from repro.frontend.parser import parse_expression
 from repro.frontend.symbols import eval_const_expr
 from repro.simulator import EventQueue, Message, Network
 from repro.system import CommunicationComponent, p2p_time
-from repro.system.topology import ecube_route, hamming_distance
+from repro.system.topology import ecube_route, hamming_distance, make_topology
 
 common_settings = settings(max_examples=60, deadline=None,
                            suppress_health_check=[HealthCheck.too_slow])
@@ -242,3 +242,80 @@ def test_network_transfer_completions_are_consistent(sizes, pairs):
         assert msg.recv_complete >= comm.latency(msg.nbytes)
         assert result.recv_complete[msg.dst] >= msg.start_time
     assert result.total_bytes == sum(m.nbytes for m in messages)
+
+
+@st.composite
+def _network_stages(draw):
+    """One stage on one fabric: ``(kind, p, [(start, src, dst, nbytes)])``.
+
+    Three shapes reach every stage verdict: endpoints from a small pool of
+    nodes (sources repeat, links collide, some messages are self-messages),
+    both directions of a recursive-doubling exchange (paired on single-link
+    routes), and distinct sources with destinations anywhere (disjoint, or
+    colliding links without a shared NIC; on the 100-node hypercube some
+    e-cube routes leave the partition).  Start times mostly tie; sizes
+    straddle the long-message threshold and the packet size of the default
+    parameters.
+    """
+    kind = draw(st.sampled_from(("hypercube", "mesh", "torus", "fattree", "switch")))
+    p = draw(st.sampled_from((3, 8, 64, 100)))
+    shape = draw(st.sampled_from(("pool", "exchange", "spread")))
+    if shape == "pool":
+        pool = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=10))
+        node = st.sampled_from(pool) | st.integers(0, p - 1)
+        pairs = draw(st.lists(st.tuples(node, node), min_size=1, max_size=24))
+    elif shape == "exchange":
+        span = 1 << draw(st.integers(0, p.bit_length() - 2))
+        lows = draw(st.lists(st.sampled_from(
+            [i for i in range(p) if i < i ^ span < p]), min_size=1, max_size=16,
+            unique=True))
+        pairs = [(i, i ^ span) for i in lows] + [(i ^ span, i) for i in lows]
+    else:
+        sources = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=24,
+                                unique=True))
+        pairs = [(s, draw(st.integers(0, p - 1))) for s in sources]
+    start = st.sampled_from((0.0, 3.5, 12.25)) | st.floats(0.0, 400.0)
+    specs = [(draw(start), s, d, draw(st.integers(1, 4000))) for s, d in pairs]
+    return kind, p, specs
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(stage=_network_stages())
+def test_array_drain_equals_heap_on_every_topology(stage):
+    """``Network.drain_stage`` equals the per-event heap bit for bit on every
+    stage verdict, and ``route_matrix`` agrees with ``route``/``link_id``.
+
+    Each stage is drained twice on one network, the second time with its
+    start times reversed, so the cached classification serves a second
+    dispatch order.  p=100 is a hypercube partition that is not a power of
+    two, where some rows take the partition-safe route.
+    """
+    kind, p, specs = stage
+    topology = make_topology(kind, p)
+    start = np.array([t for t, _, _, _ in specs])
+    src = np.array([s for _, s, _, _ in specs], dtype=np.int64)
+    dst = np.array([d for _, _, d, _ in specs], dtype=np.int64)
+    nbytes = np.array([n for _, _, _, n in specs], dtype=np.int64)
+
+    links, hops = topology.route_matrix(src, dst)
+    ids = {}
+    for k, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
+        route = topology.route(s, d)
+        assert hops[k] == len(route)
+        assert (links[k, len(route):] == -1).all()
+        for h, (a, b) in enumerate(route):
+            assert ids.setdefault(topology.link_id(a, b), links[k, h]) == links[k, h]
+    assert len(set(ids.values())) == len(ids)
+
+    comm = CommunicationComponent()
+    network = Network(comm, p, topology)
+    for starts in (start, start[::-1].copy()):
+        send, recv = network.drain_stage(starts, src, dst, nbytes)
+        heap = Network(comm, p, topology).transfer(
+            [Message(src=int(s), dst=int(d), nbytes=int(n), start_time=float(t))
+             for t, s, d, n in zip(starts, src, dst, nbytes)])
+        expected_send = np.array([heap.send_complete.get(i, -np.inf) for i in range(p)])
+        expected_recv = np.array([heap.recv_complete.get(i, -np.inf) for i in range(p)])
+        assert send.tobytes() == expected_send.tobytes()
+        assert recv.tobytes() == expected_recv.tobytes()

@@ -1,5 +1,5 @@
-"""Vector-engine tests: loop/vector parity, batched network equivalence,
-collective state hygiene, and the modern-cluster target.
+"""Vector-engine tests: loop/vector parity, the array network drain against
+the per-event heap, collective state hygiene, and the modern-cluster target.
 
 The ``vector`` engine is only allowed to exist because it is indistinguishable
 from the ``loop`` oracle: every per-rank time within 1e-9 (bit-for-bit in
@@ -26,9 +26,9 @@ from repro.simulator import (
     allgather_clocks,
     allreduce,
     allreduce_clocks,
+    batch_order,
     broadcast,
     broadcast_clocks,
-    drain_batch,
     shift_exchange,
     shift_exchange_clocks,
     simulate,
@@ -139,6 +139,29 @@ class TestEnginePropertyParity:
         assert vector.measured_time_us == loop.measured_time_us
         assert vector.comm_stats.messages == loop.comm_stats.messages
         assert vector.comm_stats.bytes == loop.comm_stats.bytes
+
+    def test_parity_on_contended_hypercube_at_p1024(self):
+        """Loop == vector where stages genuinely collide at scale.
+
+        Laplace (BLOCK, BLOCK) on the iPSC/860 at p=1024 maps its 32x32 grid
+        onto the cube, so each boundary shift is a serial stage of 1024
+        messages of up to 5 e-cube hops, drained level by level by the
+        vector engine and message by message by the heap.
+        """
+        from repro.suite import get_entry
+
+        entry = get_entry("laplace_block_block")
+        params = entry.params_for(256)
+        params["maxiter"] = 2.0
+        compiled = compile_source(entry.source, nprocs=1024, params=params)
+        machine = get_machine("ipsc860", 1024)
+        loop = simulate(compiled, machine,
+                        options=SimulatorOptions(engine="loop"))
+        vector = simulate(compiled, machine,
+                          options=SimulatorOptions(engine="vector"))
+        assert vector.per_rank_us == loop.per_rank_us
+        assert vector.measured_time_us == loop.measured_time_us
+        assert vector.array_checksum == loop.array_checksum
 
     @pytest.mark.parametrize("machine_name", ["ipsc860", "modern-cluster"])
     def test_parity_cyclic_and_odd_p(self, machine_name):
@@ -363,7 +386,7 @@ class TestModernCluster:
 
 
 # ---------------------------------------------------------------------------
-# batched network drain == per-event heap drain
+# array drain: stage classification + equivalence with the heap oracle
 # ---------------------------------------------------------------------------
 
 
@@ -374,72 +397,6 @@ def _comm() -> CommunicationComponent:
         packetization_bytes=512, per_packet_overhead=3.0,
         barrier_per_stage=10.0, collective_call_overhead=20.0,
     )
-
-
-def _message_batch(num_nodes: int, seed: int) -> list[Message]:
-    rng = np.random.default_rng(seed)
-    messages = []
-    for _ in range(40):
-        src, dst = rng.integers(0, num_nodes, size=2)
-        messages.append(Message(
-            src=int(src), dst=int(dst), nbytes=int(rng.integers(1, 2000)),
-            start_time=float(rng.choice([0.0, 5.0, 5.0, 12.5])),
-        ))
-    return messages
-
-
-class TestBatchedNetwork:
-    @pytest.mark.parametrize("kind,nodes", [("hypercube", 8), ("mesh", 6),
-                                            ("torus", 8), ("fattree", 8),
-                                            ("switch", 8)])
-    def test_transfer_modes_identical(self, kind, nodes):
-        from repro.system.topology import make_topology
-        for seed in (1, 2, 3):
-            heap_net = Network(_comm(), nodes, make_topology(kind, nodes))
-            batch_net = Network(_comm(), nodes, make_topology(kind, nodes),
-                                batched=True)
-            heap_msgs = _message_batch(nodes, seed)
-            batch_msgs = [Message(m.src, m.dst, m.nbytes, m.start_time)
-                          for m in heap_msgs]
-            heap_result = heap_net.transfer(heap_msgs)
-            batch_result = batch_net.transfer(batch_msgs)
-            assert heap_result.send_complete == batch_result.send_complete
-            assert heap_result.recv_complete == batch_result.recv_complete
-            assert heap_result.total_bytes == batch_result.total_bytes
-            assert heap_result.max_link_busy == batch_result.max_link_busy
-            for heap_msg, batch_msg in zip(heap_msgs, batch_msgs):
-                assert heap_msg.send_complete == batch_msg.send_complete
-                assert heap_msg.recv_complete == batch_msg.recv_complete
-
-    def test_drain_times_matches_transfer(self):
-        from repro.system.topology import make_topology
-        heap_net = Network(_comm(), 8, make_topology("hypercube", 8))
-        batch_net = Network(_comm(), 8, make_topology("hypercube", 8),
-                            batched=True)
-        messages = _message_batch(8, seed=7)
-        specs = [(m.start_time, m.src, m.dst, m.nbytes) for m in messages]
-        result = heap_net.transfer(messages)
-        send_done, recv_done = batch_net.drain_times(specs)
-        assert send_done == result.send_complete
-        assert recv_done == result.recv_complete
-
-    def test_drain_batch_matches_event_queue(self):
-        order_heap, order_batch = [], []
-        queue = EventQueue()
-        events = [(5.0, "a"), (1.0, "b"), (5.0, "c"), (0.0, "d")]
-        for time, label in events:
-            queue.schedule(time, lambda lab=label: order_heap.append(lab))
-        queue.run()
-        clock = drain_batch([(time, lambda lab=label: order_batch.append(lab))
-                             for time, label in events])
-        assert order_batch == order_heap == ["d", "b", "a", "c"]
-        assert clock.now == 5.0
-        assert clock.processed == 4
-
-
-# ---------------------------------------------------------------------------
-# array drain: stage classification + equivalence with the heap oracle
-# ---------------------------------------------------------------------------
 
 
 def _arrays(specs):
@@ -454,9 +411,9 @@ def _drain_stage_vs_heap(kind, nodes, specs):
     """Run one stage through drain_stage and the heap; return both + verdict."""
     from repro.system.topology import make_topology
     start, src, dst, nbytes = _arrays(specs)
-    array_net = Network(_comm(), nodes, make_topology(kind, nodes), batched=True)
+    array_net = Network(_comm(), nodes, make_topology(kind, nodes))
     heap_net = Network(_comm(), nodes, make_topology(kind, nodes))
-    _hops, verdict, _partners = array_net.stage_route_info(src, dst)
+    verdict = array_net.stage_route_info(src, dst).verdict
     send_arr, recv_arr = array_net.drain_stage(start, src, dst, nbytes)
     messages = [Message(src=s, dst=d, nbytes=n, start_time=t)
                 for t, s, d, n in specs]
@@ -493,13 +450,13 @@ class TestStageClassification:
 
     def test_colliding_stage_takes_the_slow_path(self):
         # mesh row 0->2 and 1->3: both cross link (1,2) — genuine contention,
-        # must serialise through the scalar batched drain
+        # must serialise through the level-by-level drain
         from repro.system.topology import MeshTopology
         specs = [(0.0, 0, 2, 1024), (0.0, 1, 3, 1024)]
         start, src, dst, nbytes = _arrays(specs)
-        array_net = Network(_comm(), 4, MeshTopology(1, 4), batched=True)
+        array_net = Network(_comm(), 4, MeshTopology(1, 4))
         heap_net = Network(_comm(), 4, MeshTopology(1, 4))
-        _hops, verdict, _partners = array_net.stage_route_info(src, dst)
+        verdict = array_net.stage_route_info(src, dst).verdict
         assert verdict == STAGE_SERIAL
         send_arr, recv_arr = array_net.drain_stage(start, src, dst, nbytes)
         result = heap_net.transfer([Message(src=s, dst=d, nbytes=n, start_time=t)
@@ -539,7 +496,7 @@ class TestStageClassification:
 
     def test_verdicts_are_memoised_per_stage_shape(self):
         from repro.system.topology import make_topology
-        net = Network(_comm(), 4, make_topology("hypercube", 4), batched=True)
+        net = Network(_comm(), 4, make_topology("hypercube", 4))
         src = np.array([0, 2], dtype=np.int64)
         dst = np.array([1, 3], dtype=np.int64)
         first = net.stage_route_info(src, dst)
@@ -550,13 +507,82 @@ class TestStageClassification:
         # int32 [1, 0] and int64 [1] share a byte representation; the memo
         # key must not conflate the two stages
         from repro.system.topology import make_topology
-        net = Network(_comm(), 4, make_topology("hypercube", 4), batched=True)
+        net = Network(_comm(), 4, make_topology("hypercube", 4))
         wide = net.stage_route_info(np.array([1, 0], dtype=np.int32),
                                     np.array([0, 1], dtype=np.int32))
         narrow = net.stage_route_info(np.array([1], dtype=np.int64),
                                       np.array([0], dtype=np.int64))
         assert wide[0].shape[0] == 2
         assert narrow[0].shape[0] == 1
+
+
+def _message_batch(num_nodes: int, seed: int) -> list[tuple[float, int, int, int]]:
+    """40 ``(start, src, dst, nbytes)`` messages: sources repeat, start
+    times mostly tie, some messages are self-messages."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(40):
+        src, dst = rng.integers(0, num_nodes, size=2)
+        specs.append((float(rng.choice([0.0, 5.0, 5.0, 12.5])), int(src),
+                      int(dst), int(rng.integers(1, 2000))))
+    return specs
+
+
+class TestBatchedNetwork:
+    """A structure-of-arrays batch drained by the array path equals the heap.
+
+    Forty messages on eight nodes chain five or more deep on a NIC, so these
+    batches drain through many levels of the serial path.
+    """
+
+    @pytest.mark.parametrize("kind,nodes", [("hypercube", 8), ("mesh", 6),
+                                            ("torus", 8), ("fattree", 8),
+                                            ("switch", 8)])
+    def test_transfer_modes_identical(self, kind, nodes):
+        from repro.system.topology import make_topology
+        for seed in (1, 2, 3):
+            specs = _message_batch(nodes, seed)
+            verdict, send_arr, recv_arr, result = _drain_stage_vs_heap(
+                kind, nodes, specs)
+            assert verdict == STAGE_SERIAL
+            _assert_matches_heap(send_arr, recv_arr, result, nodes)
+            assert result.total_bytes == sum(n for _, _, _, n in specs)
+
+        # the same stage shape again on one network, under new start times:
+        # the cached classification must not carry the old times along
+        network = Network(_comm(), nodes, make_topology(kind, nodes))
+        for shift in (0.0, 7.25, 0.0):
+            specs = [(t + shift * (k % 3), s, d, n)
+                     for k, (t, s, d, n) in enumerate(_message_batch(nodes, 4))]
+            start, src, dst, nbytes = _arrays(specs)
+            send_arr, recv_arr = network.drain_stage(start, src, dst, nbytes)
+            result = Network(_comm(), nodes, make_topology(kind, nodes)).transfer(
+                [Message(src=s, dst=d, nbytes=n, start_time=t)
+                 for t, s, d, n in specs])
+            _assert_matches_heap(send_arr, recv_arr, result, nodes)
+
+    def test_batch_order_matches_event_queue(self):
+        # distinct start times: the order the heap dispatches them in
+        order_heap = []
+        queue = EventQueue()
+        events = [(5.0, "a"), (1.0, "b"), (5.0, "c"), (0.0, "d")]
+        for time, label in events:
+            queue.schedule(time, lambda lab=label: order_heap.append(lab))
+        queue.run()
+        start = np.array([time for time, _ in events])
+        same = np.zeros(len(events), dtype=np.int64)
+        order = batch_order(start, same, same)
+        assert [events[k][1] for k in order] == order_heap == ["d", "b", "a", "c"]
+
+        # tied start times: src, then dst, then input order, as Network.transfer
+        # sorts messages before posting them to the heap
+        src = np.array([2, 1, 1, 1], dtype=np.int64)
+        dst = np.array([0, 3, 0, 0], dtype=np.int64)
+        assert batch_order(np.zeros(4), src, dst).tolist() == [2, 3, 1, 0]
+        specs = _message_batch(8, seed=7)
+        start, src, dst, _nbytes = _arrays(specs)
+        assert batch_order(start, src, dst).tolist() == sorted(
+            range(len(specs)), key=lambda k: specs[k][:3])
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +599,7 @@ class TestArrayClockKernels:
                                             ("switch", 8), ("hypercube", 5)])
     def test_kernels_match_dict_collectives(self, kind, nodes):
         from repro.system.topology import make_topology
-        network = Network(_comm(), nodes, make_topology(kind, nodes),
-                          batched=True)
+        network = Network(_comm(), nodes, make_topology(kind, nodes))
         ranks = list(range(nodes))
         rng = np.random.default_rng(17)
         clocks_arr = np.round(rng.uniform(0.0, 40.0, size=nodes), 3)
@@ -609,8 +634,7 @@ class TestArrayClockKernels:
                                             ("switch", 8)])
     def test_shift_kernel_matches_dict_shift(self, kind, nodes):
         from repro.system.topology import make_topology
-        network = Network(_comm(), nodes, make_topology(kind, nodes),
-                          batched=True)
+        network = Network(_comm(), nodes, make_topology(kind, nodes))
         ranks = list(range(nodes))
         clocks_arr = np.linspace(0.0, 21.0, nodes)
         clocks = {r: float(clocks_arr[r]) for r in ranks}
@@ -632,8 +656,7 @@ class TestArrayClockKernels:
 
     def test_shift_kernel_flags_non_participants(self):
         from repro.system.topology import make_topology
-        network = Network(_comm(), 8, make_topology("hypercube", 8),
-                          batched=True)
+        network = Network(_comm(), 8, make_topology("hypercube", 8))
         clocks_arr = np.full(8, 3.0)
         src = np.array([0], dtype=np.int64)
         dst = np.array([1], dtype=np.int64)
@@ -646,8 +669,7 @@ class TestArrayClockKernels:
 
     def test_empty_shift_stage_is_identity(self):
         from repro.system.topology import make_topology
-        network = Network(_comm(), 4, make_topology("hypercube", 4),
-                          batched=True)
+        network = Network(_comm(), 4, make_topology("hypercube", 4))
         clocks_arr = np.array([1.0, 2.0, 3.0, 4.0])
         empty = np.array([], dtype=np.int64)
         got, participants = shift_exchange_clocks(
@@ -666,14 +688,12 @@ class TestArrayClockKernels:
 class TestCollectiveStateHygiene:
     """Every collective returns a fresh dict and never mutates its inputs."""
 
-    def _network(self, batched=False):
+    def _network(self):
         from repro.system.topology import make_topology
-        return Network(_comm(), 8, make_topology("hypercube", 8),
-                       batched=batched)
+        return Network(_comm(), 8, make_topology("hypercube", 8))
 
-    @pytest.mark.parametrize("batched", [False, True], ids=["heap", "batched"])
-    def test_fresh_dict_and_unmutated_clocks(self, batched):
-        network = self._network(batched)
+    def test_fresh_dict_and_unmutated_clocks(self):
+        network = self._network()
         ranks = list(range(8))
         clocks = {r: 10.0 * r for r in ranks}
         snapshot = dict(clocks)
@@ -699,6 +719,38 @@ class TestCollectiveStateHygiene:
             assert second is not first, "collective reused a result dict"
             assert first == second, "repeated collective call changed times"
             assert clocks == snapshot, "collective mutated the input clocks"
+
+    def test_clock_kernels_return_fresh_arrays(self):
+        # the kernels share the schedule arrays cached on the network; no
+        # result may alias the entry clocks, a cached array, or another result
+        network = self._network()
+        clocks = np.linspace(0.0, 35.0, 8)
+        src = np.arange(8, dtype=np.int64)
+        dst = (src + 1) % 8
+        nbytes = np.full(8, 64, dtype=np.int64)
+
+        calls = [
+            lambda: shift_exchange_clocks(network, src, dst, nbytes, clocks,
+                                          software_overhead=5.0)[0],
+            lambda: broadcast_clocks(network, 3, clocks, 128,
+                                     software_overhead=5.0),
+            lambda: allreduce_clocks(network, clocks, 8, combine_time=0.5,
+                                     software_overhead=5.0),
+            lambda: allgather_clocks(network, clocks, 32,
+                                     software_overhead=5.0),
+            lambda: unstructured_gather_clocks(network, clocks, 32,
+                                               software_overhead=5.0),
+        ]
+        entry = clocks.copy()
+        for call in calls:
+            first = call()
+            expected = first.copy()
+            first[:] = -1.0
+            second = call()
+            assert second is not clocks, "kernel returned the entry clocks"
+            assert second.tobytes() == expected.tobytes(), \
+                "a kernel's result was shared with a later call"
+            np.testing.assert_array_equal(clocks, entry)
 
     def test_degenerate_single_rank_is_fresh_too(self):
         network = self._network()

@@ -6,6 +6,7 @@ same bound the iPSC/860 integration tests assert."""
 
 import math
 
+import numpy as np
 import pytest
 
 from repro import interpret, measure, predict, simulate
@@ -130,6 +131,41 @@ class TestTopologyProperties:
         p = topo.num_nodes
         if p > 1:
             assert len(topo.exchange_schedule(p)) == int(math.ceil(math.log2(p)))
+
+    def test_route_matrix_matches_routes(self, topo):
+        # every ordered pair in one call: row k is route k's links in order,
+        # padded with -1, and two hops share an id exactly when they share
+        # a link_id (on non-power-of-two hypercubes some rows take the
+        # partition-safe route)
+        pairs = [(s, d) for s in topo.nodes() for d in topo.nodes()]
+        src = np.array([s for s, _ in pairs], dtype=np.int64)
+        dst = np.array([d for _, d in pairs], dtype=np.int64)
+        links, hops = topo.route_matrix(src, dst)
+        assert links.dtype == hops.dtype == np.int64
+        assert links.shape == (len(pairs), max(topo.hops(s, d) for s, d in pairs))
+        ids: dict = {}
+        for k, (s, d) in enumerate(pairs):
+            route = topo.route(s, d)
+            assert hops[k] == len(route)
+            assert (links[k, len(route):] == -1).all()
+            for h, (a, b) in enumerate(route):
+                assert ids.setdefault(topo.link_id(a, b), links[k, h]) == links[k, h]
+        assert len(set(ids.values())) == len(ids)
+
+
+def test_exchange_stages_pair_each_position_with_its_xor_partner():
+    # recursive doubling as arrays; exchange_schedule is their list view
+    topo = make_topology("mesh", 4)
+    for p in (1, 2, 3, 5, 8, 12, 100):
+        stages = topo.exchange_stages(p)
+        assert len(stages) == (p - 1).bit_length()
+        for s, (i, j) in enumerate(stages):
+            span = 1 << s
+            assert i.dtype == j.dtype == np.int64
+            assert i.tolist() == [a for a in range(p) if a < a ^ span < p]
+            assert (j == i ^ span).all()
+        assert topo.exchange_schedule(p) == [
+            list(zip(i.tolist(), j.tolist())) for i, j in stages]
 
 
 class TestHypercubePartitionSafety:
