@@ -2,9 +2,10 @@
 
 The Systems Module is the only machine-specific part of the framework, so
 retargeting a study is a one-word change: ``get_machine("paragon", 8)``.
-This example sweeps the (BLOCK,*) Laplace solver across all three built-in
-targets — the iPSC/860 hypercube, a Paragon-class 2-D mesh, and a switched
-workstation cluster — at p = 2, 4, 8, 16 and prints the predicted-time table
+This example sweeps the (BLOCK,*) Laplace solver across all six built-in
+targets — the iPSC/860 hypercube, a Paragon-class 2-D mesh, a switched
+workstation cluster, a T3D-class torus, a CM-5-class fat tree and a modern
+commodity cluster — at p = 2, 4, 8, 16 and prints the predicted-time table
 (the interpretation parse costs milliseconds per cell; no simulation runs).
 
 Run with:  PYTHONPATH=src python examples/machine_comparison.py

@@ -9,7 +9,8 @@ Two gates:
    skipped).
 2. **Public-API doctests pass** — the runnable examples in the docstrings
    of the public API surface (``repro.predict`` / ``repro.measure`` /
-   ``repro.advise`` / ``run_campaign`` / ``ResultStore``) are executed with
+   ``repro.advise`` / ``run_campaign`` / ``ResultStore`` /
+   ``build_machine``) are executed with
    :mod:`doctest`.  (``python -m doctest`` cannot import package-relative
    modules directly, so this script drives the same machinery through
    ``doctest.testmod``.)
@@ -38,6 +39,7 @@ DOCTEST_MODULES = (
     "repro.obs",                # enable/span/counter facade
     "repro.serve.protocol",     # ServeOptions eager validation
     "repro.stages",             # parse/compile/price stage caches
+    "repro.system.machine",     # build_machine + register_machine recipe
 )
 
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from ..compiler.pipeline import CompiledProgram
 from ..compiler.spmd import CommPhase, LocalLoopNest, ReductionNode, ShiftNode
-from ..system.ipsc860 import Machine
+from ..system.machine import Machine
 from .aau import AAUType
 from .saag import SAAG
 

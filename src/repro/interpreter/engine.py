@@ -22,7 +22,7 @@ from ..appmodel.machine_filter import FilterOptions, apply_machine_filter
 from ..appmodel.saag import SAAG
 from ..compiler.pipeline import CompiledProgram
 from ..compiler.spmd import LocalLoopNest, NodeDo, NodeDoWhile, NodeIf
-from ..system.ipsc860 import Machine
+from ..system.machine import Machine
 from .functions import InterpretationContext, InterpreterOptions, interpret_leaf
 from .metrics import Metrics, MetricsTable
 from .overlap import apply_overlap

@@ -33,7 +33,7 @@ from ..compiler.spmd import (
 from ..frontend import ast_nodes as ast
 from ..frontend.symbols import try_eval_const
 from ..system import comm_models, intrinsic_costs
-from ..system.ipsc860 import Machine
+from ..system.machine import Machine
 from .expression_cost import OpCount, count_expr, count_statement_body, iteration_time
 from .memory_model import MemoryModelOptions, estimate_hit_ratio, working_set_bytes
 from .metrics import Metrics

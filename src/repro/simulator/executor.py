@@ -46,7 +46,8 @@ from ..frontend.errors import SimulationError
 from ..functional.evaluator import FunctionalEvaluator, execute_forall
 from ..interpreter.expression_cost import OpCount, count_expr, count_statement_body
 from ..interpreter.metrics import Metrics
-from ..system.ipsc860 import PROGRAM_STARTUP_US, Machine
+from ..system.ipsc860 import PROGRAM_STARTUP_US
+from ..system.machine import Machine
 from .collectives import allgather, allreduce, broadcast, shift_exchange, unstructured_gather
 from .network import Network
 from .node import IterationProfile, NodeCostModel
@@ -162,7 +163,6 @@ class SPMDExecutor:
         self.clocks = np.zeros(self.nprocs, dtype=np.float64)
         self.totals = Metrics()
         self.line_metrics: dict[int, Metrics] = {}
-        self.node_metrics: dict[int, Metrics] = {}   # keyed by id(spmd node)
         self.comm_stats = CommStatistics()
         self.statements_executed = 0
         # id(spmd node) -> its static cost (op count or scalar-statement
@@ -196,8 +196,6 @@ class SPMDExecutor:
         self.totals += metrics
         line_entry = self.line_metrics.setdefault(node.line, Metrics())
         line_entry += metrics
-        node_entry = self.node_metrics.setdefault(id(node), Metrics())
-        node_entry += metrics
 
     def _set_clocks(self, node: SPMDNode, category: str, new_clocks: dict[int, float]) -> None:
         """Move clocks to the given completion times, attributing the delta."""

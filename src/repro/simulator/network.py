@@ -79,7 +79,6 @@ class TransferResult:
     send_complete: dict[int, float] = field(default_factory=dict)   # per source node
     recv_complete: dict[int, float] = field(default_factory=dict)   # per destination node
     total_bytes: int = 0
-    max_link_busy: float = 0.0
 
     def completion(self, node: int, default: float = 0.0) -> float:
         """Time at which *node* has finished all its sends and receives."""
@@ -121,21 +120,6 @@ class Network:
         #: array-clock kernels in :mod:`repro.simulator.collectives`.
         self._schedule_arrays: dict = {}
 
-    # -- single message timing (no contention) ------------------------------------
-
-    def message_time(self, nbytes: int, hops: int = 1) -> float:
-        """Uncontended transit time of one message (matches the analytic model)."""
-        comm = self.comm
-        nbytes = max(int(nbytes), 0)
-        hops = max(int(hops), 1)
-        packets = message_packets(comm, nbytes)
-        return (
-            comm.latency(nbytes)
-            + nbytes * comm.per_byte
-            + (hops - 1) * comm.per_hop
-            + (packets - 1) * comm.per_packet_overhead
-        )
-
     # -- batch simulation with link contention --------------------------------------
 
     def transfer(self, messages: list[Message]) -> TransferResult:
@@ -170,9 +154,7 @@ class Network:
                 lid = self.topology.link_id(a, b)
                 ready = max(arrival + (comm.per_hop if hop_no > 0 else 0.0),
                             link_free.get(lid, 0.0))
-                free_at = ready + occupancy
-                link_free[lid] = free_at
-                result.max_link_busy = max(result.max_link_busy, free_at)
+                link_free[lid] = ready + occupancy
                 arrival = ready
             if not route:  # self-message (local copy through the NIC)
                 arrival = launch

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..interpreter.expression_cost import OpCount
-from ..system.ipsc860 import Machine
+from ..system.machine import Machine
 
 
 @dataclass

@@ -18,7 +18,7 @@ from .. import obs
 from ..compiler.pipeline import CompiledProgram
 from ..frontend.errors import SimulationError
 from ..interpreter.metrics import Metrics
-from ..system.ipsc860 import Machine
+from ..system.machine import Machine
 from .executor import ENGINES, CommStatistics, SimulatorOptions, SPMDExecutor
 from .vector import VectorSPMDExecutor
 

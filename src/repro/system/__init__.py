@@ -8,17 +8,14 @@ registry — the paper's iPSC/860 hypercube (:func:`ipsc860`), a Paragon-class
 2-D mesh (:func:`paragon`), a switched workstation cluster (:func:`cluster`),
 a T3D-class 2-D torus (:func:`torus_cluster`), a CM-5-class fat tree
 (:func:`cm5`) and a modern commodity cluster (:func:`modern_cluster`, the
-post-CM5 target for p ≥ 64 studies) — and :func:`get_machine` builds any of
-them by name.
+post-CM5 target for p ≥ 64 studies).  Each is one :func:`build_machine`
+call over its parameter set, and :func:`get_machine` builds any of them by
+name.
 """
 
-from .cluster import SWITCH_COMMUNICATION, build_cluster_sag, cluster
-from .cm5 import FAT_TREE_COMMUNICATION, build_cm5_sag, cm5
-from .modern_cluster import (
-    MODERN_COMMUNICATION,
-    build_modern_cluster_sag,
-    modern_cluster,
-)
+from .cluster import SWITCH_COMMUNICATION, cluster
+from .cm5 import FAT_TREE_COMMUNICATION, cm5
+from .modern_cluster import MODERN_COMMUNICATION, modern_cluster
 from .comm_models import (
     allgather_time,
     allreduce_time,
@@ -43,15 +40,9 @@ from .intrinsic_costs import (
     sum_cost,
     tshift_cost,
 )
-from .ipsc860 import (
-    CUBE_COMMUNICATION,
-    I860_MEMORY,
-    I860_PROCESSING,
-    build_ipsc860_sag,
-    ipsc860,
-)
-from .machine import Machine
-from .paragon import MESH_COMMUNICATION, build_paragon_sag, paragon
+from .ipsc860 import CUBE_COMMUNICATION, I860_MEMORY, I860_PROCESSING, ipsc860
+from .machine import Machine, build_machine
+from .paragon import MESH_COMMUNICATION, paragon
 from .registry import (
     MachineSpec,
     canonical_machine_name,
@@ -61,7 +52,7 @@ from .registry import (
     register_machine,
     resolve_machine,
 )
-from .sag import SAG, SAGLibrary
+from .sag import SAG
 from .sau import (
     SAU,
     CommunicationComponent,
@@ -82,7 +73,7 @@ from .topology import (
     near_square_shape,
     ring_distance,
 )
-from .torus_cluster import TORUS_COMMUNICATION, build_torus_cluster_sag, torus_cluster
+from .torus_cluster import TORUS_COMMUNICATION, torus_cluster
 
 __all__ = [
     "allgather_time",
@@ -115,12 +106,7 @@ __all__ = [
     "I860_MEMORY",
     "I860_PROCESSING",
     "Machine",
-    "build_ipsc860_sag",
-    "build_paragon_sag",
-    "build_cluster_sag",
-    "build_torus_cluster_sag",
-    "build_cm5_sag",
-    "build_modern_cluster_sag",
+    "build_machine",
     "modern_cluster",
     "MODERN_COMMUNICATION",
     "ipsc860",
@@ -136,7 +122,6 @@ __all__ = [
     "register_machine",
     "resolve_machine",
     "SAG",
-    "SAGLibrary",
     "SAU",
     "CommunicationComponent",
     "IOComponent",

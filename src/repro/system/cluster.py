@@ -14,10 +14,8 @@ bulk transfers, which is the defining trade-off of this machine class:
 
 from __future__ import annotations
 
-from .machine import Machine
-from .sag import SAG
+from .machine import Machine, build_machine
 from .sau import (
-    SAU,
     CommunicationComponent,
     IOComponent,
     MemoryComponent,
@@ -68,49 +66,15 @@ SWITCH_COMMUNICATION = CommunicationComponent(
 CLUSTER_NODE_IO = IOComponent(open_close_time=6000.0, per_byte=0.20, seek_time=9000.0)
 
 
-def build_cluster_sag(num_nodes: int = 8) -> SAG:
-    """Build the SAG for a switched cluster of *num_nodes* workstations."""
-    if num_nodes < 1:
-        raise ValueError("a cluster partition needs at least one node")
-
-    root = SAU(
-        name="system",
-        level="system",
-        description=f"switched workstation cluster ({num_nodes} nodes)",
-        processing=RISC_PROCESSING,
-        memory=RISC_MEMORY,
-        communication=SWITCH_COMMUNICATION,
-        io=CLUSTER_NODE_IO,
-    )
-
-    switch = SAU(
-        name="switch",
-        level="cluster",
-        description=f"{num_nodes}-port central crossbar (constant 2-hop routes)",
-        processing=RISC_PROCESSING,
-        memory=RISC_MEMORY,
-        communication=SWITCH_COMMUNICATION,
-        io=CLUSTER_NODE_IO,
-        attributes={"num_nodes": float(num_nodes)},
-    )
-    root.add_child(switch)
-
-    node = SAU(
-        name="node",
-        level="node",
-        description="62.5 MHz RISC workstation: 32 KB I-cache, 64 KB D-cache, 128 MB",
-        processing=RISC_PROCESSING,
-        memory=RISC_MEMORY,
-        communication=SWITCH_COMMUNICATION,
-        io=CLUSTER_NODE_IO,
-    )
-    switch.add_child(node)
-
-    return SAG(root=root, machine_name=f"Cluster-{num_nodes}")
-
-
 def cluster(num_nodes: int = 8, noise_seed: int = 0) -> Machine:
     """A switched workstation cluster with *num_nodes* nodes."""
-    sag = build_cluster_sag(num_nodes)
-    return Machine(name=sag.machine_name, sag=sag, num_nodes=num_nodes,
-                   noise_seed=noise_seed, topology_kind="switch")
+    return build_machine(
+        num_nodes, noise_seed, label="Cluster", topology_kind="switch",
+        processing=RISC_PROCESSING, memory=RISC_MEMORY,
+        communication=SWITCH_COMMUNICATION, io=CLUSTER_NODE_IO,
+        system="switched workstation cluster ({n} nodes)",
+        fabric="switch",
+        fabric_description="{n}-port central crossbar (constant 2-hop routes)",
+        node_description="62.5 MHz RISC workstation: 32 KB I-cache, 64 KB "
+                         "D-cache, 128 MB",
+    )

@@ -21,10 +21,8 @@ instruction counts + benchmarking-style constants); as there, the
 
 from __future__ import annotations
 
-from .machine import Machine
-from .sag import SAG
+from .machine import Machine, build_machine
 from .sau import (
-    SAU,
     CommunicationComponent,
     IOComponent,
     MemoryComponent,
@@ -75,50 +73,17 @@ FAT_TREE_COMMUNICATION = CommunicationComponent(
 CM5_NODE_IO = IOComponent(open_close_time=10000.0, per_byte=0.5, seek_time=15000.0)
 
 
-def build_cm5_sag(num_nodes: int = 8) -> SAG:
-    """Build the SAG for a CM-5-class fat-tree partition of *num_nodes* nodes."""
-    if num_nodes < 1:
-        raise ValueError("a fat-tree partition needs at least one node")
-
-    root = SAU(
-        name="system",
-        level="system",
-        description=f"CM-5-class fat-tree system ({num_nodes} nodes)",
-        processing=SPARC_PROCESSING,
-        memory=SPARC_MEMORY,
-        communication=FAT_TREE_COMMUNICATION,
-        io=CM5_NODE_IO,
-    )
-
-    tree = SAU(
-        name="fattree",
-        level="cluster",
-        description=f"{num_nodes}-node SPARC partition (4-ary data-network fat "
-                    "tree, doubling link capacity, control-network barriers)",
-        processing=SPARC_PROCESSING,
-        memory=SPARC_MEMORY,
-        communication=FAT_TREE_COMMUNICATION,
-        io=CM5_NODE_IO,
-        attributes={"num_nodes": float(num_nodes)},
-    )
-    root.add_child(tree)
-
-    node = SAU(
-        name="node",
-        level="node",
-        description="33 MHz SPARC node with vector units: 64 KB caches, 32 MB memory",
-        processing=SPARC_PROCESSING,
-        memory=SPARC_MEMORY,
-        communication=FAT_TREE_COMMUNICATION,
-        io=CM5_NODE_IO,
-    )
-    tree.add_child(node)
-
-    return SAG(root=root, machine_name=f"CM5-{num_nodes}")
-
-
 def cm5(num_nodes: int = 8, noise_seed: int = 0) -> Machine:
     """A CM-5-class fat-tree partition with *num_nodes* compute nodes."""
-    sag = build_cm5_sag(num_nodes)
-    return Machine(name=sag.machine_name, sag=sag, num_nodes=num_nodes,
-                   noise_seed=noise_seed, topology_kind="fattree")
+    return build_machine(
+        num_nodes, noise_seed, label="CM5", topology_kind="fattree",
+        processing=SPARC_PROCESSING, memory=SPARC_MEMORY,
+        communication=FAT_TREE_COMMUNICATION, io=CM5_NODE_IO,
+        system="CM-5-class fat-tree system ({n} nodes)",
+        fabric="fattree",
+        fabric_description="{n}-node SPARC partition (4-ary data-network fat "
+                           "tree, doubling link capacity, control-network "
+                           "barriers)",
+        node_description="33 MHz SPARC node with vector units: 64 KB caches, "
+                         "32 MB memory",
+    )

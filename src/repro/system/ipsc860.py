@@ -16,8 +16,7 @@ experiments, not the absolute values.
 
 from __future__ import annotations
 
-from .machine import Machine
-from .sag import SAG
+from .machine import Machine, build_machine
 from .sau import (
     SAU,
     CommunicationComponent,
@@ -25,13 +24,6 @@ from .sau import (
     MemoryComponent,
     ProcessingComponent,
 )
-
-__all__ = [
-    "Machine",
-    "PROGRAM_STARTUP_US",
-    "build_ipsc860_sag",
-    "ipsc860",
-]
 
 # Node-level components -------------------------------------------------------
 
@@ -121,61 +113,27 @@ HOST_CUBE_CHANNEL = CommunicationComponent(
     collective_call_overhead=150.0,
 )
 
-
-def build_ipsc860_sag(num_nodes: int = 8) -> SAG:
-    """Build the SAG for an iPSC/860 configuration with *num_nodes* i860 nodes."""
-    if num_nodes < 1:
-        raise ValueError("an iPSC/860 partition needs at least one node")
-
-    root = SAU(
-        name="system",
-        level="system",
-        description=f"iPSC/860 hypercube system ({num_nodes} nodes) with SRM host",
-        processing=I860_PROCESSING,
-        memory=I860_MEMORY,
-        communication=CUBE_COMMUNICATION,
-        io=NODE_IO,
-    )
-
-    host = SAU(
-        name="host",
-        level="host",
-        description="System Resource Manager (80386 front end)",
-        processing=SRM_PROCESSING,
-        memory=SRM_MEMORY,
-        communication=HOST_CUBE_CHANNEL,
-        io=NODE_IO,
-    )
-    root.add_child(host)
-
-    cube = SAU(
-        name="cube",
-        level="cluster",
-        description=f"{num_nodes}-node i860 hypercube (Direct-Connect network)",
-        processing=I860_PROCESSING,
-        memory=I860_MEMORY,
-        communication=CUBE_COMMUNICATION,
-        io=NODE_IO,
-        attributes={"num_nodes": float(num_nodes)},
-    )
-    root.add_child(cube)
-
-    node = SAU(
-        name="node",
-        level="node",
-        description="i860 XR node: 40 MHz, 4 KB I-cache, 8 KB D-cache, 8 MB memory",
-        processing=I860_PROCESSING,
-        memory=I860_MEMORY,
-        communication=CUBE_COMMUNICATION,
-        io=NODE_IO,
-    )
-    cube.add_child(node)
-
-    return SAG(root=root, machine_name=f"iPSC/860-{num_nodes}")
+SRM_HOST = SAU(
+    name="host",
+    level="host",
+    description="System Resource Manager (80386 front end)",
+    processing=SRM_PROCESSING,
+    memory=SRM_MEMORY,
+    communication=HOST_CUBE_CHANNEL,
+    io=NODE_IO,
+)
 
 
 def ipsc860(num_nodes: int = 8, noise_seed: int = 0) -> Machine:
     """The standard target machine of the paper: an 8-node iPSC/860."""
-    sag = build_ipsc860_sag(num_nodes)
-    return Machine(name=sag.machine_name, sag=sag, num_nodes=num_nodes,
-                   noise_seed=noise_seed, topology_kind="hypercube")
+    return build_machine(
+        num_nodes, noise_seed, label="iPSC/860", topology_kind="hypercube",
+        processing=I860_PROCESSING, memory=I860_MEMORY,
+        communication=CUBE_COMMUNICATION, io=NODE_IO,
+        system="iPSC/860 hypercube system ({n} nodes) with SRM host",
+        fabric="cube",
+        fabric_description="{n}-node i860 hypercube (Direct-Connect network)",
+        node_description="i860 XR node: 40 MHz, 4 KB I-cache, 8 KB D-cache, "
+                         "8 MB memory",
+        host=SRM_HOST,
+    )

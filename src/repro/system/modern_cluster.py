@@ -28,10 +28,8 @@ engine's wall-clock advantage on exactly this target.
 
 from __future__ import annotations
 
-from .machine import Machine
-from .sag import SAG
+from .machine import Machine, build_machine
 from .sau import (
-    SAU,
     CommunicationComponent,
     IOComponent,
     MemoryComponent,
@@ -82,50 +80,16 @@ MODERN_COMMUNICATION = CommunicationComponent(
 MODERN_NODE_IO = IOComponent(open_close_time=2000.0, per_byte=0.01, seek_time=4000.0)
 
 
-def build_modern_cluster_sag(num_nodes: int = 64) -> SAG:
-    """Build the SAG for a modern-cluster partition of *num_nodes* nodes."""
-    if num_nodes < 1:
-        raise ValueError("a cluster partition needs at least one node")
-
-    root = SAU(
-        name="system",
-        level="system",
-        description=f"modern commodity cluster ({num_nodes} nodes)",
-        processing=MODERN_PROCESSING,
-        memory=MODERN_MEMORY,
-        communication=MODERN_COMMUNICATION,
-        io=MODERN_NODE_IO,
-    )
-
-    fabric = SAU(
-        name="fabric",
-        level="cluster",
-        description=f"{num_nodes}-node partition behind a non-blocking "
-                    "switched fabric (kernel-bypass messaging)",
-        processing=MODERN_PROCESSING,
-        memory=MODERN_MEMORY,
-        communication=MODERN_COMMUNICATION,
-        io=MODERN_NODE_IO,
-        attributes={"num_nodes": float(num_nodes)},
-    )
-    root.add_child(fabric)
-
-    node = SAU(
-        name="node",
-        level="node",
-        description="GHz-class superscalar node: 512 KB cache, 4 GB memory",
-        processing=MODERN_PROCESSING,
-        memory=MODERN_MEMORY,
-        communication=MODERN_COMMUNICATION,
-        io=MODERN_NODE_IO,
-    )
-    fabric.add_child(node)
-
-    return SAG(root=root, machine_name=f"ModernCluster-{num_nodes}")
-
-
 def modern_cluster(num_nodes: int = 64, noise_seed: int = 0) -> Machine:
     """A modern-cluster partition with *num_nodes* compute nodes."""
-    sag = build_modern_cluster_sag(num_nodes)
-    return Machine(name=sag.machine_name, sag=sag, num_nodes=num_nodes,
-                   noise_seed=noise_seed, topology_kind="switch")
+    return build_machine(
+        num_nodes, noise_seed, label="ModernCluster", topology_kind="switch",
+        processing=MODERN_PROCESSING, memory=MODERN_MEMORY,
+        communication=MODERN_COMMUNICATION, io=MODERN_NODE_IO,
+        system="modern commodity cluster ({n} nodes)",
+        fabric="fabric",
+        fabric_description="{n}-node partition behind a non-blocking switched "
+                           "fabric (kernel-bypass messaging)",
+        node_description="GHz-class superscalar node: 512 KB cache, 4 GB "
+                         "memory",
+    )

@@ -17,10 +17,8 @@ and, as there, it is the *relationships* between the numbers that matter:
 
 from __future__ import annotations
 
-from .machine import Machine
-from .sag import SAG
+from .machine import Machine, build_machine
 from .sau import (
-    SAU,
     CommunicationComponent,
     IOComponent,
     MemoryComponent,
@@ -71,49 +69,16 @@ MESH_COMMUNICATION = CommunicationComponent(
 MESH_NODE_IO = IOComponent(open_close_time=9000.0, per_byte=0.30, seek_time=14000.0)
 
 
-def build_paragon_sag(num_nodes: int = 8) -> SAG:
-    """Build the SAG for a Paragon-class mesh partition of *num_nodes* nodes."""
-    if num_nodes < 1:
-        raise ValueError("a Paragon partition needs at least one node")
-
-    root = SAU(
-        name="system",
-        level="system",
-        description=f"Paragon-class 2-D mesh system ({num_nodes} nodes)",
-        processing=I860XP_PROCESSING,
-        memory=I860XP_MEMORY,
-        communication=MESH_COMMUNICATION,
-        io=MESH_NODE_IO,
-    )
-
-    mesh = SAU(
-        name="mesh",
-        level="cluster",
-        description=f"{num_nodes}-node i860 XP partition (2-D wormhole mesh, XY routing)",
-        processing=I860XP_PROCESSING,
-        memory=I860XP_MEMORY,
-        communication=MESH_COMMUNICATION,
-        io=MESH_NODE_IO,
-        attributes={"num_nodes": float(num_nodes)},
-    )
-    root.add_child(mesh)
-
-    node = SAU(
-        name="node",
-        level="node",
-        description="i860 XP node: 50 MHz, 16 KB I-cache, 16 KB D-cache, 32 MB memory",
-        processing=I860XP_PROCESSING,
-        memory=I860XP_MEMORY,
-        communication=MESH_COMMUNICATION,
-        io=MESH_NODE_IO,
-    )
-    mesh.add_child(node)
-
-    return SAG(root=root, machine_name=f"Paragon-{num_nodes}")
-
-
 def paragon(num_nodes: int = 8, noise_seed: int = 0) -> Machine:
     """A Paragon-class 2-D mesh partition with *num_nodes* compute nodes."""
-    sag = build_paragon_sag(num_nodes)
-    return Machine(name=sag.machine_name, sag=sag, num_nodes=num_nodes,
-                   noise_seed=noise_seed, topology_kind="mesh")
+    return build_machine(
+        num_nodes, noise_seed, label="Paragon", topology_kind="mesh",
+        processing=I860XP_PROCESSING, memory=I860XP_MEMORY,
+        communication=MESH_COMMUNICATION, io=MESH_NODE_IO,
+        system="Paragon-class 2-D mesh system ({n} nodes)",
+        fabric="mesh",
+        fabric_description="{n}-node i860 XP partition (2-D wormhole mesh, "
+                           "XY routing)",
+        node_description="i860 XP node: 50 MHz, 16 KB I-cache, 16 KB "
+                         "D-cache, 32 MB memory",
+    )

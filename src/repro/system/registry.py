@@ -55,8 +55,17 @@ class MachineSpec:
     aliases: tuple[str, ...] = ()
 
 
+#: canonical name -> spec
 _MACHINES: dict[str, MachineSpec] = {}
+#: lookup key (see :func:`_lookup_key`) of every name and alias -> canonical name
 _ALIASES: dict[str, str] = {}
+
+_PUNCTUATION = str.maketrans("", "", "-/_ ")
+
+
+def _lookup_key(name: str) -> str:
+    """*name* lower-cased, without ``-``, ``/``, ``_`` or spaces."""
+    return name.lower().translate(_PUNCTUATION)
 
 
 def register_machine(
@@ -71,9 +80,8 @@ def register_machine(
     spec = MachineSpec(name=key, factory=factory,
                        description=description, aliases=tuple(a.lower() for a in aliases))
     _MACHINES[key] = spec
-    _ALIASES[key] = key
-    for alias in spec.aliases:
-        _ALIASES[alias] = key
+    for alias in (key, *spec.aliases):
+        _ALIASES[_lookup_key(alias)] = key
 
 
 def machine_names() -> list[str]:
@@ -88,9 +96,7 @@ def machine_specs() -> list[MachineSpec]:
 def canonical_machine_name(name: str) -> str:
     """The canonical registry key for *name* (case/punctuation-insensitive,
     aliases resolved); raises :class:`KeyError` for unknown machines."""
-    key = _ALIASES.get(name.lower().replace("/", "").replace("-", "").replace(" ", ""))
-    if key is None:
-        key = _ALIASES.get(name.lower())
+    key = _ALIASES.get(_lookup_key(name))
     if key is None:
         raise KeyError(
             f"unknown machine {name!r}; registered: {machine_names()}")

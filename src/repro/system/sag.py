@@ -9,7 +9,7 @@ SAU exports the parameters it should be charged against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .sau import SAU
@@ -66,18 +66,3 @@ class SAG:
     def describe(self) -> str:
         return f"SAG for {self.machine_name}\n" + self.root.describe(indent=1)
 
-
-@dataclass
-class SAGLibrary:
-    """A small registry of machine abstractions available to the framework."""
-
-    sags: dict[str, SAG] = field(default_factory=dict)
-
-    def register(self, sag: SAG) -> None:
-        self.sags[sag.machine_name.lower()] = sag
-
-    def get(self, name: str) -> Optional[SAG]:
-        return self.sags.get(name.lower())
-
-    def names(self) -> list[str]:
-        return sorted(self.sags)

@@ -4,7 +4,7 @@ The paper's framework is machine-retargetable: the Systems Module is the only
 machine-specific part, and the rest of the toolchain consumes the parameters
 it exports.  This module provides the *structural* half of that abstraction —
 how the compute nodes of a partition are wired together — as a small
-:class:`Topology` protocol with three implementations:
+:class:`Topology` base class with five implementations:
 
 * :class:`HypercubeTopology` — the iPSC/860 Direct-Connect binary hypercube
   with dimension-ordered (e-cube) circuit-switched routing,
@@ -14,10 +14,12 @@ how the compute nodes of a partition are wired together — as a small
   XY routing that takes the shorter way around each ring,
 * :class:`SwitchedTopology`  — a Delta/cluster-style crossbar where every
   node pair is a constant number of hops apart through a central switch.
+* :class:`FatTreeTopology`   — a CM-5-style k-ary fat tree whose link
+  capacity doubles toward the root.
 
 Every consumer (the analytic communication models, the message-level network
-simulator, the collective algorithms) dispatches through the protocol, so a
-new machine only has to provide a topology and a SAU parameter set.
+simulator, the collective algorithms) dispatches through :class:`Topology`,
+so a new machine only has to provide a topology and a SAU parameter set.
 
 Topologies also export the *collective schedules* the HPF runtime library
 would use on them (binomial/recursive-doubling trees on the cube and the
@@ -27,8 +29,8 @@ remain purely dynamic (contention, imbalance, jitter) rather than algorithmic.
 
 The simulator's array drain reads routes and exchange schedules as numpy
 arrays (:meth:`Topology.route_matrix`, :meth:`Topology.exchange_stages`).
-:class:`BaseTopology` derives both generically; the hypercube builds its
-route matrix by bit arithmetic.
+:class:`Topology` derives both generically; the hypercube builds its route
+matrix by bit arithmetic.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable, Protocol, runtime_checkable
+from typing import Hashable
 
 import numpy as np
 
@@ -60,64 +62,25 @@ class TopologyError(ReproError, ValueError):
     """Raised for nodes outside a partition or unroutable endpoint pairs."""
 
 
-@runtime_checkable
-class Topology(Protocol):
+class Topology:
     """Structural abstraction of one interconnect partition.
+
+    A concrete topology sets ``num_nodes`` and provides :attr:`kind`,
+    ``neighbors(node)`` and ``route(src, dst)`` (a list of :data:`Hop`).
+    Everything else — link ids, hop counts, the route matrix the array
+    drain reads, distances and the collective schedules — has a generic
+    form here that a topology with a closed form may override.
 
     ``link_disjoint_paths`` advertises a structural contention guarantee to
     the network simulator's array drain: when True, any message set with
     distinct sources and distinct destinations is link-disjoint by
     construction (each node owns its ports into the fabric), so whole
     collective stages can be priced without walking their link sets.  Only
-    the crossbar can promise this; wired fabrics are classified dynamically.
+    the crossbar can promise this; wired fabrics share physical links
+    between node pairs and are classified dynamically, stage by stage.
     """
 
     num_nodes: int
-    link_disjoint_paths: bool
-
-    @property
-    def kind(self) -> str: ...
-
-    def nodes(self) -> Iterable[int]: ...
-
-    def neighbors(self, node: int) -> list[int]: ...
-
-    def route(self, src: int, dst: int) -> list[Hop]: ...
-
-    def route_matrix(self, src: np.ndarray,
-                     dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
-
-    def hops(self, src: int, dst: int) -> int: ...
-
-    def link_id(self, a: int, b: int) -> Hashable: ...
-
-    def links(self) -> set[Hashable]: ...
-
-    def diameter(self) -> int: ...
-
-    def bisection_links(self) -> int: ...
-
-    def average_distance(self) -> float: ...
-
-    def broadcast_schedule(self, p: int) -> list[Stage]: ...
-
-    def exchange_stages(self, p: int) -> list[tuple[np.ndarray, np.ndarray]]: ...
-
-    def exchange_schedule(self, p: int) -> list[Stage]: ...
-
-
-# ---------------------------------------------------------------------------
-# shared machinery
-# ---------------------------------------------------------------------------
-
-
-class BaseTopology:
-    """Generic pieces shared by the concrete topologies."""
-
-    num_nodes: int
-
-    #: Wired fabrics share physical links between node pairs, so stages must
-    #: be checked link by link; see :class:`Topology`.
     link_disjoint_paths: bool = False
 
     @property
@@ -284,7 +247,7 @@ def link_id(a: int, b: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class HypercubeTopology(BaseTopology):
+class HypercubeTopology(Topology):
     """A *num_nodes*-node partition of a binary hypercube.
 
     Non-power-of-two partitions use the first ``num_nodes`` labels of the
@@ -324,7 +287,7 @@ class HypercubeTopology(BaseTopology):
 
     def route_matrix(self, src: np.ndarray,
                      dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`BaseTopology.route_matrix` by e-cube bit arithmetic.
+        """:meth:`Topology.route_matrix` by e-cube bit arithmetic.
 
         The hop across dimension ``d`` leaves ``cur = src ^ (diff & ((1 << d)
         - 1))`` and its id is ``(cur & ~(1 << d)) * D + d``: the link's lower
@@ -406,13 +369,6 @@ class HypercubeTopology(BaseTopology):
             return 0.0
         return _hypercube_average_distance(self.num_nodes)
 
-    def rank_to_node(self, rank: int) -> int:
-        """Abstract-processor rank → physical node label (identity mapping)."""
-        return rank
-
-    def node_to_rank(self, node: int) -> int:
-        return node
-
 
 @lru_cache(maxsize=None)
 def _hypercube_average_distance(p: int) -> float:
@@ -431,7 +387,7 @@ def _hypercube_average_distance(p: int) -> float:
 
 
 @dataclass(frozen=True)
-class MeshTopology(BaseTopology):
+class MeshTopology(Topology):
     """A ``rows`` × ``cols`` 2-D mesh (non-toroidal) with XY wormhole routing.
 
     Node labels are row-major: node ``r * cols + c`` sits at row *r*, column
@@ -637,7 +593,7 @@ class TorusTopology(MeshTopology):
     def bisection_links(self) -> int:
         # the wrap links double the mesh cut (unless they collapse onto the
         # direct links), so count crossings of the label-halving cut directly
-        return BaseTopology.bisection_links(self)
+        return Topology.bisection_links(self)
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +602,7 @@ class TorusTopology(MeshTopology):
 
 
 @dataclass(frozen=True)
-class FatTreeTopology(BaseTopology):
+class FatTreeTopology(Topology):
     """A CM-5-class fat tree: compute nodes at the leaves of an *arity*-ary
     switch tree whose link capacity grows toward the root.
 
@@ -767,7 +723,7 @@ class FatTreeTopology(BaseTopology):
     def average_distance(self) -> float:
         # called on the interpretation hot path (unstructured gathers price
         # their hop count from it), so use the cached closed form rather
-        # than BaseTopology's all-pairs walk
+        # than Topology's all-pairs walk
         return _fattree_average_distance(self.num_nodes, self.arity)
 
     def bisection_links(self) -> int:
@@ -818,7 +774,7 @@ def _fattree_average_distance(n: int, arity: int) -> float:
 
 
 @dataclass(frozen=True)
-class SwitchedTopology(BaseTopology):
+class SwitchedTopology(Topology):
     """A cluster whose nodes all hang off one central crossbar switch.
 
     Every node owns a dedicated up-link into the switch and a dedicated

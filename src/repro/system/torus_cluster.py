@@ -17,10 +17,8 @@ as there, the *relationships* between the numbers define the machine class:
 
 from __future__ import annotations
 
-from .machine import Machine
-from .sag import SAG
+from .machine import Machine, build_machine
 from .sau import (
-    SAU,
     CommunicationComponent,
     IOComponent,
     MemoryComponent,
@@ -71,50 +69,16 @@ TORUS_COMMUNICATION = CommunicationComponent(
 TORUS_NODE_IO = IOComponent(open_close_time=8000.0, per_byte=0.25, seek_time=12000.0)
 
 
-def build_torus_cluster_sag(num_nodes: int = 8) -> SAG:
-    """Build the SAG for a T3D-class torus partition of *num_nodes* nodes."""
-    if num_nodes < 1:
-        raise ValueError("a torus partition needs at least one node")
-
-    root = SAU(
-        name="system",
-        level="system",
-        description=f"T3D-class 2-D torus system ({num_nodes} nodes)",
-        processing=ALPHA_PROCESSING,
-        memory=ALPHA_MEMORY,
-        communication=TORUS_COMMUNICATION,
-        io=TORUS_NODE_IO,
-    )
-
-    torus = SAU(
-        name="torus",
-        level="cluster",
-        description=f"{num_nodes}-node RISC partition (2-D wraparound torus, "
-                    "shortest-way XY routing)",
-        processing=ALPHA_PROCESSING,
-        memory=ALPHA_MEMORY,
-        communication=TORUS_COMMUNICATION,
-        io=TORUS_NODE_IO,
-        attributes={"num_nodes": float(num_nodes)},
-    )
-    root.add_child(torus)
-
-    node = SAU(
-        name="node",
-        level="node",
-        description="150 MHz Alpha-class node: 8 KB I-cache, 8 KB D-cache, 64 MB memory",
-        processing=ALPHA_PROCESSING,
-        memory=ALPHA_MEMORY,
-        communication=TORUS_COMMUNICATION,
-        io=TORUS_NODE_IO,
-    )
-    torus.add_child(node)
-
-    return SAG(root=root, machine_name=f"Torus-{num_nodes}")
-
-
 def torus_cluster(num_nodes: int = 8, noise_seed: int = 0) -> Machine:
     """A T3D-class 2-D torus partition with *num_nodes* compute nodes."""
-    sag = build_torus_cluster_sag(num_nodes)
-    return Machine(name=sag.machine_name, sag=sag, num_nodes=num_nodes,
-                   noise_seed=noise_seed, topology_kind="torus")
+    return build_machine(
+        num_nodes, noise_seed, label="Torus", topology_kind="torus",
+        processing=ALPHA_PROCESSING, memory=ALPHA_MEMORY,
+        communication=TORUS_COMMUNICATION, io=TORUS_NODE_IO,
+        system="T3D-class 2-D torus system ({n} nodes)",
+        fabric="torus",
+        fabric_description="{n}-node RISC partition (2-D wraparound torus, "
+                           "shortest-way XY routing)",
+        node_description="150 MHz Alpha-class node: 8 KB I-cache, 8 KB "
+                         "D-cache, 64 MB memory",
+    )

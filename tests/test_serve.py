@@ -153,6 +153,15 @@ class TestServeOptionsValidation:
         with pytest.raises(ProtocolError, match="ipsc860"):
             PredictRequest.from_payload({**PREDICT_BODY, "machine": "cray"})
 
+    def test_machine_spellings_share_one_store_key(self):
+        canonical = PredictRequest.from_payload(
+            {**PREDICT_BODY, "machine": "modern-cluster"})
+        for spelling in ("modern_cluster", "Modern Cluster"):
+            request = PredictRequest.from_payload(
+                {**PREDICT_BODY, "machine": spelling})
+            assert request.point.machine == "modern-cluster"
+            assert request.key == canonical.key
+
     def test_app_and_source_are_mutually_exclusive(self):
         with pytest.raises(ProtocolError, match="exactly one"):
             PredictRequest.from_payload({"app": "laplace_block_star",

@@ -14,7 +14,6 @@ from repro.system import (
     average_hypercube_hops,
     barrier_time,
     broadcast_time,
-    build_ipsc860_sag,
     cshift_cost,
     gather_time,
     hypercube_dim,
@@ -27,12 +26,11 @@ from repro.system import (
     unstructured_gather_time,
 )
 from repro.system.ipsc860 import PROGRAM_STARTUP_US
-from repro.system.sag import SAGLibrary
 
 
 class TestSAUAndSAG:
     def test_ipsc860_sag_structure(self):
-        sag = build_ipsc860_sag(8)
+        sag = ipsc860(8).sag
         assert sag.find("host") is not None
         assert sag.find("cube") is not None
         assert sag.find("node") is not None
@@ -64,7 +62,7 @@ class TestSAUAndSAG:
         assert mem.hit_time < mem.access_time(0.5) < mem.miss_penalty
 
     def test_sau_find_and_walk(self):
-        sag = build_ipsc860_sag(4)
+        sag = ipsc860(4).sag
         names = {sau.name for sau in sag.walk()}
         assert {"system", "host", "cube", "node"} <= names
         assert sag.find("nonexistent") is None
@@ -83,17 +81,13 @@ class TestSAUAndSAG:
         # original untouched
         assert machine.communication.startup_latency == pytest.approx(75.0)
 
-    def test_sag_describe_and_library(self):
-        sag = build_ipsc860_sag(2)
+    def test_sag_describe(self):
+        sag = ipsc860(2).sag
         assert "iPSC/860" in sag.describe()
-        library = SAGLibrary()
-        library.register(sag)
-        assert library.get(sag.machine_name) is sag
-        assert sag.machine_name.lower() in [n.lower() for n in library.names()]
 
     def test_invalid_node_count(self):
         with pytest.raises(ValueError):
-            build_ipsc860_sag(0)
+            ipsc860(0)
 
     def test_program_startup_constant_positive(self):
         assert PROGRAM_STARTUP_US > 0

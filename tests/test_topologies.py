@@ -4,12 +4,13 @@ non-power-of-two hypercubes, the collective schedules, the registry, and a
 cross-machine golden test holding predicted-vs-simulated agreement to the
 same bound the iPSC/860 integration tests assert."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from repro import interpret, measure, predict, simulate
+from repro import interpret, measure, predict, simulate, stages
 from repro.simulator import Network
 from repro.suite import get_entry
 from repro.system import (
@@ -21,6 +22,7 @@ from repro.system import (
     Topology,
     TopologyError,
     TorusTopology,
+    canonical_machine_name,
     get_machine,
     machine_names,
     make_topology,
@@ -462,6 +464,16 @@ class TestFatTreeTopology:
         assert max(errors) < 20.0, f"cm5/{key}: {errors}"
 
 
+#: sha256 over ``repr(machine)``, ``machine.sag.describe()`` and
+#: :func:`repro.stages.machine_stage_token` of every registered machine at
+#: each of :data:`REGISTRY_PROC_COUNTS`, in that order.  Computed while each
+#: machine module still built its own SAG; the shared builder must not move
+#: it, nor any price-cache or store key derived from these fields.
+REGISTRY_DIGEST = \
+    "d3fbc2df8fd4aa4b5b5d6d0fec281e82e69b4c2e6b40b07ca99d78324f964da9"
+REGISTRY_PROC_COUNTS = (1, 3, 8, 64, 1024)
+
+
 class TestMachineRegistry:
     def test_builtin_machines(self):
         assert {"ipsc860", "paragon", "cluster", "torus-cluster",
@@ -478,10 +490,27 @@ class TestMachineRegistry:
         assert get_machine("iPSC/860", 4).topology_kind == "hypercube"
         assert get_machine("mesh", 4).topology_kind == "mesh"
         assert get_machine("delta", 4).topology_kind == "switch"
+        # the factories' own names and spaced or upper-case spellings
+        for name, canonical in (("torus_cluster", "torus-cluster"),
+                                ("modern_cluster", "modern-cluster"),
+                                ("Modern Cluster", "modern-cluster"),
+                                ("TORUS CLUSTER", "torus-cluster")):
+            assert canonical_machine_name(name) == canonical
+            assert get_machine(name, 4).name == get_machine(canonical, 4).name
 
     def test_unknown_machine_raises(self):
         with pytest.raises(KeyError):
             get_machine("sx-4", 8)
+
+    def test_registry_digest(self):
+        digest = hashlib.sha256()
+        for name in machine_names():
+            for nprocs in REGISTRY_PROC_COUNTS:
+                machine = get_machine(name, nprocs)
+                for text in (repr(machine), machine.sag.describe(),
+                             stages.machine_stage_token(machine)):
+                    digest.update(text.encode())
+        assert digest.hexdigest() == REGISTRY_DIGEST
 
     def test_resolve_machine_accepts_name_instance_and_none(self):
         machine = get_machine("paragon", 4)
