@@ -11,8 +11,19 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== unit + integration tests"
+echo "== unit + integration tests (and they leave the working tree as they found it)"
+in_git=false
+git rev-parse --is-inside-work-tree > /dev/null 2>&1 && in_git=true
+if $in_git; then tree_before=$(git status --porcelain); fi
 python -m pytest tests -x -q
+if $in_git; then
+    tree_after=$(git status --porcelain)
+    if [ "$tree_before" != "$tree_after" ]; then
+        echo "tier-1 tests changed the working tree (git status --porcelain):"
+        diff <(echo "$tree_before") <(echo "$tree_after") || true
+        exit 1
+    fi
+fi
 
 echo "== benchmark smoke: regenerate Figure 2 (forall) and Figure 3 (distributions)"
 python -m pytest benchmarks -x -q -k "fig2 or fig3"

@@ -46,7 +46,7 @@ SIZE = 64
 MAXITER = 20.0
 
 #: Engine span names bucketed by ``--phase-breakdown``, in print order.
-PHASE_NAMES = ("node_cost", "noise", "network")
+PHASE_NAMES = ("node_cost", "noise", "network", "dataplane")
 
 
 def phase_breakdown(compiled, machine, options) -> dict[str, float]:

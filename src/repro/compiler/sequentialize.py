@@ -87,17 +87,18 @@ class Sequentializer:
         if isinstance(stmt, ast.DoLoop):
             node = NodeDo(line=stmt.line, var=stmt.var, start=stmt.start, end=stmt.end,
                           step=stmt.step, body=self.run(stmt.body),
-                          label=f"do {stmt.var}")
+                          origin=stmt, label=f"do {stmt.var}")
             return [node]
         if isinstance(stmt, ast.DoWhile):
             node = NodeDoWhile(line=stmt.line, cond=stmt.cond, body=self.run(stmt.body),
-                               label="do while")
+                               origin=stmt, label="do while")
             return [node]
         if isinstance(stmt, ast.IfBlock):
             node = NodeIf(
                 line=stmt.line,
                 branches=[(cond, self.run(body)) for cond, body in stmt.branches],
                 else_body=self.run(stmt.else_body),
+                origin=stmt,
                 label="if",
             )
             return [node]

@@ -198,6 +198,7 @@ class NodeDo(SPMDNode):
     end: ast.Expr = None    # type: ignore[assignment]
     step: Optional[ast.Expr] = None
     body: list[SPMDNode] = field(default_factory=list)
+    origin: Optional[ast.Stmt] = None
 
 
 @dataclass
@@ -207,6 +208,7 @@ class NodeDoWhile(SPMDNode):
     cond: ast.Expr = None  # type: ignore[assignment]
     body: list[SPMDNode] = field(default_factory=list)
     estimated_trips: Optional[float] = None
+    origin: Optional[ast.Stmt] = None
 
 
 @dataclass
@@ -215,6 +217,7 @@ class NodeIf(SPMDNode):
 
     branches: list[tuple[ast.Expr, list["SPMDNode"]]] = field(default_factory=list)
     else_body: list["SPMDNode"] = field(default_factory=list)
+    origin: Optional[ast.Stmt] = None
 
 
 # ---------------------------------------------------------------------------

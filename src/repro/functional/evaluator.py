@@ -37,16 +37,16 @@ from .exprs import ExpressionEvaluator, ForallSpace
 from .state import ProgramState
 
 
-class _ExitLoop(Exception):
-    pass
+class ExitLoop(Exception):
+    """EXIT: leave the innermost DO loop (the simulator raises it too)."""
 
 
-class _CycleLoop(Exception):
-    pass
+class CycleLoop(Exception):
+    """CYCLE: start the innermost DO loop's next trip."""
 
 
-class _StopProgram(Exception):
-    pass
+class StopProgram(Exception):
+    """STOP: end the program."""
 
 
 @dataclass
@@ -113,7 +113,7 @@ class FunctionalEvaluator:
     def run(self) -> EvaluationResult:
         try:
             self._exec_body(self.program.body)
-        except _StopProgram:
+        except StopProgram:
             self.state.stopped = True
         return EvaluationResult(
             state=self.state,
@@ -151,11 +151,11 @@ class FunctionalEvaluator:
                 f"CALL to external subroutine '{stmt.name}' is not supported by the "
                 f"functional interpreter", )
         elif isinstance(stmt, ast.ExitStmt):
-            raise _ExitLoop()
+            raise ExitLoop()
         elif isinstance(stmt, ast.CycleStmt):
-            raise _CycleLoop()
+            raise CycleLoop()
         elif isinstance(stmt, ast.StopStmt):
-            raise _StopProgram()
+            raise StopProgram()
         elif isinstance(stmt, (ast.ContinueStmt, ast.Declaration, ast.ParameterStmt,
                                ast.Directive)):
             pass
@@ -244,10 +244,10 @@ class FunctionalEvaluator:
                 self.state.set_scalar(var, value)
                 try:
                     self._exec_body(stmt.body)
-                except _CycleLoop:
+                except CycleLoop:
                     pass
                 value += step
-        except _ExitLoop:
+        except ExitLoop:
             pass
         self.state.set_scalar(var, value)
 
@@ -260,9 +260,9 @@ class FunctionalEvaluator:
                     raise EvaluationError("DO WHILE exceeded the iteration safety limit")
                 try:
                     self._exec_body(stmt.body)
-                except _CycleLoop:
+                except CycleLoop:
                     continue
-        except _ExitLoop:
+        except ExitLoop:
             pass
 
     # -- conditionals ----------------------------------------------------------------

@@ -153,13 +153,13 @@ class Tracer:
 def phase_shares(spans: List[SpanRecord],
                  total_name: str = "simulate",
                  phase_names: Tuple[str, ...] = ("node_cost", "noise",
-                                                 "network"),
+                                                 "network", "dataplane"),
                  ) -> Dict[str, float]:
     """Subsystem wall-clock shares from a span window.
 
     Sums every ``total_name`` span as the denominator and each name in
     ``phase_names`` as a bucket; whatever the buckets don't cover is
-    ``other`` (data-plane execution, bookkeeping).  By construction the
+    ``other`` (clock charging, node dispatch, set-up).  By construction the
     buckets plus ``other`` sum to the total — the invariant the old
     pstats-filename bucketing could silently break — and this function
     asserts it.  Returns fractions in ``[0, 1]``; empty when no

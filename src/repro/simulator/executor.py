@@ -5,7 +5,8 @@ program on the real machine.  It drives the compiled SPMD IR, keeping
 
 * one **data plane** — the program's arrays and scalars, evaluated with NumPy
   through the functional evaluator (so simulated results are bit-identical to
-  the functional interpreter), and
+  the functional interpreter) or replayed from a recorded tape of the answers
+  an earlier run took from it (:mod:`repro.simulator.dataplane`), and
 * one **timing plane** — a clock per rank, advanced by the dynamic node cost
   model for local computation and by the message-level network model for
   communication phases, with seeded system-load noise on top.
@@ -43,12 +44,13 @@ from ..compiler.spmd import (
 from ..distribution import ArrayDistribution
 from ..frontend import ast_nodes as ast
 from ..frontend.errors import SimulationError
-from ..functional.evaluator import FunctionalEvaluator, execute_forall
+from ..functional.evaluator import CycleLoop, ExitLoop, StopProgram
 from ..interpreter.expression_cost import OpCount, count_expr, count_statement_body
 from ..interpreter.metrics import Metrics
 from ..system.ipsc860 import PROGRAM_STARTUP_US
 from ..system.machine import Machine
-from .collectives import allgather, allreduce, broadcast, shift_exchange, unstructured_gather
+from .collectives import allreduce, broadcast, shift_exchange, unstructured_gather
+from .dataplane import DataPlane
 from .network import Network
 from .node import IterationProfile, NodeCostModel
 from .noise import NoiseModel, NoiseOptions
@@ -60,6 +62,14 @@ from .noise import NoiseModel, NoiseOptions
 #: the per-event network heap, kept as the oracle.  Both produce identical
 #: results.
 ENGINES = ("vector", "loop")
+
+#: index of each charge category in the running sums
+_CATEGORIES = {"computation": 0, "communication": 1, "overhead": 2}
+
+#: the signal each jump statement raises, caught as the functional
+#: evaluator catches it
+_JUMPS = {ast.ExitStmt: ExitLoop, ast.CycleStmt: CycleLoop,
+          ast.StopStmt: StopProgram}
 
 
 @dataclass
@@ -119,6 +129,9 @@ class SPMDExecutor:
     with array-based implementations that must produce identical times.
     Engine selection happens in :func:`repro.simulator.runtime.simulate`;
     instantiating this class directly always runs the loop implementation.
+    ``plane`` is the program's data plane
+    (:mod:`repro.simulator.dataplane`), live or replayed; ``simulate``
+    picks it.
     """
 
     engine_name = "loop"
@@ -128,7 +141,8 @@ class SPMDExecutor:
         compiled: CompiledProgram,
         machine: Machine,
         options: SimulatorOptions | None = None,
-        params: dict[str, float] | None = None,
+        *,
+        plane: DataPlane,
     ):
         self.compiled = compiled
         self.machine = machine
@@ -136,14 +150,9 @@ class SPMDExecutor:
         self.nprocs = compiled.nprocs
         self.grid = compiled.mapping.grid
 
-        env = dict(compiled.mapping.env)
-        if params:
-            env.update({k.lower(): float(v) for k, v in params.items()})
-        # Data plane: execute the *normalised* program's declarations but drive
-        # control flow from the SPMD IR.
-        self.data = FunctionalEvaluator(compiled.normalized, compiled.symtable, params=env)
-        self.state = self.data.state
-        self.exprs = self.data.exprs
+        # Data plane: the *normalised* program's values, with control flow
+        # driven from the SPMD IR; live, or a recorded tape replayed.
+        self.plane = plane
 
         self.cost = NodeCostModel(machine)
         num_nodes = max(self.nprocs, 1)
@@ -161,8 +170,12 @@ class SPMDExecutor:
             self.collective_overhead = machine.communication.collective_call_overhead
 
         self.clocks = np.zeros(self.nprocs, dtype=np.float64)
-        self.totals = Metrics()
-        self.line_metrics: dict[int, Metrics] = {}
+        # running computation / communication / overhead means, in total
+        # and per source line, added one charge at a time (see _charge)
+        self._totals = [0.0, 0.0, 0.0]
+        self._lines: dict[int, list[float]] = {}
+        # scalar charge -> the mean of that value over every rank
+        self._scalar_means: dict[float, float] = {}
         self.comm_stats = CommStatistics()
         self.statements_executed = 0
         # id(spmd node) -> its static cost (op count or scalar-statement
@@ -175,27 +188,66 @@ class SPMDExecutor:
 
     def run(self) -> None:
         self.clocks += self.options.program_startup_us
-        self._execute_sequence(self.compiled.spmd.nodes)
+        try:
+            self._execute_sequence(self.compiled.spmd.nodes)
+        except StopProgram:
+            self.plane.stop()
+        except (ExitLoop, CycleLoop):
+            raise SimulationError("EXIT or CYCLE outside a DO loop") from None
 
     @property
     def elapsed_us(self) -> float:
         return float(np.max(self.clocks)) if self.nprocs else 0.0
+
+    @property
+    def totals(self) -> Metrics:
+        """Whole-run computation / communication / overhead means."""
+        return self._metrics(self._totals)
+
+    @property
+    def line_metrics(self) -> dict[int, Metrics]:
+        """The same means per source line, in first-charge order."""
+        return {line: self._metrics(sums) for line, sums in self._lines.items()}
+
+    @staticmethod
+    def _metrics(sums: list[float]) -> Metrics:
+        # a Metrics += chain keeps balanced_computation equal to computation
+        return Metrics(sums[0], sums[1], sums[2], balanced_computation=sums[0])
 
     # ------------------------------------------------------------------
     # charging helpers
     # ------------------------------------------------------------------
 
     def _charge(self, node: SPMDNode, category: str, per_rank: np.ndarray | float) -> None:
-        """Advance clocks and attribute time to the node's source line."""
-        if np.isscalar(per_rank):
-            per_rank = np.full(self.nprocs, float(per_rank))
-        per_rank = np.asarray(per_rank, dtype=np.float64)
-        self.clocks += per_rank
-        mean = float(np.mean(per_rank)) if per_rank.size else 0.0
-        metrics = Metrics(**{category: mean})
-        self.totals += metrics
-        line_entry = self.line_metrics.setdefault(node.line, Metrics())
-        line_entry += metrics
+        """Advance clocks and attribute the mean time to the node's source line.
+
+        The means are summed in call order with plain float additions, so
+        the totals equal those of a per-charge ``Metrics`` ``+=`` chain bit
+        for bit.  A scalar charge's mean is that of ``np.full(p, value)``,
+        worked out once per value.
+        """
+        if isinstance(per_rank, np.ndarray):
+            per_rank = np.asarray(per_rank, dtype=np.float64)
+            self.clocks += per_rank
+            mean = self._mean(per_rank)
+        else:
+            value = float(per_rank)
+            self.clocks += value
+            mean = self._scalar_means.get(value)
+            if mean is None:
+                mean = self._scalar_means[value] = \
+                    self._mean(np.full(self.nprocs, value))
+        index = _CATEGORIES[category]
+        self._totals[index] += mean
+        sums = self._lines.get(node.line)
+        if sums is None:
+            sums = self._lines[node.line] = [0.0, 0.0, 0.0]
+        sums[index] += mean
+
+    @staticmethod
+    def _mean(per_rank: np.ndarray) -> float:
+        """``np.mean``'s pairwise sum and division, without its overhead."""
+        return float(per_rank.sum()) / per_rank.size if per_rank.size else 0.0
 
     def _set_clocks(self, node: SPMDNode, category: str, new_clocks: dict[int, float]) -> None:
         """Move clocks to the given completion times, attributing the delta."""
@@ -266,40 +318,48 @@ class SPMDExecutor:
             raise SimulationError(f"cannot simulate SPMD node {type(node).__name__}")
 
     def _exec_do(self, node: NodeDo) -> None:
-        start = int(self._scalar(node.start))
-        end = int(self._scalar(node.end))
-        step = int(self._scalar(node.step)) if node.step is not None else 1
+        start, end, step = self.plane.do_bounds(node)
         if step == 0:
             raise SimulationError("DO loop step must be non-zero", )
         proc = self.machine.processing
         value = start
-        while (step > 0 and value <= end) or (step < 0 and value >= end):
-            self.state.set_scalar(node.var, value)
-            self._charge(node, "overhead",
-                         proc.loop_iteration_overhead + proc.int_op_time)
-            self._execute_sequence(node.body)
-            value += step
-        self.state.set_scalar(node.var, value)
+        try:
+            while (step > 0 and value <= end) or (step < 0 and value >= end):
+                self.plane.loop_var(node.var, value)
+                self._charge(node, "overhead",
+                             proc.loop_iteration_overhead + proc.int_op_time)
+                try:
+                    self._execute_sequence(node.body)
+                except CycleLoop:
+                    pass
+                value += step
+        except ExitLoop:
+            pass
+        self.plane.loop_var(node.var, value)
 
     def _exec_do_while(self, node: NodeDoWhile) -> None:
         proc = self.machine.processing
         iterations = 0
-        while bool(np.all(self.exprs.eval(node.cond))):
-            iterations += 1
-            if iterations > self.options.max_while_iterations:
-                raise SimulationError("DO WHILE exceeded the simulation iteration limit")
-            self._charge(node, "overhead", proc.branch_time + 2 * proc.int_op_time)
-            self._execute_sequence(node.body)
+        try:
+            while self.plane.while_test(node):
+                iterations += 1
+                if iterations > self.options.max_while_iterations:
+                    raise SimulationError("DO WHILE exceeded the simulation iteration limit")
+                self._charge(node, "overhead", proc.branch_time + 2 * proc.int_op_time)
+                try:
+                    self._execute_sequence(node.body)
+                except CycleLoop:
+                    pass
+        except ExitLoop:
+            pass
         self._charge(node, "overhead", proc.branch_time)
 
     def _exec_if(self, node: NodeIf) -> None:
         proc = self.machine.processing
         self._charge(node, "overhead", proc.conditional_overhead)
-        for cond, body in node.branches:
-            if bool(np.all(self.exprs.eval(cond))):
-                self._execute_sequence(body)
-                return
-        self._execute_sequence(node.else_body)
+        taken = self.plane.if_branch(node)
+        self._execute_sequence(node.branches[taken][1] if taken >= 0
+                               else node.else_body)
 
     # ------------------------------------------------------------------
     # leaf nodes
@@ -320,13 +380,16 @@ class SPMDExecutor:
         stmt = node.stmt
         if isinstance(stmt, (ast.ExitStmt, ast.CycleStmt, ast.StopStmt, ast.ContinueStmt)):
             self._charge(node, "overhead", self.machine.processing.branch_time)
+            jump = _JUMPS.get(type(stmt))
+            if jump is not None:
+                raise jump()
             return
         if isinstance(stmt, ast.PrintStmt):
-            self.data.exec_print(stmt)
+            self.plane.print(stmt)
             self._charge(node, "overhead", 180.0 + 55.0 * max(len(stmt.items), 1))
             return
         if isinstance(stmt, ast.Assignment):
-            self.data.exec_assignment(stmt)
+            self.plane.assign(stmt)
             self._charge(node, "computation",
                          self.noise.compute(self._statement_time(node)))
             return
@@ -349,25 +412,23 @@ class SPMDExecutor:
         if node.comms:
             self._exec_comm_specs(node, node.comms)
 
+        subscripts = self.plane.assign(stmt)
+
         # ownership guard evaluated by every rank
         guard = 4 * proc.int_op_time + proc.branch_time
         per_rank = np.full(self.nprocs, guard)
 
         owner = 0
-        if dist is not None and isinstance(stmt.target, ast.ArrayRef):
-            index = []
-            for axis, sub in enumerate(stmt.target.indices):
-                value = int(np.asarray(self.exprs.eval(sub)))
-                index.append(value - dist.lower_bounds[axis])
+        if dist is not None and subscripts is not None:
+            index = tuple(value - lower for value, lower
+                          in zip(subscripts, dist.lower_bounds))
             try:
-                owner = dist.owner_rank(tuple(index))
+                owner = dist.owner_rank(index)
             except Exception:
                 owner = 0
         per_rank[owner] += self.noise.compute(self._statement_time(node),
                                               rank=owner)
         self._charge(node, "computation", per_rank)
-
-        self.data.exec_assignment(stmt)
 
     # -- local loop nests ---------------------------------------------------------
 
@@ -380,7 +441,7 @@ class SPMDExecutor:
         forall = node.origin
         if not isinstance(forall, ast.ForallStmt):
             raise SimulationError("loop nest without a forall origin", )
-        record = execute_forall(forall, self.state, self.exprs)
+        record = self.plane.forall(forall)
 
         if record.iterations == 0:
             self._charge(node, "overhead",
@@ -460,14 +521,14 @@ class SPMDExecutor:
 
     def _exec_reduction(self, node: ReductionNode) -> None:
         # Data plane: the origin assignment computes the reduced value exactly.
-        if isinstance(node.origin, ast.Assignment):
-            self.data.exec_assignment(node.origin)
+        total_extent = self.plane.reduction(node)
 
         mapping = self.compiled.mapping
         dist = mapping.distribution_of(node.home_array) if node.home_array else None
         count = self._static_cost(node, lambda: self._reduction_count(node))
 
-        total_extent = self._reduction_extent(node, dist)
+        if total_extent is None:
+            total_extent = float(dist.size) if dist is not None else 1.0
         element_size = dist.element_size if dist is not None else 4
         per_rank = self._reduction_per_rank(node, dist, count, total_extent,
                                             element_size,
@@ -512,24 +573,10 @@ class SPMDExecutor:
                     noise_phase, rank, self.cost.loop_nest_time(profile, depth=1))
             return per_rank
 
-    def _reduction_extent(self, node: ReductionNode, dist: ArrayDistribution | None) -> float:
-        for ref in ast.expr_array_refs(node.source):
-            if not self.state.is_array(ref.name):
-                continue
-            value = self.exprs.eval(ref)
-            return float(np.asarray(value).size)
-        for sub in ast.walk_expr(node.source):
-            if isinstance(sub, ast.Var) and self.state.is_array(sub.name):
-                return float(self.state.array(sub.name).data.size)
-        if dist is not None:
-            return float(dist.size)
-        return 1.0
-
     # -- shifts -----------------------------------------------------------------------
 
     def _exec_shift(self, node: ShiftNode) -> None:
-        if isinstance(node.origin, ast.Assignment):
-            self.data.exec_assignment(node.origin)
+        shift = self.plane.shift(node)
 
         dist = self.compiled.mapping.distribution_of(node.source)
         proc = self.machine.processing
@@ -537,7 +584,6 @@ class SPMDExecutor:
             self._charge(node, "computation", proc.call_overhead)
             return
 
-        shift = int(self._scalar(node.offset_expr, 1))
         offset = abs(shift)
         self._charge(node, "computation", self._shift_copy_per_rank(dist))
 
@@ -716,13 +762,6 @@ class SPMDExecutor:
     # ------------------------------------------------------------------
     # misc helpers
     # ------------------------------------------------------------------
-
-    def _scalar(self, expr: ast.Expr | None, default: float = 0.0) -> float:
-        if expr is None:
-            return default
-        value = self.exprs.eval(expr)
-        return float(np.asarray(value).reshape(()).item()) if isinstance(value, np.ndarray) \
-            else float(value)
 
     def _precision(self, array: str | None) -> str:
         if not array:

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .. import obs
+from .. import obs, stages
 from ..compiler.pipeline import CompiledProgram
 from ..frontend.errors import SimulationError
 from ..interpreter.metrics import Metrics
 from ..system.machine import Machine
+from .dataplane import LivePlane, ReplayPlane, plane_env
 from .executor import ENGINES, CommStatistics, SimulatorOptions, SPMDExecutor
 from .vector import VectorSPMDExecutor
 
@@ -84,6 +85,13 @@ def simulate(
     contention-free fabric) affordable.  An unknown engine name fails
     eagerly, at ``SimulatorOptions(...)`` construction; the check here is a
     backstop for configs whose ``engine`` was reassigned after construction.
+
+    The program's values come from the ``dataplane`` stage
+    (:func:`repro.stages.dataplane_stage_key`): the first run of a program
+    and parameter env executes them live and records a tape, and later
+    runs — any machine, seed, engine and (unless the source names
+    ``number_of_processors``) process count — replay it.  ``keep_state``
+    always runs live, because only a live run has a state to return.
     """
     options = options or SimulatorOptions()
     if options.engine not in ENGINES:
@@ -94,9 +102,19 @@ def simulate(
     started = _time.perf_counter()
     with obs.span("simulate", engine=options.engine,
                   nprocs=compiled.nprocs, machine=machine.name):
+        env = plane_env(compiled, params)
+        key = stages.dataplane_stage_key(compiled, env,
+                                         options.max_while_iterations)
+        tape = stages.dataplane_tape(key) \
+            if key is not None and not keep_state else None
+        plane = ReplayPlane(compiled, tape) if tape is not None \
+            else LivePlane(compiled, env)
         executor = executor_class(compiled, machine, options=options,
-                                  params=params)
+                                  plane=plane)
         executor.run()
+        printed, checksum = plane.finish()
+        if key is not None and tape is None and plane.recorded is not None:
+            stages.store_dataplane_tape(key, plane.recorded)
     elapsed = _time.perf_counter() - started
     obs.counter("repro_simulations_total", engine=options.engine).inc()
 
@@ -110,11 +128,11 @@ def simulate(
         totals=executor.totals,
         line_metrics=executor.line_metrics,
         comm_stats=executor.comm_stats,
-        printed=list(executor.state.printed),
-        array_checksum=executor.state.checksum(),
+        printed=printed,
+        array_checksum=checksum,
         statements_executed=executor.statements_executed,
         wall_clock_seconds=elapsed,
-        state=executor.state if keep_state else None,
+        state=plane.state if keep_state else None,
         engine=executor.engine_name,
     )
 

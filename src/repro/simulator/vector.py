@@ -72,7 +72,6 @@ from ..compiler.spmd import (
     SPMDNode,
 )
 from ..distribution import ArrayDistribution
-from ..frontend import ast_nodes as ast
 from ..interpreter.expression_cost import OpCount
 from .collectives import (
     allreduce_clocks,
@@ -405,8 +404,7 @@ class VectorSPMDExecutor(SPMDExecutor):
         """Array-clock CSHIFT: same control flow as the loop engine's, but the
         exchange prices a structure-of-arrays stage and clocks never leave
         array form."""
-        if isinstance(node.origin, ast.Assignment):
-            self.data.exec_assignment(node.origin)
+        shift = self.plane.shift(node)
 
         dist = self.compiled.mapping.distribution_of(node.source)
         proc = self.machine.processing
@@ -414,7 +412,6 @@ class VectorSPMDExecutor(SPMDExecutor):
             self._charge(node, "computation", proc.call_overhead)
             return
 
-        shift = int(self._scalar(node.offset_expr, 1))
         offset = abs(shift)
         self._charge(node, "computation", self._shift_copy_per_rank(dist))
 

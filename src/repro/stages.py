@@ -1,5 +1,5 @@
 """Three-stage cached predict path: *parse*, *compile* and *price* as keyed
-stages.
+stages, plus the simulator's *dataplane* stage.
 
 ``repro.predict`` is really three pipelines glued together:
 
@@ -24,13 +24,21 @@ prices, and repeated identical predictions pay nothing at all.  Every
 compile shares its parse stage's :class:`~repro.frontend.SourceFile` and
 program AST, which the compiler only reads.
 
-All three caches are bounded thread-safe LRUs and are instrumented with
+``measure()`` adds a fourth: the **dataplane** stage holds each program's
+data-plane tape (:mod:`repro.simulator.dataplane`) — every answer the
+simulator's timing plane took from the program's values.  It depends on
+the source text and the parameter env but not on the machine, the seed or
+(unless the program names ``number_of_processors``) the process count, so
+a sweep over p, machines and seeds runs each program's values once and
+replays them for every other point.
+
+All four caches are bounded thread-safe LRUs and are instrumented with
 ``repro.obs`` hit/miss counters (``repro_stage_cache_hits_total`` /
 ``repro_stage_cache_misses_total``, labelled ``stage="parse"`` /
-``stage="compile"`` / ``stage="price"``), which is how the serve-layer
-tests assert the acceptance property: a second request for the same
-program on a different machine hits the compile cache but misses the price
-cache.
+``stage="compile"`` / ``stage="price"`` / ``stage="dataplane"``), which is
+how the serve-layer tests assert the acceptance property: a second request
+for the same program on a different machine hits the compile cache but
+misses the price cache.
 
 Example:
     >>> import repro
@@ -52,8 +60,12 @@ Example:
     >>> c = repro.predict(src, nprocs=4)                      # compile + price
     >>> c.compiled.program is a.compiled.program              # shared AST
     True
+    >>> m = repro.measure(src, nprocs=2)                      # records the data plane
+    >>> n = repro.measure(src, nprocs=4)                      # replays it
+    >>> m.array_checksum == n.array_checksum
+    True
     >>> stages.stage_cache_sizes()
-    {'parse': 1, 'compile': 2, 'price': 3}
+    {'parse': 1, 'compile': 2, 'price': 3, 'dataplane': 1}
 """
 
 from __future__ import annotations
@@ -72,13 +84,18 @@ from .frontend import SourceFile
 from .interpreter import InterpreterOptions, interpret
 from .system.machine import Machine
 
-#: Bounded sizes of the three stage caches.  Parsed programs are few (one
-#: per distinct source) and shared by every compile of that source;
-#: compiled programs are the heavy objects (SPMD trees); priced estimates
-#: are small result records.
+#: Bounded sizes of the stage caches.  Parsed programs are few (one per
+#: distinct source) and shared by every compile of that source; compiled
+#: programs are the heavy objects (SPMD trees); priced estimates are small
+#: result records; a data-plane tape is one per (source, parameters) and
+#: at most ``repro.simulator.dataplane.TAPE_BYTE_CAP`` bytes.
 PARSE_CACHE_SIZE = 64
 COMPILE_CACHE_SIZE = 128
 PRICE_CACHE_SIZE = 1024
+DATAPLANE_CACHE_SIZE = 64
+
+#: the one parameter-env entry that follows the process count
+_NPROCS = "number_of_processors"
 
 
 class LRUCache:
@@ -264,6 +281,31 @@ def price_stage_key(compile_key: str, machine: Machine,
     })
 
 
+def dataplane_stage_key(compiled, env: Mapping[str, float],
+                        max_while_iterations: int) -> str | None:
+    """Content key of the dataplane stage: what a program's values depend on.
+
+    The source text fixes the normalised program, *env* (the compile env
+    plus ``simulate(params=)``) its inputs, and the WHILE limit where a
+    run stops.  The machine and the seed never enter.  ``number_of_processors``
+    does only when the source text names it (in a statement, a declaration,
+    a PARAMETER or a comment — erring toward one tape per p is safe): every
+    other env entry is the same at every process count.  ``None`` (do not
+    cache) for a program compiled without its source text.
+    """
+    text = compiled.source.text
+    if not text:
+        return None
+    reads_nprocs = _NPROCS in text.lower()
+    return _canonical_hash({
+        "stage": "dataplane",
+        "source_sha": _source_sha(text),
+        "env": sorted((str(k), float(v)) for k, v in env.items()
+                      if reads_nprocs or k != _NPROCS),
+        "max_while_iterations": int(max_while_iterations),
+    })
+
+
 # ---------------------------------------------------------------------------
 # the caches
 # ---------------------------------------------------------------------------
@@ -271,19 +313,21 @@ def price_stage_key(compile_key: str, machine: Machine,
 _parse_cache = LRUCache(PARSE_CACHE_SIZE)
 _compile_cache = LRUCache(COMPILE_CACHE_SIZE)
 _price_cache = LRUCache(PRICE_CACHE_SIZE)
+_dataplane_cache = LRUCache(DATAPLANE_CACHE_SIZE)
 
 
 def clear_stage_caches() -> None:
-    """Drop all three stage caches (tests and long-lived servers under
+    """Drop all four stage caches (tests and long-lived servers under
     memory pressure; the obs counters are left alone)."""
     _parse_cache.clear()
     _compile_cache.clear()
     _price_cache.clear()
+    _dataplane_cache.clear()
 
 
 def stage_cache_sizes() -> dict[str, int]:
     return {"parse": len(_parse_cache), "compile": len(_compile_cache),
-            "price": len(_price_cache)}
+            "price": len(_price_cache), "dataplane": len(_dataplane_cache)}
 
 
 def _note(stage: str, hit: bool) -> None:
@@ -370,19 +414,35 @@ def price_cached(compiled, machine: Machine, *, compile_key: str,
     return result
 
 
+def dataplane_tape(key: str):
+    """The recorded data-plane tape under *key*, or None (a miss)."""
+    tape = _dataplane_cache.get(key)
+    _note("dataplane", hit=tape is not None)
+    return tape
+
+
+def store_dataplane_tape(key: str, tape) -> None:
+    """Keep a finished live run's tape for later simulations to replay."""
+    _dataplane_cache.put(key, tape)
+
+
 __all__ = [
     "PARSE_CACHE_SIZE",
     "COMPILE_CACHE_SIZE",
     "PRICE_CACHE_SIZE",
+    "DATAPLANE_CACHE_SIZE",
     "LRUCache",
     "compile_stage_key",
     "compile_key_of",
     "price_stage_key",
+    "dataplane_stage_key",
     "machine_stage_token",
     "options_stage_token",
     "parse_cached",
     "compile_cached",
     "price_cached",
+    "dataplane_tape",
+    "store_dataplane_tape",
     "clear_stage_caches",
     "stage_cache_sizes",
 ]

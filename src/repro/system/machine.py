@@ -10,7 +10,7 @@ and :mod:`repro.system.registry` makes it discoverable by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .sag import SAG
 from .sau import (
@@ -72,24 +72,35 @@ class Machine:
 
     def scaled(self, *, flop_scale: float = 1.0, latency_scale: float = 1.0,
                bandwidth_scale: float = 1.0, name: str | None = None) -> "Machine":
-        """A perturbed copy of this machine (for sensitivity/ablation studies)."""
-        node = self.node.with_processing(
+        """A perturbed copy of this machine (for sensitivity/ablation studies).
+
+        The copy keeps this machine's SAG: its shape, host, descriptions and
+        attributes.  Its root, fabric and node all export the perturbed
+        processing and communication components, as :func:`build_machine`
+        gives all three the same components.
+        """
+        processing = replace(
+            self.processing,
             flop_time_sp=self.processing.flop_time_sp * flop_scale,
             flop_time_dp=self.processing.flop_time_dp * flop_scale,
         )
-        cube = self.cube.with_communication(
+        communication = replace(
+            self.communication,
             startup_latency=self.communication.startup_latency * latency_scale,
             long_startup_latency=self.communication.long_startup_latency * latency_scale,
             per_byte=self.communication.per_byte / max(bandwidth_scale, 1e-9),
         )
-        root = SAU(name="system", level="system",
-                   description=f"perturbed copy of {self.name}")
+
+        def perturbed(sau: SAU, *children: SAU) -> SAU:
+            return replace(sau, processing=processing,
+                           communication=communication,
+                           children=list(children),
+                           attributes=dict(sau.attributes))
+
         host = self.host
-        if host is not None:
-            root.add_child(host)
-        cube.children = [node]
-        cube.attributes = dict(self.cube.attributes)
-        root.add_child(cube)
+        cube = perturbed(self.cube, perturbed(self.node))
+        root = perturbed(self.sag.root,
+                         *([host] if host is not None else []), cube)
         sag = SAG(root=root, machine_name=name or f"{self.name}-scaled")
         return Machine(name=sag.machine_name, sag=sag, num_nodes=self.num_nodes,
                        noise_seed=self.noise_seed, topology_kind=self.topology_kind,

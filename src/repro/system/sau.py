@@ -15,7 +15,7 @@ microsecond).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 
@@ -136,30 +136,6 @@ class SAU:
         if not self.children:
             return 1
         return sum(child.leaf_count() for child in self.children)
-
-    def with_processing(self, **changes) -> "SAU":
-        """Return a copy of this SAU with modified processing parameters
-        (used for user experimentation with system parameters, §3.3)."""
-        clone = SAU(
-            name=self.name, level=self.level,
-            processing=replace(self.processing, **changes),
-            memory=self.memory, communication=self.communication, io=self.io,
-            description=self.description, children=list(self.children),
-            attributes=dict(self.attributes),
-        )
-        return clone
-
-    def with_communication(self, **changes) -> "SAU":
-        clone = SAU(
-            name=self.name, level=self.level,
-            processing=self.processing,
-            memory=self.memory,
-            communication=replace(self.communication, **changes),
-            io=self.io,
-            description=self.description, children=list(self.children),
-            attributes=dict(self.attributes),
-        )
-        return clone
 
     def describe(self, indent: int = 0) -> str:
         pad = "  " * indent

@@ -16,6 +16,10 @@ A second digest pins the same fields over :data:`SCALE_SCENARIOS`: larger
 partitions on every topology kind (contended hypercube, switched, mesh,
 fat tree, torus) and the suite's masked, strided and indirect foralls,
 which lie outside the p <= 8 iPSC/860 pin above.
+
+A third digest pins the time breakdown neither of the others covers: the
+totals and every source line's computation, communication, overhead and
+balanced computation, for both engines.
 """
 
 import hashlib
@@ -51,6 +55,12 @@ SCALE_SCENARIOS = (
 #: per-trip reuse and strided forall views; neither may move it.
 SCALE_DIGEST = \
     "d4c16a6f72b4df9410b01064fdee23cee5d1cb2e4f4edc35a13841b386385b0d"
+
+
+#: sha256 of :func:`breakdown_lines` joined by newlines, computed before
+#: the clock charges stopped building a ``Metrics`` per call.
+BREAKDOWN_DIGEST = \
+    "dff47322017945646a748699b19614929d414af971b1306b9a3b49a4d08d01f2"
 
 
 def _measure_line(key: str, size: int, params: dict, machine: str,
@@ -93,6 +103,33 @@ def scale_lines() -> list[str]:
     return lines
 
 
+def _metrics_hex(metrics) -> str:
+    return ",".join(float(value).hex() for value in (
+        metrics.computation, metrics.communication, metrics.overhead,
+        metrics.balanced_computation))
+
+
+def breakdown_lines() -> list[str]:
+    """One line per (engine, app, first size, p): the totals and each
+    line's metrics, exactly."""
+    lines = []
+    for engine in ("vector", "loop"):
+        for key, entry in sorted(all_entries().items()):
+            size = entry.sizes[0]
+            for nprocs in PROC_COUNTS:
+                compiled = stages.compile_cached(
+                    entry.source, name=entry.key, nprocs=nprocs,
+                    params=entry.params_for(size))
+                result = simulate(compiled, get_machine(MACHINE, nprocs),
+                                  options=SimulatorOptions(engine=engine))
+                parts = [engine, key, str(size), str(nprocs),
+                         "totals=" + _metrics_hex(result.totals)]
+                parts += [f"{line}=" + _metrics_hex(result.line_metrics[line])
+                          for line in sorted(result.line_metrics)]
+                lines.append(" ".join(parts))
+    return lines
+
+
 def test_suite_measure_outputs_are_pinned():
     lines = measure_lines()
     assert len(lines) == len(all_entries()) * len(PROC_COUNTS)
@@ -105,3 +142,10 @@ def test_scale_measure_outputs_are_pinned():
     assert len(lines) == len(SCALE_SCENARIOS)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
         == SCALE_DIGEST
+
+
+def test_time_breakdown_is_pinned():
+    lines = breakdown_lines()
+    assert len(lines) == 2 * len(all_entries()) * len(PROC_COUNTS)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
+        == BREAKDOWN_DIGEST

@@ -125,7 +125,8 @@ class TestSpans:
         obs.enable()
         simulate(laplace_compiled, machine4)
         shares = obs.phase_shares(obs.get_tracer().spans())
-        assert set(shares) == {"node_cost", "noise", "network", "other"}
+        assert set(shares) == {"node_cost", "noise", "network", "dataplane",
+                               "other"}
         assert sum(shares.values()) == pytest.approx(1.0, abs=1e-6)
         assert all(0.0 <= share <= 1.0 for share in shares.values())
 
@@ -291,7 +292,8 @@ class TestSimulationUnaffected:
                      options=SimulatorOptions(engine=engine))
             names[engine] = {s.name for s in obs.get_tracer().spans()}
         for engine, seen in names.items():
-            assert {"simulate", "node_cost", "noise", "network"} <= seen, \
+            assert {"simulate", "node_cost", "noise", "network",
+                    "dataplane"} <= seen, \
                 f"{engine} engine spans: {seen}"
 
 

@@ -109,7 +109,7 @@ def test_parse_stage_counters_sizes_and_clear():
     assert renamed is not first and renamed[0].name == "other"
     assert stage_counts("parse") == (1, 2)
     assert stages.stage_cache_sizes() == {"parse": 2, "compile": 0,
-                                          "price": 0}
+                                          "price": 0, "dataplane": 0}
     stages.clear_stage_caches()
     assert stages.stage_cache_sizes()["parse"] == 0
     assert stages._parse_cache.maxsize == stages.PARSE_CACHE_SIZE

@@ -16,6 +16,7 @@ from repro.system import (
     broadcast_time,
     cshift_cost,
     gather_time,
+    get_machine,
     hypercube_dim,
     ipsc860,
     message_packets,
@@ -67,12 +68,6 @@ class TestSAUAndSAG:
         assert {"system", "host", "cube", "node"} <= names
         assert sag.find("nonexistent") is None
 
-    def test_with_processing_returns_modified_copy(self):
-        machine = ipsc860(4)
-        faster = machine.node.with_processing(flop_time_sp=0.01)
-        assert faster.processing.flop_time_sp == 0.01
-        assert machine.node.processing.flop_time_sp != 0.01
-
     def test_machine_scaled_perturbation(self):
         machine = ipsc860(8)
         perturbed = machine.scaled(latency_scale=2.0, bandwidth_scale=0.5)
@@ -80,6 +75,26 @@ class TestSAUAndSAG:
         assert perturbed.communication.per_byte == pytest.approx(0.72)
         # original untouched
         assert machine.communication.startup_latency == pytest.approx(75.0)
+
+    @pytest.mark.parametrize("name", ["modern-cluster", "ipsc860"])
+    def test_machine_scaled_keeps_the_sag_shape(self, name):
+        machine = get_machine(name, 64)
+        perturbed = machine.scaled(flop_scale=3.0, latency_scale=2.0)
+        # root, fabric and node export the same perturbed components
+        for sau in (perturbed.sag.root, perturbed.cube, perturbed.node):
+            assert sau.processing == perturbed.processing
+            assert sau.communication == perturbed.communication
+        assert perturbed.sag.root.processing.clock_mhz \
+            == machine.sag.root.processing.clock_mhz
+        assert perturbed.node.communication.startup_latency \
+            == 2.0 * machine.communication.startup_latency
+        # same shape, host, descriptions and attributes; only the name moves
+        assert [(s.name, s.level, s.description, s.attributes)
+                for s in perturbed.sag.walk()] \
+            == [(s.name, s.level, s.description, s.attributes)
+                for s in machine.sag.walk()]
+        assert perturbed.host == machine.host
+        assert perturbed.name == f"{machine.name}-scaled"
 
     def test_sag_describe(self):
         sag = ipsc860(2).sag
