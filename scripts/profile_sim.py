@@ -9,7 +9,9 @@ when a perf PR wants to know where the simulator's wall-clock actually goes
 The default crossbar run never reaches a contended network stage.  To
 profile contention, run ``--machine ipsc860 --nprocs 1024``: the same
 program on the 1024-node hypercube drains 40 serial stages (links collide;
-``Network._drain_levels``) and 200 paired stages per run.
+``Network._drain_levels``) and 200 paired stages per run.  ``--nprocs
+8192`` with the defaults is exactly the sim-scale benchmark's config (b);
+``scripts/check.sh`` runs it with ``--phase-breakdown``.
 
 ``--phase-breakdown`` adds a one-table summary of where the wall-clock goes,
 bucketed by simulator subsystem (node cost model, noise draws, network +

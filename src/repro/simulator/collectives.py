@@ -27,8 +27,11 @@ engine runs and the oracle the tests compare against.
 ``vector`` engine calls: per-rank clocks stay an ``np.ndarray`` indexed by
 rank end to end — phase entry clocks in, phase completion clocks out — and
 each stage goes through :meth:`Network.drain_stage` as a structure-of-arrays
-batch, so no per-rank dict is ever built between phases.  The exchange
-schedule comes straight from :meth:`Topology.exchange_stages` as arrays.
+batch, so no per-rank dict is ever built between phases.  Each schedule is
+planned once per network: the exchange schedule per partition size (from
+:meth:`Topology.exchange_stages`), the broadcast schedule per (size, root),
+every stage with its :class:`~repro.simulator.network.StageRoute`; a shift's
+route comes from its caller's plan.
 Every kernel applies element by element exactly the arithmetic of its
 dict-based twin (same ``max`` placement, same operation order), so the two
 forms are bit-identical.
@@ -40,7 +43,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .network import Message, Network
+from .network import Message, Network, StageRoute
 
 
 #: µs per byte of unpack/index work charged by the unstructured gather (the
@@ -236,54 +239,79 @@ def unstructured_gather(
 # engine's oracle, and the regression tests compare the two directly.
 
 
-def _exchange_stages(network: Network, p: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Exchange schedule as per-stage ``(src, dst, participants)`` arrays.
+def _exchange_stages(network: Network,
+                     p: int) -> list[tuple[StageRoute, np.ndarray | slice]]:
+    """Exchange schedule as per-stage ``(route, participants)`` plans.
 
     Each stage's ``(i, j)`` pairs from :meth:`Topology.exchange_stages`
     become both directions of its messages, ``src = [i, j]`` and ``dst =
-    [j, i]``, plus the sorted ranks that take part.  Positions equal ranks
-    because the kernels always run over the full partition 0..p-1.  Cached
-    on the network: schedules are pure functions of the topology and p.
+    [j, i]``, routed once; participants are the sorted ranks that take part,
+    or ``slice(None)`` when every rank does, so the kernels index the clocks
+    without a gather.  Positions equal ranks because the kernels always run
+    over the full partition 0..p-1.  Planned once per network: schedules
+    are pure functions of the topology and p.
     """
     key = ("exchange", p)
-    stages = network._schedule_arrays.get(key)
+    stages = network._schedule_plans.get(key)
     if stages is None:
         stages = []
         for i_arr, j_arr in network.topology.exchange_stages(p):
-            src = np.concatenate([i_arr, j_arr])
-            dst = np.concatenate([j_arr, i_arr])
-            stages.append((src, dst, np.flatnonzero(np.bincount(src))))
-        network._schedule_arrays[key] = stages
+            route = network.stage_route_info(np.concatenate([i_arr, j_arr]),
+                                             np.concatenate([j_arr, i_arr]))
+            parts = np.flatnonzero(np.bincount(route.src))
+            stages.append((route, slice(None) if parts.shape[0] == p
+                           else parts))
+        network._schedule_plans[key] = stages
     return stages
 
 
-def _broadcast_stages(network: Network, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Topology broadcast schedule as ``(sender, receiver)`` position arrays."""
-    key = ("broadcast", p)
-    stages = network._schedule_arrays.get(key)
-    if stages is None:
-        stages = []
-        for stage in network.topology.broadcast_schedule(p):
-            s_arr = np.fromiter((s for s, _ in stage), dtype=np.int64,
-                                count=len(stage))
-            r_arr = np.fromiter((r for _, r in stage), dtype=np.int64,
-                                count=len(stage))
-            stages.append((s_arr, r_arr))
-        network._schedule_arrays[key] = stages
+def _broadcast_stages(network: Network, p: int,
+                      root: int) -> list[StageRoute] | None:
+    """The broadcast schedule from *root* as the routes of its active stages.
+
+    A stage's active messages are those whose sender already holds the data
+    and whose receiver does not.  Both follow from the schedule alone, not
+    from the clocks, so the plan is built once per (p, root).  None means
+    some active stage reuses a sender or a receiver, which needs the dict
+    routine's sequential semantics; no registered schedule does this.
+    """
+    key = ("broadcast", p, root)
+    if key in network._schedule_plans:
+        return network._schedule_plans[key]
+    # the schedule works on positions, with the root first
+    ranks = np.arange(p, dtype=np.int64)
+    order = np.concatenate([[root], ranks[ranks != root]])
+    known = np.zeros(p, dtype=bool)
+    known[root] = True
+    stages: list[StageRoute] | None = []
+    for stage in network.topology.broadcast_schedule(p):
+        pairs = np.array(stage, dtype=np.int64).reshape(-1, 2)
+        senders, receivers = order[pairs[:, 0]], order[pairs[:, 1]]
+        active = known[senders] & ~known[receivers]
+        if not active.any():
+            continue
+        route = network.stage_route_info(senders[active], receivers[active])
+        if route.shared_nic or not route.distinct_dst:
+            stages = None
+            break
+        known[route.dst] = True
+        stages.append(route)
+    network._schedule_plans[key] = stages
     return stages
 
 
 def shift_exchange_clocks(
     network: Network,
-    src: np.ndarray,
-    dst: np.ndarray,
+    route: StageRoute,
     nbytes: np.ndarray,
     clocks: np.ndarray,
     software_overhead: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Array-clock :func:`shift_exchange` over a structure-of-arrays stage.
 
-    Returns ``(new_clocks, participants)``: the updated full-partition clock
+    *route* holds the stage's ``(sender, receiver)`` pairs, routed by the
+    caller's plan, and ``nbytes[k]`` sizes pair *k*.  Returns
+    ``(new_clocks, participants)``: the updated full-partition clock
     array (non-participants keep their entry clocks) and the boolean mask of
     ranks that exchanged — the executor draws communication noise for exactly
     those ranks, keyed per rank, matching the dict path.
@@ -291,12 +319,13 @@ def shift_exchange_clocks(
     p = clocks.shape[0]
     new = clocks.copy()
     participants = np.zeros(p, dtype=bool)
+    src, dst = route.src, route.dst
     if src.shape[0] == 0:
         return new, participants
     participants[src] = True
     participants[dst] = True
     send_done, recv_done = network.drain_stage(
-        clocks[src] + software_overhead, src, dst, nbytes)
+        route, clocks[src] + software_overhead, nbytes)
     completion = np.maximum(send_done[participants], recv_done[participants])
     new[participants] = np.maximum(clocks[participants] + software_overhead,
                                    completion)
@@ -314,37 +343,20 @@ def broadcast_clocks(
     p = clocks.shape[0]
     if p <= 1:
         return clocks.copy()
-    order = np.arange(p, dtype=np.int64) if root == 0 else np.fromiter(
-        (r for r in range(p) if r != root), dtype=np.int64, count=p - 1)
-    if root != 0:
-        order = np.concatenate([np.array([root], dtype=np.int64), order])
+    stages = _broadcast_stages(network, p, root)
+    if stages is None:
+        done = broadcast(network, root, list(range(p)),
+                         nbytes, dict(enumerate(clocks.tolist())),
+                         software_overhead=software_overhead)
+        return np.fromiter((done[r] for r in range(p)), dtype=np.float64,
+                           count=p)
 
     have = np.full(p, -np.inf)
     have[root] = clocks[root] + software_overhead
-    for s_pos, r_pos in _broadcast_stages(network, p):
-        senders = order[s_pos]
-        receivers = order[r_pos]
-        active = (have[senders] > -np.inf) & (have[receivers] == -np.inf)
-        if not active.any():
-            continue
-        src = senders[active]
-        dst = receivers[active]
-        seen = np.zeros(p, dtype=bool)
-        seen[src] = True
-        src_distinct = int(np.count_nonzero(seen)) == src.shape[0]
-        seen[:] = False
-        seen[dst] = True
-        dst_distinct = int(np.count_nonzero(seen)) == dst.shape[0]
-        if not src_distinct or not dst_distinct:
-            # a stage that reuses a sender or receiver needs the sequential
-            # dict semantics; no registered schedule does this, but stay exact
-            done = broadcast(network, root, list(range(p)),
-                             nbytes, dict(enumerate(clocks.tolist())),
-                             software_overhead=software_overhead)
-            return np.fromiter((done[r] for r in range(p)), dtype=np.float64,
-                               count=p)
+    for route in stages:
+        src, dst = route.src, route.dst
         sizes = np.full(src.shape[0], int(nbytes), dtype=np.int64)
-        send_done, recv_done = network.drain_stage(have[src], src, dst, sizes)
+        send_done, recv_done = network.drain_stage(route, have[src], sizes)
         have[dst] = np.maximum(np.maximum(send_done[dst], recv_done[dst]),
                                clocks[dst])
         have[src] = np.maximum(have[src], send_done[src])
@@ -407,10 +419,11 @@ def _pairwise_stages_clocks(
     p = done.shape[0]
     if p <= 1:
         return done
-    for stage_no, (src, dst, parts) in enumerate(_exchange_stages(network, p)):
+    for stage_no, (route, parts) in enumerate(_exchange_stages(network, p)):
         size = int(nbytes_for_stage(stage_no))
-        sizes = np.full(src.shape[0], size, dtype=np.int64)
-        _send_done, recv_done = network.drain_stage(done[src], src, dst, sizes)
+        sizes = np.full(route.src.shape[0], size, dtype=np.int64)
+        _send_done, recv_done = network.drain_stage(route, done[route.src],
+                                                    sizes)
         arrival = recv_done[parts]          # every participant receives once
         if combine_time is None:
             done[parts] = np.maximum(done[parts], arrival)

@@ -6,9 +6,8 @@ broken by insertion order so simulations are fully deterministic.  The heap
 oracle drain, :meth:`repro.simulator.network.Network.transfer`.
 
 :func:`batch_order` is the same dispatch order for a structure-of-arrays
-phase (start times, sources, destinations): the heap-equivalent permutation
-in one stable ``lexsort``, for the array drain, which never materialises
-per-event callbacks at all.
+phase (start times, sources, destinations): the heap-equivalent permutation,
+for the array drain, which never materialises per-event callbacks at all.
 """
 
 from __future__ import annotations
@@ -82,8 +81,13 @@ def batch_order(start: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarr
     Returns the permutation that visits messages in ascending
     ``(start_time, src, dst)`` order with input order breaking exact ties —
     the order in which :meth:`~repro.simulator.network.Network.transfer`
-    posts messages to the event heap, computed with one stable
-    ``np.lexsort`` instead of a python ``sorted`` over tuples.  The array
-    drain orders its serial stages with it.
+    posts messages to the event heap.  When no two start times tie, the
+    start times alone fix that order and numpy's unstable ``argsort`` finds
+    it; otherwise (or on a NaN) one stable ``np.lexsort`` over all three
+    keys does.  The array drain orders its serial stages with it.
     """
+    order = np.argsort(start)
+    ordered = start[order]
+    if (ordered[1:] > ordered[:-1]).all():      # no ties (and no NaN)
+        return order
     return np.lexsort((dst, src, start))

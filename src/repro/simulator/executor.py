@@ -154,6 +154,9 @@ class SPMDExecutor:
         # driven from the SPMD IR; live, or a recorded tape replayed.
         self.plane = plane
 
+        # The machine's components are read once, here: each Machine property
+        # walks the SAG to find its SAU.  Charge sites use the cost model's
+        # processing and memory components and the network's communication.
         self.cost = NodeCostModel(machine)
         num_nodes = max(self.nprocs, 1)
         self.network = Network(machine.communication, num_nodes,
@@ -167,7 +170,7 @@ class SPMDExecutor:
         elif self.options.collective_software_overhead is not None:
             self.collective_overhead = self.options.collective_software_overhead
         else:
-            self.collective_overhead = machine.communication.collective_call_overhead
+            self.collective_overhead = self.network.comm.collective_call_overhead
 
         self.clocks = np.zeros(self.nprocs, dtype=np.float64)
         # running computation / communication / overhead means, in total
@@ -321,7 +324,7 @@ class SPMDExecutor:
         start, end, step = self.plane.do_bounds(node)
         if step == 0:
             raise SimulationError("DO loop step must be non-zero", )
-        proc = self.machine.processing
+        proc = self.cost.proc
         value = start
         try:
             while (step > 0 and value <= end) or (step < 0 and value >= end):
@@ -338,7 +341,7 @@ class SPMDExecutor:
         self.plane.loop_var(node.var, value)
 
     def _exec_do_while(self, node: NodeDoWhile) -> None:
-        proc = self.machine.processing
+        proc = self.cost.proc
         iterations = 0
         try:
             while self.plane.while_test(node):
@@ -355,7 +358,7 @@ class SPMDExecutor:
         self._charge(node, "overhead", proc.branch_time)
 
     def _exec_if(self, node: NodeIf) -> None:
-        proc = self.machine.processing
+        proc = self.cost.proc
         self._charge(node, "overhead", proc.conditional_overhead)
         taken = self.plane.if_branch(node)
         self._execute_sequence(node.branches[taken][1] if taken >= 0
@@ -366,7 +369,7 @@ class SPMDExecutor:
     # ------------------------------------------------------------------
 
     def _exec_seq_overhead(self, node: SeqOverhead) -> None:
-        proc = self.machine.processing
+        proc = self.cost.proc
         items = max(node.items, 1)
         if node.kind == "pack_parameters":
             time = items * (12 * proc.int_op_time + 2 * proc.assignment_overhead)
@@ -379,7 +382,7 @@ class SPMDExecutor:
     def _exec_serial(self, node: SerialStmt) -> None:
         stmt = node.stmt
         if isinstance(stmt, (ast.ExitStmt, ast.CycleStmt, ast.StopStmt, ast.ContinueStmt)):
-            self._charge(node, "overhead", self.machine.processing.branch_time)
+            self._charge(node, "overhead", self.cost.proc.branch_time)
             jump = _JUMPS.get(type(stmt))
             if jump is not None:
                 raise jump()
@@ -394,7 +397,7 @@ class SPMDExecutor:
                          self.noise.compute(self._statement_time(node)))
             return
         if isinstance(stmt, ast.CallStmt):
-            self._charge(node, "computation", self.machine.processing.call_overhead)
+            self._charge(node, "computation", self.cost.proc.call_overhead)
             return
         # declarations or other inert statements
         self._charge(node, "overhead", 0.0)
@@ -407,7 +410,7 @@ class SPMDExecutor:
     def _exec_owner_stmt(self, node: OwnerStmt) -> None:
         stmt = node.stmt
         dist = self.compiled.mapping.distribution_of(node.array)
-        proc = self.machine.processing
+        proc = self.cost.proc
 
         if node.comms:
             self._exec_comm_specs(node, node.comms)
@@ -445,7 +448,7 @@ class SPMDExecutor:
 
         if record.iterations == 0:
             self._charge(node, "overhead",
-                         len(node.loops) * self.machine.processing.loop_startup_overhead)
+                         len(node.loops) * self.cost.proc.loop_startup_overhead)
             return
 
         count = self._static_cost(
@@ -579,7 +582,7 @@ class SPMDExecutor:
         shift = self.plane.shift(node)
 
         dist = self.compiled.mapping.distribution_of(node.source)
-        proc = self.machine.processing
+        proc = self.cost.proc
         if dist is None:
             self._charge(node, "computation", proc.call_overhead)
             return
@@ -607,14 +610,14 @@ class SPMDExecutor:
     def _shift_copy_per_rank(self, dist: ArrayDistribution) -> np.ndarray:
         """Per-rank local copy cost of a shift (each rank copies its block)."""
         with obs.span("node_cost"):
-            proc = self.machine.processing
+            proc = self.cost.proc
             copy_per_rank = np.zeros(self.nprocs)
             noise_phase = self.noise.begin_phase()
             for rank in range(self.nprocs):
                 local = dist.local_size(rank)
                 copy_per_rank[rank] = self.noise.compute_keyed(
                     noise_phase, rank,
-                    local * (proc.assignment_overhead + self.machine.memory.hit_time * 2)
+                    local * (proc.assignment_overhead + self.cost.memory.hit_time * 2)
                 )
             return copy_per_rank
 
@@ -666,8 +669,8 @@ class SPMDExecutor:
             self._exec_comm_spec(node, spec)
 
     def _exec_comm_spec(self, node: SPMDNode, spec: CommSpec) -> None:
-        comm = self.machine.communication
-        proc = self.machine.processing
+        comm = self.network.comm
+        proc = self.cost.proc
         dist = self.compiled.mapping.distribution_of(spec.array) if spec.array else None
         clocks = {r: float(self.clocks[r]) for r in range(self.nprocs)}
         overhead = self.collective_overhead
@@ -679,7 +682,7 @@ class SPMDExecutor:
                 # boundary stays on-processor: a local copy only
                 elements = self._boundary_elements(dist, axis, abs(spec.offset) or 1, 0)
                 self._charge(node, "overhead",
-                             elements * (self.machine.memory.hit_time + proc.assignment_overhead))
+                             elements * (self.cost.memory.hit_time + proc.assignment_overhead))
                 return
             direction = 1 if spec.offset >= 0 else -1
             pairs, sizes = self._shift_plan(dist, axis, axis_map,

@@ -15,10 +15,14 @@ bit-identical results:
   :class:`repro.simulator.events.EventQueue` event per message), which the
   simulator's ``loop`` engine runs and the tests keep as the oracle;
 * the **array** drain (:meth:`Network.drain_stage`), which the ``vector``
-  engine runs: the phase arrives as a structure-of-arrays batch (``src`` /
-  ``dst`` / ``nbytes`` / ``start`` as numpy arrays, no :class:`Message`
-  objects at all) and is classified once per distinct stage shape by
-  :meth:`Network.stage_route_info`, from the topology's route matrix:
+  engine runs: the phase arrives as a structure-of-arrays batch (start
+  times and byte counts as numpy arrays, no :class:`Message` objects at
+  all) together with its :class:`StageRoute`.  A route is built by
+  :meth:`Network.stage_route_info` from the topology's route matrix, once,
+  by the plan that owns the stage — the exchange schedule per partition
+  size, the broadcast schedule per (size, root), the vector engine's shift
+  plan per trip — and travels with that plan, so the drain never
+  classifies, hashes or looks up a stage:
 
   - **link-disjoint** stages (shift exchanges, any stage on a
     :class:`~repro.system.topology.SwitchedTopology` with distinct endpoints,
@@ -86,8 +90,19 @@ class TransferResult:
 
 
 class StageRoute(NamedTuple):
-    """What :meth:`Network.stage_route_info` knows of one stage shape."""
+    """One stage's routes and verdict, as :meth:`Network.stage_route_info`
+    builds them.
 
+    A route depends only on the stage's endpoints, never on its start times
+    or sizes, so the plan that schedules the stage builds it once and hands
+    it to every :meth:`Network.drain_stage` of that stage.  Its arrays are
+    read-only: plans share them across trips.
+    """
+
+    #: sending node of each message
+    src: np.ndarray
+    #: receiving node of each message
+    dst: np.ndarray
     #: link count of each message's route
     hops: np.ndarray
     #: :data:`STAGE_DISJOINT`, :data:`STAGE_PAIRED` or :data:`STAGE_SERIAL`
@@ -96,8 +111,18 @@ class StageRoute(NamedTuple):
     partners: np.ndarray | None
     #: serial stages: the ``(n, H)`` route matrix of link ids, -1 padded
     links: np.ndarray | None
-    #: serial stages: whether some source sends more than once
+    #: some source sends more than once (only a serial stage allows it)
     shared_nic: bool
+    #: no node receives more than once, so completions are assigned
+    distinct_dst: bool
+    #: every route has ``hops.max()`` links, so per-hop delays need no mask
+    uniform_hops: bool
+
+
+def _frozen(array: np.ndarray | None) -> np.ndarray | None:
+    if array is not None:
+        array.flags.writeable = False
+    return array
 
 
 class Network:
@@ -112,13 +137,9 @@ class Network:
         #: nbytes -> (latency, link occupancy) for the array drain; both are
         #: pure functions of the communication parameter set.
         self._timing_cache: dict[int, tuple[float, float]] = {}
-        #: (src bytes, dst bytes) -> StageRoute; stage shapes repeat across
-        #: the iterations of a program, so classification is paid once per
-        #: shape.
-        self._stage_cache: dict[tuple[bytes, bytes], StageRoute] = {}
-        #: collective schedules in array form, filled lazily by the
+        #: collective schedules as stage routes, filled lazily by the
         #: array-clock kernels in :mod:`repro.simulator.collectives`.
-        self._schedule_arrays: dict = {}
+        self._schedule_plans: dict = {}
 
     # -- batch simulation with link contention --------------------------------------
 
@@ -191,7 +212,7 @@ class Network:
     # -- array drain (structure-of-arrays phases) ------------------------------------
 
     def stage_route_info(self, src: np.ndarray, dst: np.ndarray) -> StageRoute:
-        """Classify one stage shape into a :class:`StageRoute`.
+        """Classify the stage of messages ``src[k] -> dst[k]``.
 
         The verdict is :data:`STAGE_DISJOINT` when no two messages share a
         link (and sources are distinct, so NICs never serialise either),
@@ -202,37 +223,33 @@ class Network:
         topology that declares ``link_disjoint_paths`` (the crossbar:
         per-node up/down links) is trusted structurally — distinct sources
         and destinations imply disjointness without routing a single
-        message.  Classifications are memoised per stage shape: collective
-        schedules repeat their stages every iteration, so this is a one-time
-        cost, and serial stages keep their route matrix for the level drain.
+        message.  Nothing is memoised: the caller's plan keeps the route
+        for as long as its stage repeats.
         """
-        # normalise before keying: the byte representation must identify the
-        # stage regardless of the caller's dtype or memory layout
-        src = np.ascontiguousarray(src, dtype=np.int64)
-        dst = np.ascontiguousarray(dst, dtype=np.int64)
-        key = (src.tobytes(), dst.tobytes())
-        cached = self._stage_cache.get(key)
-        if cached is not None:
-            return cached
-
+        src = _frozen(np.array(src, dtype=np.int64))
+        dst = _frozen(np.array(dst, dtype=np.int64))
         n = src.shape[0]
         distinct_src = int(np.bincount(src).max(initial=0)) <= 1
+        distinct_dst = int(np.bincount(dst).max(initial=0)) <= 1
+
+        def classified(hops, verdict, partners=None, links=None):
+            uniform = not hops.size or int(hops.min()) == int(hops.max())
+            return StageRoute(src, dst, _frozen(hops), verdict,
+                              _frozen(partners), _frozen(links),
+                              not distinct_src, distinct_dst, uniform)
+
         switch_hops = getattr(self.topology, "switch_hops", None)
-        if distinct_src and switch_hops is not None \
-                and getattr(self.topology, "link_disjoint_paths", False) \
-                and int(np.bincount(dst).max(initial=0)) <= 1:
-            hops = np.where(src == dst, 0, int(switch_hops)).astype(np.int64)
-            route = StageRoute(hops, STAGE_DISJOINT, None, None, False)
-            self._stage_cache[key] = route
-            return route
+        if distinct_src and distinct_dst and switch_hops is not None \
+                and getattr(self.topology, "link_disjoint_paths", False):
+            return classified(np.where(src == dst, 0, int(switch_hops)),
+                              STAGE_DISJOINT)
 
         links, hops = self.topology.route_matrix(src, dst)
-        route = StageRoute(hops, STAGE_SERIAL, None, links, not distinct_src)
         if distinct_src:
             most = int(np.bincount(links[links >= 0]).max(initial=0))
             if most <= 1:
-                route = StageRoute(hops, STAGE_DISJOINT, None, None, False)
-            elif most == 2 and int(hops.max()) <= 1:
+                return classified(hops, STAGE_DISJOINT)
+            if most == 2 and int(hops.max()) <= 1:
                 # single-link routes with distinct sources: a link is shared
                 # only by the two opposite directions of one exchange pair
                 rows = np.flatnonzero(hops)
@@ -244,9 +261,8 @@ class Network:
                 partners = np.arange(n, dtype=np.int64)
                 partners[a] = b
                 partners[b] = a
-                route = StageRoute(hops, STAGE_PAIRED, partners, None, False)
-        self._stage_cache[key] = route
-        return route
+                return classified(hops, STAGE_PAIRED, partners=partners)
+        return classified(hops, STAGE_SERIAL, links=links)
 
     def _stage_timing(self, nbytes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-message ``(latency, occupancy)`` arrays, via the timing memo."""
@@ -265,28 +281,29 @@ class Network:
         inverse = np.asarray(inverse).reshape(-1)
         return lat[inverse], occ[inverse]
 
-    def drain_stage(self, start: np.ndarray, src: np.ndarray, dst: np.ndarray,
+    def drain_stage(self, route: StageRoute, start: np.ndarray,
                     nbytes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Array drain of one phase; the ``vector`` engine's collective core.
 
-        Takes the phase as a structure-of-arrays batch and returns per-node
-        ``(send_complete, recv_complete)`` arrays of length ``num_nodes``
-        (``-inf`` where a node neither sent nor received).  Link-disjoint and
-        pair-exchange stages are priced by closed-form expressions, colliding
-        stages by :meth:`_drain_levels`; every path applies exactly
-        :meth:`transfer`'s timing rules.
+        Message *k* of *route* leaves ``route.src[k]`` at ``start[k]`` with
+        ``nbytes[k]`` bytes.  Returns per-node ``(send_complete,
+        recv_complete)`` arrays of length ``num_nodes`` (``-inf`` where a
+        node neither sent nor received).  Link-disjoint and pair-exchange
+        stages are priced by closed-form expressions, colliding stages by
+        :meth:`_drain_levels`; every path applies exactly :meth:`transfer`'s
+        timing rules.  *route* comes from :meth:`stage_route_info`, built
+        once by the plan that repeats the stage.
         """
         p = self.num_nodes
         send_arr = np.full(p, _NEG_INF)
         recv_arr = np.full(p, _NEG_INF)
-        n = src.shape[0]
-        if n == 0:
+        src, dst = route.src, route.dst
+        if src.shape[0] == 0:
             return send_arr, recv_arr
 
-        route = self.stage_route_info(src, dst)
         latency, occupancy = self._stage_timing(nbytes)
         if route.verdict == STAGE_SERIAL:
-            return self._drain_levels(start, src, dst, latency, occupancy, route)
+            return self._drain_levels(start, latency, occupancy, route)
 
         launch = np.maximum(start, 0.0) + latency
         send_done = launch + occupancy * 0.5
@@ -296,11 +313,14 @@ class Network:
             # No interactions at all: each message pays its own latency, hop
             # delays and occupancy.  The per-hop delay accrues by repeated
             # addition (hop by hop, exactly as the heap adds it) so the
-            # float results stay bit-identical.
-            arrival = launch.copy()
-            max_hops = int(hops.max())
-            for hop_no in range(1, max_hops):
-                arrival[hops > hop_no] += self.comm.per_hop
+            # float results stay bit-identical; when every route is as long
+            # as the longest, the mask would select every message.
+            arrival = launch                    # send_done is already taken
+            for hop_no in range(1, int(hops.max())):
+                if route.uniform_hops:
+                    arrival += self.comm.per_hop
+                else:
+                    arrival[hops > hop_no] += self.comm.per_hop
             recv_done = arrival + occupancy
         else:                                   # STAGE_PAIRED
             # Single-link exchanges: the lexicographically later message of a
@@ -312,11 +332,14 @@ class Network:
             recv_done = np.where(second, ready, launch) + occupancy
 
         send_arr[src] = send_done               # sources are distinct
-        np.maximum.at(recv_arr, dst, recv_done)
+        if route.distinct_dst:
+            recv_arr[dst] = recv_done
+        else:
+            np.maximum.at(recv_arr, dst, recv_done)
         return send_arr, recv_arr
 
-    def _drain_levels(self, start: np.ndarray, src: np.ndarray, dst: np.ndarray,
-                      latency: np.ndarray, occupancy: np.ndarray,
+    def _drain_levels(self, start: np.ndarray, latency: np.ndarray,
+                      occupancy: np.ndarray,
                       route: StageRoute) -> tuple[np.ndarray, np.ndarray]:
         """Exact drain of a serial stage, level by level.
 
@@ -332,8 +355,8 @@ class Network:
         per-link and per-NIC free times; a node's completion is the latest
         of its messages, reported only when above 0.0.
         """
-        order = batch_order(start, src, dst)
-        links = route.links[order]
+        order = batch_order(start, route.src, route.dst)
+        links = route.links.take(order, axis=0)
         n, width = links.shape
 
         # waits[:, k] holds the dispatch positions message k waits on: its
@@ -349,7 +372,7 @@ class Network:
         waiter, holder = later // width, earlier // width
         other = waiter != holder                # a route may reuse its own link
         waits[later[other] % width, waiter[other]] = holder[other]
-        srcs = src[order]
+        srcs = route.src[order]
         if route.shared_nic:
             by_src = np.argsort(srcs, kind="stable")
             repeat = np.flatnonzero(srcs[by_src[1:]] == srcs[by_src[:-1]])
@@ -366,18 +389,18 @@ class Network:
         level = depth[:n]
 
         # visit level by level, longest routes first within a level, so the
-        # messages still travelling at hop h are a prefix of their level
-        hops = route.hops[order]
-        visit = np.lexsort((-hops, level))
-        cells = np.bincount(level * (width + 1) + hops,
-                            minlength=(int(level.max()) + 1) * (width + 1))
+        # messages still travelling at hop h are a prefix of their level;
+        # cells[l][w - h] counts level l's messages of h hops
+        key = level * (width + 1) + (width - route.hops[order])
+        visit = np.argsort(key, kind="stable")
+        cells = np.bincount(key, minlength=(int(level.max()) + 1) * (width + 1))
         cells = cells.reshape(-1, width + 1)
         bounds = np.concatenate(([0], np.cumsum(cells.sum(axis=1)))).tolist()
         # travelling[l][h]: messages of level l with more than h hops
-        travelling = np.cumsum(cells[:, :0:-1], axis=1)[:, ::-1].tolist()
+        travelling = np.cumsum(cells[:, :-1], axis=1)[:, ::-1].tolist()
 
         order = order[visit]
-        links = links[visit]
+        links = links.take(visit, axis=0)
         srcs = srcs[visit]
         starts = start[order]
         latency = latency[order]
@@ -406,6 +429,6 @@ class Network:
         send_arr = np.zeros(self.num_nodes)
         recv_arr = np.zeros(self.num_nodes)
         np.maximum.at(send_arr, srcs, launch + half)
-        np.maximum.at(recv_arr, dst[order], arrival + occupancy)
+        np.maximum.at(recv_arr, route.dst[order], arrival + occupancy)
         return (np.where(send_arr > 0.0, send_arr, _NEG_INF),
                 np.where(recv_arr > 0.0, recv_arr, _NEG_INF))

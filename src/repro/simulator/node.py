@@ -41,6 +41,51 @@ class IterationProfile:
     mask_fraction: float | None = None # actual fraction of mask-true iterations
 
 
+#: Up to this many rows, :func:`_distinct_rows` hashes python floats in a
+#: dict; above it, sorting per column wins.  The dict costs about 0.3 µs a
+#: row; sorting costs 20–100 µs, more for each column that varies, so a
+#: single call breaks even near 50 rows when no column varies, 100 rows
+#: when one does and 300 when two do.  The simulator's calls over the
+#: suite on modern-cluster at p=64 and p=256 split about evenly among none,
+#: one and two varying columns (never three), and over that mix the two
+#: methods break even near 128 rows: at p=64 the dict takes 4.0 ms over the
+#: 158 calls and sorting 6.1 ms, at p=256 about 14 and 8 ms (2-vCPU x86-64
+#: VM).
+_HASHED_ROWS = 128
+
+
+def _distinct_rows(columns: tuple[np.ndarray, ...],
+                   ) -> tuple[list[tuple[float, ...]], np.ndarray | list[int]]:
+    """The distinct rows of equal-length *columns*, in python floats, and
+    each row's index into them.
+
+    Rows are equal when every column compares equal, as python floats do in
+    a dict key and as ``np.unique`` sorts them.  Large row counts code each
+    column that is not constant with ``np.unique``, and one more
+    ``np.unique`` folds each further varying column into the codes so far,
+    which keeps them below the row count.  Any member of a group can stand
+    for it, because equal rows cost the same.
+    """
+    n = columns[0].shape[0]
+    if n <= _HASHED_ROWS:
+        slots: dict[tuple[float, ...], int] = {}
+        inverse = [slots.setdefault(row, len(slots))
+                   for row in zip(*(column.tolist() for column in columns))]
+        return list(slots), inverse
+    codes = None
+    for column in columns:
+        if (column != column[0]).any():
+            values, index = np.unique(column, return_inverse=True)
+            codes = index if codes is None else np.unique(
+                codes * values.shape[0] + index, return_inverse=True)[1]
+    if codes is None:                   # every row equals the first
+        codes = np.zeros(n, dtype=np.intp)
+    members = np.empty(int(codes.max()) + 1, dtype=np.int64)
+    members[codes] = np.arange(n)
+    return list(zip(*(column[members].tolist() for column in columns))), \
+        codes
+
+
 class NodeCostModel:
     """Turns measured per-iteration operation counts into i860 node time."""
 
@@ -142,17 +187,14 @@ class NodeCostModel:
         evaluated once per distinct triple through the scalar
         :meth:`loop_nest_time` — the batch result is therefore bit-identical
         to a per-rank loop, at O(distinct) instead of O(p) model cost.
-        Triples are deduplicated by hashing their python-float rows, which
-        beats a sort-based ``np.unique(axis=0)`` at every p.
+        :func:`_distinct_rows` finds the triples.
         """
         n = len(local_elements)
-        elements = np.asarray(local_elements, dtype=np.float64).tolist()
-        inner = np.asarray(innermost_extents, dtype=np.float64).tolist()
-        fractions = [-1.0] * n if mask_fractions is None \
-            else np.asarray(mask_fractions, dtype=np.float64).tolist()
-        slots: dict[tuple[float, float, float], int] = {}
-        inverse = [slots.setdefault(key, len(slots))
-                   for key in zip(elements, inner, fractions)]
+        columns = (np.asarray(local_elements, dtype=np.float64),
+                   np.asarray(innermost_extents, dtype=np.float64),
+                   np.full(n, -1.0) if mask_fractions is None
+                   else np.asarray(mask_fractions, dtype=np.float64))
+        rows, inverse = _distinct_rows(columns)
         times = np.array([
             self.loop_nest_time(replace(
                 profile,
@@ -160,7 +202,7 @@ class NodeCostModel:
                 innermost_extent=n_inner,
                 mask_fraction=None if fraction < 0.0 else fraction,
             ), depth=depth)
-            for n_elements, n_inner, fraction in slots
+            for n_elements, n_inner, fraction in rows
         ], dtype=np.float64)
         return times[inverse]
 

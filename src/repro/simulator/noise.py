@@ -195,25 +195,37 @@ def _ndtri_tail(q: np.ndarray) -> np.ndarray:
 
 
 def ndtri(u: np.ndarray) -> np.ndarray:
-    """Inverse standard-normal CDF (Acklam), vectorised and deterministic."""
+    """Inverse standard-normal CDF (Acklam), vectorised and deterministic.
+
+    The central rational function runs in place over the whole block, and
+    the tail elements (about 5%) are then overwritten by index, so only
+    they are gathered: every element still sees exactly the elementwise
+    operations of its own branch, in the same order.
+    """
     u = np.asarray(u, dtype=np.float64)
-    out = np.empty_like(u)
-    lower = u < _NDTRI_P_LOW
-    upper = u > _NDTRI_P_HIGH
-    central = ~(lower | upper)
-    if lower.any():
-        out[lower] = _ndtri_tail(np.sqrt(-2.0 * np.log(u[lower])))
-    if upper.any():
-        out[upper] = -_ndtri_tail(np.sqrt(-2.0 * np.log(1.0 - u[upper])))
-    if central.any():
-        a, b = _NDTRI_A, _NDTRI_B
-        q = u[central] - 0.5
-        r = q * q
-        num = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r
-               + a[5]) * q
-        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        out[central] = num / den
-    return out
+    flat = u.reshape(-1)
+    a, b = _NDTRI_A, _NDTRI_B
+    q = flat - 0.5
+    r = q * q
+    num = a[0] * r
+    for coeff in a[1:5]:
+        num += coeff
+        num *= r
+    num += a[5]
+    num *= q
+    den = b[0] * r
+    for coeff in b[1:]:
+        den += coeff
+        den *= r
+    den += 1.0
+    out = np.divide(num, den, out=num)
+    lower = np.flatnonzero(flat < _NDTRI_P_LOW)
+    if lower.size:
+        out[lower] = _ndtri_tail(np.sqrt(-2.0 * np.log(flat[lower])))
+    upper = np.flatnonzero(flat > _NDTRI_P_HIGH)
+    if upper.size:
+        out[upper] = -_ndtri_tail(np.sqrt(-2.0 * np.log(1.0 - flat[upper])))
+    return out.reshape(u.shape)
 
 
 #: Above this rate the single-uniform Poisson inversion switches to the
@@ -235,29 +247,33 @@ def poisson_from_uniform(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
-    hits = np.zeros(lam.shape, dtype=np.float64)
     large = lam > _POISSON_NORMAL_APPROX_LAMBDA
-    if large.any():
-        z = ndtri(u[large])
-        hits[large] = np.maximum(
-            np.rint(lam[large] + np.sqrt(lam[large]) * z), 0.0)
+    if not large.any():                 # the usual case: no gather at all
+        return _poisson_inversion(u, lam)
+    hits = np.zeros(lam.shape, dtype=np.float64)
+    z = ndtri(u[large])
+    hits[large] = np.maximum(
+        np.rint(lam[large] + np.sqrt(lam[large]) * z), 0.0)
     small = ~large
     if small.any():
-        ls = lam[small]
-        us = u[small]
-        pmf = np.exp(-ls)
-        cdf = pmf.copy()
-        count = np.zeros_like(ls)
-        k = 0
-        pending = us > cdf
-        while pending.any() and k < _POISSON_MAX_STEPS:
-            k += 1
-            pmf = pmf * (ls / k)
-            cdf = cdf + pmf
-            count[pending] = k
-            pending = us > cdf
-        hits[small] = count
+        hits[small] = _poisson_inversion(u[small], lam[small])
     return hits
+
+
+def _poisson_inversion(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """:func:`poisson_from_uniform`'s sequential CDF search, elementwise."""
+    pmf = np.exp(-lam)
+    cdf = pmf.copy()
+    count = np.zeros_like(lam)
+    k = 0
+    pending = u > cdf
+    while pending.any() and k < _POISSON_MAX_STEPS:
+        k += 1
+        pmf = pmf * (lam / k)
+        cdf = cdf + pmf
+        count[pending] = k
+        pending = u > cdf
+    return count
 
 
 def _as_batch(durations_us) -> np.ndarray:

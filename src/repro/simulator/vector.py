@@ -33,15 +33,17 @@ collective schedules — and overrides only the per-rank hot loops:
   anywhere between phase entry and exit;
 * **network draining** — each collective stage reaches the executor's
   :class:`~repro.simulator.network.Network` as a structure-of-arrays batch
-  (:meth:`Network.drain_stage`): link-disjoint stages (shift exchanges,
-  crossbar stages, spread fat-tree channels) and pair-exchange stages
-  (recursive doubling) are priced by one vectorised expression each, and
-  stages whose links or NICs genuinely collide are drained level by level
-  with array expressions;
+  with the :class:`~repro.simulator.network.StageRoute` its plan built
+  once (:meth:`Network.drain_stage`): link-disjoint stages (shift
+  exchanges, crossbar stages, spread fat-tree channels) and pair-exchange
+  stages (recursive doubling) are priced by one vectorised expression
+  each, and stages whose links or NICs genuinely collide are drained level
+  by level with array expressions;
 * **per-trip reuse** — a loop nest, reduction or boundary shift inside a DO
   loop usually repeats its trip unchanged, so each keeps one entry per SPMD
   node (per comm spec for shifts): the trip's *signature* and the per-rank
-  result it produced before noise (see :meth:`VectorSPMDExecutor._per_trip`).
+  result it produced before noise, or for a shift its routed stage (see
+  :meth:`VectorSPMDExecutor._per_trip`).
   A trip whose signature matches reuses the stored, read-only array and
   draws only its noise, which is keyed on the phase and so must be fresh.
 
@@ -80,6 +82,7 @@ from .collectives import (
     unstructured_gather_clocks,
 )
 from .executor import SPMDExecutor
+from .network import StageRoute
 from .node import IterationProfile
 
 
@@ -107,8 +110,9 @@ class VectorSPMDExecutor(SPMDExecutor):
         if entry is not None and entry[0] == signature:
             return entry[1]
         result = compute()
-        for array in result if isinstance(result, tuple) else (result,):
-            array.flags.writeable = False
+        for item in result if isinstance(result, tuple) else (result,):
+            if isinstance(item, np.ndarray):    # a StageRoute freezes itself
+                item.flags.writeable = False
         self._trips[key] = (signature, result)
         return result
 
@@ -333,40 +337,40 @@ class VectorSPMDExecutor(SPMDExecutor):
 
     def _shift_copy_per_rank(self, dist: ArrayDistribution) -> np.ndarray:
         with obs.span("node_cost"):
-            proc = self.machine.processing
+            proc = self.cost.proc
             raw = dist.local_sizes().astype(np.float64) * (
-                proc.assignment_overhead + self.machine.memory.hit_time * 2
+                proc.assignment_overhead + self.cost.memory.hit_time * 2
             )
         with obs.span("noise"):
             return self.noise.compute_batch(raw)
 
-    def _shift_spec_arrays(self, key: int, dist: ArrayDistribution, axis: int,
-                           axis_map, offset: int, element_size: int,
-                           direction: int, clamp_shift_axis: bool,
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One boundary shift as a structure-of-arrays stage.
+    def _shift_stage(self, key: int, dist: ArrayDistribution, axis: int,
+                     axis_map, offset: int, element_size: int, direction: int,
+                     clamp_shift_axis: bool) -> tuple[StageRoute, np.ndarray]:
+        """One boundary shift as a routed structure-of-arrays stage.
 
-        Returns ``(senders, receivers, nbytes)`` arrays over the exchanging
-        ranks — the form :meth:`Network.drain_stage` consumes directly — and
-        records the stage in ``comm_stats`` exactly like the loop engine's
-        per-pair bookkeeping, also when the plan is reused.  *key* is the
-        shift node or comm spec the plan is stored under.
+        Returns ``(route, nbytes)`` over the exchanging ranks — the form
+        :meth:`Network.drain_stage` consumes directly — and records the
+        stage in ``comm_stats`` exactly like the loop engine's per-pair
+        bookkeeping, also when the plan is reused.  *key* is the shift node
+        or comm spec the plan is stored under; the plan keeps the route, so
+        a repeated trip neither re-derives the partners nor re-routes them.
         """
-        src, dst, pair_bytes = self._per_trip(
+        route, pair_bytes = self._per_trip(
             key, (offset, direction, clamp_shift_axis),
             lambda: self._shift_plan_arrays(dist, axis, axis_map, offset,
                                             element_size, direction,
                                             clamp_shift_axis))
-        self.comm_stats.messages += src.shape[0]
+        self.comm_stats.messages += pair_bytes.shape[0]
         self.comm_stats.bytes += int(pair_bytes.sum())
-        self.comm_stats.operations += src.shape[0]
-        return src, dst, pair_bytes
+        self.comm_stats.operations += pair_bytes.shape[0]
+        return route, pair_bytes
 
     def _shift_plan_arrays(self, dist: ArrayDistribution, axis: int, axis_map,
                            offset: int, element_size: int, direction: int,
                            clamp_shift_axis: bool,
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Partners and boundary-slab byte counts of one shift."""
+                           ) -> tuple[StageRoute, np.ndarray]:
+        """Routed partners and boundary-slab byte counts of one shift."""
         p = self.nprocs
         grid = dist.grid
         coords = grid.coords_array()
@@ -394,7 +398,9 @@ class VectorSPMDExecutor(SPMDExecutor):
 
         ranks = np.arange(p, dtype=np.int64)
         exchanging = partners != ranks
-        return ranks[exchanging], partners[exchanging], nbytes[exchanging]
+        route = self.network.stage_route_info(ranks[exchanging],
+                                              partners[exchanging])
+        return route, nbytes[exchanging]
 
     # ------------------------------------------------------------------
     # communication phases (array clocks end to end)
@@ -407,7 +413,7 @@ class VectorSPMDExecutor(SPMDExecutor):
         shift = self.plane.shift(node)
 
         dist = self.compiled.mapping.distribution_of(node.source)
-        proc = self.machine.processing
+        proc = self.cost.proc
         if dist is None:
             self._charge(node, "computation", proc.call_overhead)
             return
@@ -421,20 +427,20 @@ class VectorSPMDExecutor(SPMDExecutor):
             return
 
         direction = 1 if shift >= 0 else -1
-        src, dst, nbytes = self._shift_spec_arrays(
+        route, nbytes = self._shift_stage(
             id(node), dist, axis, axis_map, offset, dist.element_size,
             direction, clamp_shift_axis=False)
         with obs.span("network"):
             targets, participants = shift_exchange_clocks(
-                self.network, src, dst, nbytes, self.clocks,
+                self.network, route, nbytes, self.clocks,
                 software_overhead=self.collective_overhead)
         self._finish_comm_phase(node, targets, participants)
 
     def _exec_comm_spec(self, node: SPMDNode, spec: CommSpec) -> None:
         """Array-clock communication specs (shift / broadcast / reduce /
         gather), mirroring the loop engine's dispatch branch for branch."""
-        comm = self.machine.communication
-        proc = self.machine.processing
+        comm = self.network.comm
+        proc = self.cost.proc
         dist = self.compiled.mapping.distribution_of(spec.array) if spec.array else None
         overhead = self.collective_overhead
 
@@ -445,15 +451,15 @@ class VectorSPMDExecutor(SPMDExecutor):
                 # boundary stays on-processor: a local copy only
                 elements = self._boundary_elements(dist, axis, abs(spec.offset) or 1, 0)
                 self._charge(node, "overhead",
-                             elements * (self.machine.memory.hit_time + proc.assignment_overhead))
+                             elements * (self.cost.memory.hit_time + proc.assignment_overhead))
                 return
             direction = 1 if spec.offset >= 0 else -1
-            src, dst, nbytes = self._shift_spec_arrays(
+            route, nbytes = self._shift_stage(
                 id(spec), dist, axis, axis_map, abs(spec.offset) or 1,
                 spec.element_size, direction, clamp_shift_axis=True)
             with obs.span("network"):
                 targets, participants = shift_exchange_clocks(
-                    self.network, src, dst, nbytes, self.clocks,
+                    self.network, route, nbytes, self.clocks,
                     software_overhead=overhead)
             self._finish_comm_phase(node, targets, participants)
             return

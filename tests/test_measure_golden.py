@@ -20,6 +20,11 @@ which lie outside the p <= 8 iPSC/860 pin above.
 A third digest pins the time breakdown neither of the others covers: the
 totals and every source line's computation, communication, overhead and
 balanced computation, for both engines.
+
+A fourth digest pins the same fields as the first two over
+:data:`LARGE_SCALE_SCENARIOS`, the sim-scale benchmark's two programs at
+two iterations: contended serial stages on the 1024-node hypercube and
+the p=8192 crossbar, where one deviate-tape block holds a single phase.
 """
 
 import hashlib
@@ -57,6 +62,19 @@ SCALE_DIGEST = \
     "d4c16a6f72b4df9410b01064fdee23cee5d1cb2e4f4edc35a13841b386385b0d"
 
 
+#: (app, size, extra params, machine, p) of the large-partition pin.
+LARGE_SCALE_SCENARIOS = (
+    ("laplace_block_block", 256, {"maxiter": 2.0}, "ipsc860", 1024),
+    ("laplace_block_star", 64, {"maxiter": 2.0}, "modern-cluster", 8192),
+)
+
+#: sha256 of :func:`scale_lines` over :data:`LARGE_SCALE_SCENARIOS`,
+#: computed before stages carried their routes, node costs deduplicated
+#: as arrays and deviates skipped their gathers; none may move it.
+LARGE_SCALE_DIGEST = \
+    "3a08f7aa59c2631da29c5143bf9debb6b2aae217aa20624727252ee757da1e27"
+
+
 #: sha256 of :func:`breakdown_lines` joined by newlines, computed before
 #: the clock charges stopped building a ``Metrics`` per call.
 BREAKDOWN_DIGEST = \
@@ -91,10 +109,11 @@ def measure_lines() -> list[str]:
     return lines
 
 
-def scale_lines() -> list[str]:
-    """One line per :data:`SCALE_SCENARIOS` entry, machine named first."""
+def scale_lines(scenarios=SCALE_SCENARIOS) -> list[str]:
+    """One line per scenario (:data:`SCALE_SCENARIOS` by default), machine
+    named first."""
     lines = []
-    for key, size, extra, machine, nprocs in SCALE_SCENARIOS:
+    for key, size, extra, machine, nprocs in scenarios:
         entry = all_entries()[key]
         size = entry.sizes[0] if size is None else size
         params = {**entry.params_for(size), **extra}
@@ -142,6 +161,13 @@ def test_scale_measure_outputs_are_pinned():
     assert len(lines) == len(SCALE_SCENARIOS)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
         == SCALE_DIGEST
+
+
+def test_large_scale_measure_outputs_are_pinned():
+    lines = scale_lines(LARGE_SCALE_SCENARIOS)
+    assert len(lines) == len(LARGE_SCALE_SCENARIOS)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
+        == LARGE_SCALE_DIGEST
 
 
 def test_time_breakdown_is_pinned():

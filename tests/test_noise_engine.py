@@ -102,6 +102,116 @@ class TestPoissonFromUniform:
         assert np.all(hits >= 0)
 
 
+def _ndtri_by_gathers(u):
+    """The gather-based ``ndtri`` the in-place one replaced, kept as its
+    oracle: each branch gathers its own elements, evaluates them and
+    scatters the results back."""
+    u = np.asarray(u, dtype=np.float64)
+    out = np.empty_like(u)
+    lower = u < noise_module._NDTRI_P_LOW
+    upper = u > noise_module._NDTRI_P_HIGH
+    central = ~(lower | upper)
+    c, d = noise_module._NDTRI_C, noise_module._NDTRI_D
+
+    def tail(q):
+        num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
+        den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+        return num / den
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if lower.any():
+            out[lower] = tail(np.sqrt(-2.0 * np.log(u[lower])))
+        if upper.any():
+            out[upper] = -tail(np.sqrt(-2.0 * np.log(1.0 - u[upper])))
+    if central.any():
+        a, b = noise_module._NDTRI_A, noise_module._NDTRI_B
+        q = u[central] - 0.5
+        r = q * q
+        num = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r
+               + a[5]) * q
+        den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+        out[central] = num / den
+    return out
+
+
+def _poisson_by_gathers(u, lam):
+    """The gather-based ``poisson_from_uniform`` the gather-free one
+    replaced, kept as its oracle."""
+    u = np.asarray(u, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    hits = np.zeros(lam.shape, dtype=np.float64)
+    large = lam > noise_module._POISSON_NORMAL_APPROX_LAMBDA
+    if large.any():
+        z = _ndtri_by_gathers(u[large])
+        hits[large] = np.maximum(
+            np.rint(lam[large] + np.sqrt(lam[large]) * z), 0.0)
+    small = ~large
+    if small.any():
+        ls = lam[small]
+        us = u[small]
+        pmf = np.exp(-ls)
+        cdf = pmf.copy()
+        count = np.zeros_like(ls)
+        k = 0
+        pending = us > cdf
+        while pending.any() and k < noise_module._POISSON_MAX_STEPS:
+            k += 1
+            pmf = pmf * (ls / k)
+            cdf = cdf + pmf
+            count[pending] = k
+            pending = us > cdf
+        hits[small] = count
+    return hits
+
+
+#: the smallest and largest values ``keyed_uniform`` can return, computed
+#: as it computes them; the largest rounds to 1.0
+_EXTREME_UNIFORMS = (np.array([0, 2 ** 53 - 1], dtype=np.uint64)
+                     .astype(np.float64) + 0.5) * 2.0 ** -53
+
+
+class TestGatherFreeKernels:
+    """``ndtri`` and ``poisson_from_uniform`` equal the gather-based forms
+    they replaced, bit for bit: the same elementwise operations reach every
+    element, in the same order."""
+
+    def test_ndtri_on_a_tape_block(self):
+        streams = np.array([STREAM_COMM_JITTER, STREAM_COMM_FLOOR],
+                           dtype=np.uint64)[:, None]
+        u = keyed_uniform(12345, streams, 17, np.arange(8192, dtype=np.int64))
+        assert u.shape == (2, 8192)
+        z = ndtri(u)
+        assert z.shape == u.shape
+        assert z.tobytes() == _ndtri_by_gathers(u).tobytes()
+
+    def test_ndtri_at_the_branch_edges_and_extreme_uniforms(self):
+        low, high = noise_module._NDTRI_P_LOW, noise_module._NDTRI_P_HIGH
+        points = np.array([
+            low, np.nextafter(low, 0.0), np.nextafter(low, 1.0),
+            high, np.nextafter(high, 0.0), np.nextafter(high, 1.0),
+            *_EXTREME_UNIFORMS, 0.5])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert ndtri(points).tobytes() == _ndtri_by_gathers(points).tobytes()
+            for point in points:                    # 0-d input keeps its shape
+                z = ndtri(np.float64(point))
+                assert z.shape == ()
+                assert z.tobytes() == _ndtri_by_gathers(point).tobytes()
+
+    @pytest.mark.parametrize("above", ["none", "some", "all"])
+    def test_poisson_matches_its_oracle(self, above):
+        threshold = noise_module._POISSON_NORMAL_APPROX_LAMBDA
+        u = keyed_uniform(3, STREAM_COMPUTE_INTERRUPT, 5,
+                          np.arange(4096, dtype=np.int64))
+        lam = np.linspace(0.0, 3.0, 4096)          # 0.0 included
+        if above == "some":
+            lam[::7] += threshold
+        elif above == "all":
+            lam += threshold + 1e-9
+        hits = poisson_from_uniform(u, lam)
+        assert hits.tobytes() == _poisson_by_gathers(u, lam).tobytes()
+        assert (hits > 0).any()
+
+
 class TestOrderAndSliceIndependence:
     """The tentpole property: a fixed (seed, phase, rank) deviate is the same
     no matter how — or in what order — it is evaluated."""

@@ -248,18 +248,21 @@ def test_network_transfer_completions_are_consistent(sizes, pairs):
 def _network_stages(draw):
     """One stage on one fabric: ``(kind, p, [(start, src, dst, nbytes)])``.
 
-    Three shapes reach every stage verdict: endpoints from a small pool of
-    nodes (sources repeat, links collide, some messages are self-messages),
-    both directions of a recursive-doubling exchange (paired on single-link
-    routes), and distinct sources with destinations anywhere (disjoint, or
-    colliding links without a shared NIC; on the 100-node hypercube some
-    e-cube routes leave the partition).  Start times mostly tie; sizes
-    straddle the long-message threshold and the packet size of the default
-    parameters.
+    Five shapes reach every stage verdict and every fact a route records:
+    endpoints from a small pool of nodes (sources repeat, links collide,
+    some messages are self-messages), both directions of a
+    recursive-doubling exchange (paired on single-link routes), distinct
+    sources with destinations anywhere (disjoint, or colliding links
+    without a shared NIC; on the 100-node hypercube some e-cube routes
+    leave the partition), a permutation of distinct sources (distinct
+    destinations too), and distinct sources whose routes all have one hop
+    count.  Start times mostly tie; sizes straddle the long-message
+    threshold and the packet size of the default parameters.
     """
     kind = draw(st.sampled_from(("hypercube", "mesh", "torus", "fattree", "switch")))
     p = draw(st.sampled_from((3, 8, 64, 100)))
-    shape = draw(st.sampled_from(("pool", "exchange", "spread")))
+    shape = draw(st.sampled_from(("pool", "exchange", "spread", "permutation",
+                                  "uniform")))
     if shape == "pool":
         pool = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=10))
         node = st.sampled_from(pool) | st.integers(0, p - 1)
@@ -270,10 +273,18 @@ def _network_stages(draw):
             [i for i in range(p) if i < i ^ span < p]), min_size=1, max_size=16,
             unique=True))
         pairs = [(i, i ^ span) for i in lows] + [(i ^ span, i) for i in lows]
+    elif shape == "permutation":
+        sources = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=24,
+                                unique=True))
+        pairs = list(zip(sources, draw(st.permutations(sources))))
     else:
         sources = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=24,
                                 unique=True))
         pairs = [(s, draw(st.integers(0, p - 1))) for s in sources]
+        if shape == "uniform":
+            topology = make_topology(kind, p)
+            length = topology.hops(*pairs[0])
+            pairs = [pair for pair in pairs if topology.hops(*pair) == length]
     start = st.sampled_from((0.0, 3.5, 12.25)) | st.floats(0.0, 400.0)
     specs = [(draw(start), s, d, draw(st.integers(1, 4000))) for s, d in pairs]
     return kind, p, specs
@@ -286,8 +297,8 @@ def test_array_drain_equals_heap_on_every_topology(stage):
     """``Network.drain_stage`` equals the per-event heap bit for bit on every
     stage verdict, and ``route_matrix`` agrees with ``route``/``link_id``.
 
-    Each stage is drained twice on one network, the second time with its
-    start times reversed, so the cached classification serves a second
+    Each stage is classified once and its route drained twice, the second
+    time with its start times reversed, so one route serves a second
     dispatch order.  p=100 is a hypercube partition that is not a power of
     two, where some rows take the partition-safe route.
     """
@@ -310,8 +321,11 @@ def test_array_drain_equals_heap_on_every_topology(stage):
 
     comm = CommunicationComponent()
     network = Network(comm, p, topology)
+    route = network.stage_route_info(src, dst)
+    assert route.distinct_dst == (len(set(dst.tolist())) == len(dst))
+    assert route.uniform_hops == (len(set(hops.tolist())) == 1)
     for starts in (start, start[::-1].copy()):
-        send, recv = network.drain_stage(starts, src, dst, nbytes)
+        send, recv = network.drain_stage(route, starts, nbytes)
         heap = Network(comm, p, topology).transfer(
             [Message(src=int(s), dst=int(d), nbytes=int(n), start_time=float(t))
              for t, s, d, n in zip(starts, src, dst, nbytes)])

@@ -1,6 +1,8 @@
 """Tests for the simulator substrates: event queue, hypercube, network,
 collectives, node cost model and noise."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -255,6 +257,38 @@ class TestNodeCostModelAndNoise:
         mostly_false = model.loop_nest_time(self._profile(mask_fraction=0.05))
         mostly_true = model.loop_nest_time(self._profile(mask_fraction=0.95))
         assert mostly_false < mostly_true
+
+    @pytest.mark.parametrize("p", [1, 8, 300, 8192])
+    @pytest.mark.parametrize("varying", ["every column", "one column",
+                                         "no column"])
+    def test_loop_nest_times_equal_a_per_rank_loop(self, p, varying):
+        """The bulk form equals one loop_nest_time per rank, bit for bit, on
+        either side of its dedupe threshold: with and without masks, with
+        repeated rows and with -1 ("no mask") fractions."""
+        model = NodeCostModel(ipsc860(4))
+        rng = np.random.default_rng(p)
+        elements = rng.choice([0.0, 1.0, 64.0, 4096.0, 1e6], size=p)
+        inner = rng.choice([1.0, 3.0, 64.0], size=p)
+        fractions = rng.choice([-1.0, 0.0, 0.25, 1.0], size=p)
+        if varying != "every column":
+            inner[:] = 3.0
+            fractions[:] = 0.25
+        if varying == "no column":
+            elements[:] = 64.0
+        profile = self._profile()
+        for masks in (None, fractions):
+            got = model.loop_nest_times(profile, depth=2,
+                                        local_elements=elements,
+                                        innermost_extents=inner,
+                                        mask_fractions=masks)
+            expected = np.array([
+                model.loop_nest_time(replace(
+                    profile, local_elements=float(elements[rank]),
+                    innermost_extent=float(inner[rank]),
+                    mask_fraction=None if masks is None or masks[rank] < 0
+                    else float(masks[rank])), depth=2)
+                for rank in range(p)])
+            assert got.tobytes() == expected.tobytes()
 
     def test_noise_is_deterministic_per_seed(self):
         a = NoiseModel(seed=42)

@@ -260,6 +260,34 @@ class TestPerTripReuse:
             counts.append(len(sweeps))
         assert counts[0] == counts[1]
 
+    def test_each_distinct_stage_is_routed_once_per_run(self, monkeypatch):
+        """Laplace (BLOCK, BLOCK) at p=64 on the hypercube drains 200
+        stages over 20 iterations, 80 of them serial.  The exchange plan
+        and the shift plans route each distinct stage once, so a plan that
+        lost its route and re-routed every trip fails here."""
+        from repro.simulator.network import Network
+        from repro.suite import get_entry
+        from repro.system.topology import HypercubeTopology
+
+        routed, drained = [], []
+        route_matrix = HypercubeTopology.route_matrix
+        drain = Network.drain_stage
+        monkeypatch.setattr(
+            HypercubeTopology, "route_matrix",
+            lambda self, src, dst: routed.append(1) or route_matrix(self, src, dst))
+        monkeypatch.setattr(
+            Network, "drain_stage",
+            lambda self, route, *a: drained.append(route) or drain(self, route, *a))
+        entry = get_entry("laplace_block_block")
+        params = {**entry.params_for(64), "maxiter": 20.0}
+        compiled = compile_source(entry.source, nprocs=64, params=params)
+        simulate(compiled, get_machine("ipsc860", 64))
+
+        stages = {(route.src.tobytes(), route.dst.tobytes()) for route in drained}
+        assert len(drained) == 200
+        assert sum(route.verdict == STAGE_SERIAL for route in drained) == 80
+        assert len(routed) == len(stages)
+
 
 CSHIFT_SOURCE = """
       program rotate
@@ -294,9 +322,9 @@ class TestCshiftDirection:
             pairs.extend(shift_pairs)
             return exchange(network, shift_pairs, *args, **kwargs)
 
-        def record_clocks(network, src, dst, *args, **kwargs):
-            pairs.extend(zip(src.tolist(), dst.tolist()))
-            return exchange_clocks(network, src, dst, *args, **kwargs)
+        def record_clocks(network, route, *args, **kwargs):
+            pairs.extend(zip(route.src.tolist(), route.dst.tolist()))
+            return exchange_clocks(network, route, *args, **kwargs)
 
         monkeypatch.setattr(loop_engine, "shift_exchange", record)
         monkeypatch.setattr(vector_engine, "shift_exchange_clocks",
@@ -413,12 +441,12 @@ def _drain_stage_vs_heap(kind, nodes, specs):
     start, src, dst, nbytes = _arrays(specs)
     array_net = Network(_comm(), nodes, make_topology(kind, nodes))
     heap_net = Network(_comm(), nodes, make_topology(kind, nodes))
-    verdict = array_net.stage_route_info(src, dst).verdict
-    send_arr, recv_arr = array_net.drain_stage(start, src, dst, nbytes)
+    route = array_net.stage_route_info(src, dst)
+    send_arr, recv_arr = array_net.drain_stage(route, start, nbytes)
     messages = [Message(src=s, dst=d, nbytes=n, start_time=t)
                 for t, s, d, n in specs]
     result = heap_net.transfer(messages)
-    return verdict, send_arr, recv_arr, result
+    return route.verdict, send_arr, recv_arr, result
 
 
 def _assert_matches_heap(send_arr, recv_arr, result, nodes):
@@ -456,9 +484,9 @@ class TestStageClassification:
         start, src, dst, nbytes = _arrays(specs)
         array_net = Network(_comm(), 4, MeshTopology(1, 4))
         heap_net = Network(_comm(), 4, MeshTopology(1, 4))
-        verdict = array_net.stage_route_info(src, dst).verdict
-        assert verdict == STAGE_SERIAL
-        send_arr, recv_arr = array_net.drain_stage(start, src, dst, nbytes)
+        route = array_net.stage_route_info(src, dst)
+        assert route.verdict == STAGE_SERIAL
+        send_arr, recv_arr = array_net.drain_stage(route, start, nbytes)
         result = heap_net.transfer([Message(src=s, dst=d, nbytes=n, start_time=t)
                                     for t, s, d, n in specs])
         _assert_matches_heap(send_arr, recv_arr, result, 4)
@@ -494,27 +522,6 @@ class TestStageClassification:
             _verdict, send_arr, recv_arr, result = _drain_stage_vs_heap(kind, nodes, specs)
             _assert_matches_heap(send_arr, recv_arr, result, nodes)
 
-    def test_verdicts_are_memoised_per_stage_shape(self):
-        from repro.system.topology import make_topology
-        net = Network(_comm(), 4, make_topology("hypercube", 4))
-        src = np.array([0, 2], dtype=np.int64)
-        dst = np.array([1, 3], dtype=np.int64)
-        first = net.stage_route_info(src, dst)
-        again = net.stage_route_info(src.copy(), dst.copy())
-        assert first is again
-
-    def test_stage_cache_distinguishes_dtype_and_length(self):
-        # int32 [1, 0] and int64 [1] share a byte representation; the memo
-        # key must not conflate the two stages
-        from repro.system.topology import make_topology
-        net = Network(_comm(), 4, make_topology("hypercube", 4))
-        wide = net.stage_route_info(np.array([1, 0], dtype=np.int32),
-                                    np.array([0, 1], dtype=np.int32))
-        narrow = net.stage_route_info(np.array([1], dtype=np.int64),
-                                      np.array([0], dtype=np.int64))
-        assert wide[0].shape[0] == 2
-        assert narrow[0].shape[0] == 1
-
 
 def _message_batch(num_nodes: int, seed: int) -> list[tuple[float, int, int, int]]:
     """40 ``(start, src, dst, nbytes)`` messages: sources repeat, start
@@ -548,14 +555,16 @@ class TestBatchedNetwork:
             _assert_matches_heap(send_arr, recv_arr, result, nodes)
             assert result.total_bytes == sum(n for _, _, _, n in specs)
 
-        # the same stage shape again on one network, under new start times:
-        # the cached classification must not carry the old times along
+        # one route drained again under new start times: the route must not
+        # carry the old times (or the old dispatch order) along
         network = Network(_comm(), nodes, make_topology(kind, nodes))
+        _start, src, dst, _nbytes = _arrays(_message_batch(nodes, 4))
+        route = network.stage_route_info(src, dst)
         for shift in (0.0, 7.25, 0.0):
             specs = [(t + shift * (k % 3), s, d, n)
                      for k, (t, s, d, n) in enumerate(_message_batch(nodes, 4))]
             start, src, dst, nbytes = _arrays(specs)
-            send_arr, recv_arr = network.drain_stage(start, src, dst, nbytes)
+            send_arr, recv_arr = network.drain_stage(route, start, nbytes)
             result = Network(_comm(), nodes, make_topology(kind, nodes)).transfer(
                 [Message(src=s, dst=d, nbytes=n, start_time=t)
                  for t, s, d, n in specs])
@@ -583,6 +592,10 @@ class TestBatchedNetwork:
         start, src, dst, _nbytes = _arrays(specs)
         assert batch_order(start, src, dst).tolist() == sorted(
             range(len(specs)), key=lambda k: specs[k][:3])
+        # no two start times tie: the start times alone fix the order
+        distinct = start + np.arange(len(specs)) * 1e-3
+        assert batch_order(distinct, src, dst).tolist() \
+            == np.lexsort((dst, src, distinct)).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +659,8 @@ class TestArrayClockKernels:
 
         entry = clocks_arr.copy()
         got, participants = shift_exchange_clocks(
-            network, src, dst, nbytes, clocks_arr, software_overhead=5.0)
+            network, network.stage_route_info(src, dst), nbytes, clocks_arr,
+            software_overhead=5.0)
         expected = shift_exchange(network, pairs, sizes, clocks,
                                   software_overhead=5.0)
         assert participants.all()          # a full ring: everyone exchanges
@@ -662,7 +676,8 @@ class TestArrayClockKernels:
         dst = np.array([1], dtype=np.int64)
         nbytes = np.array([64], dtype=np.int64)
         got, participants = shift_exchange_clocks(
-            network, src, dst, nbytes, clocks_arr, software_overhead=5.0)
+            network, network.stage_route_info(src, dst), nbytes, clocks_arr,
+            software_overhead=5.0)
         assert participants.tolist() == [True, True] + [False] * 6
         np.testing.assert_array_equal(got[~participants], 3.0)
         assert (got[participants] >= 8.0).all()
@@ -673,8 +688,8 @@ class TestArrayClockKernels:
         clocks_arr = np.array([1.0, 2.0, 3.0, 4.0])
         empty = np.array([], dtype=np.int64)
         got, participants = shift_exchange_clocks(
-            network, empty, empty, empty.copy(), clocks_arr,
-            software_overhead=5.0)
+            network, network.stage_route_info(empty, empty), empty.copy(),
+            clocks_arr, software_overhead=5.0)
         assert not participants.any()
         np.testing.assert_array_equal(got, clocks_arr)
         assert got is not clocks_arr
@@ -721,16 +736,17 @@ class TestCollectiveStateHygiene:
             assert clocks == snapshot, "collective mutated the input clocks"
 
     def test_clock_kernels_return_fresh_arrays(self):
-        # the kernels share the schedule arrays cached on the network; no
-        # result may alias the entry clocks, a cached array, or another result
+        # the kernels share the schedule plans kept on the network; no
+        # result may alias the entry clocks, a planned array, or another result
         network = self._network()
         clocks = np.linspace(0.0, 35.0, 8)
         src = np.arange(8, dtype=np.int64)
         dst = (src + 1) % 8
         nbytes = np.full(8, 64, dtype=np.int64)
+        route = network.stage_route_info(src, dst)
 
         calls = [
-            lambda: shift_exchange_clocks(network, src, dst, nbytes, clocks,
+            lambda: shift_exchange_clocks(network, route, nbytes, clocks,
                                           software_overhead=5.0)[0],
             lambda: broadcast_clocks(network, 3, clocks, 128,
                                      software_overhead=5.0),
