@@ -46,6 +46,9 @@ python scripts/noise_drift_report.py
 echo "== docs check: markdown links + public-API doctests"
 python scripts/docs_check.py
 
+echo "== surface check: every definition under src/ is mentioned, no unused imports"
+python scripts/surface_check.py
+
 echo "== example smoke: cross-machine sweep"
 python examples/machine_comparison.py > /dev/null
 

@@ -43,6 +43,11 @@ True
 >>> measured.printed                              # the data plane runs for real
 ['68']
 
+``import repro`` exports the names in ``__all__``, the ones the docs and
+examples reach through it; everything else is imported from its subpackage
+(``repro.compiler``, ``repro.interpreter``, ``repro.simulator``,
+``repro.explore``, ...).
+
 See ``docs/architecture.md`` for the layer map, ``docs/simulator.md`` for
 the execution simulator (including the ``vector`` vs ``loop`` engines),
 ``docs/cookbook.md`` for campaign and advisor recipes, and
@@ -53,6 +58,8 @@ metrics, per-run manifests), and ``docs/resilience.md`` for ``repro.faults``
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 __version__ = "1.4.0"
 
 # observability (dependency-free; every other layer reports into it) ------------
@@ -61,112 +68,27 @@ from . import obs
 # fault injection + resilience primitives (no-op unless a plan is installed) ----
 from . import faults
 
-# frontend / compiler -----------------------------------------------------------
-from .compiler import (
-    CompiledProgram,
-    CompileOptions,
-    OptimizationOptions,
-    compile_program,
-    compile_source,
-)
-from .frontend import SourceFile, SymbolTable, parse_expression, parse_source
-from .frontend.errors import (
-    CompilerError,
-    EvaluationError,
-    FrontendError,
-    InterpretationError,
-    ParserError,
-    ReproError,
-    SimulationError,
-)
+from .compiler import compile_source
+from .frontend.errors import ReproError
+from .system import get_machine, ipsc860, machine_names, register_machine, resolve_machine
+from .interpreter import interpret
 
-# distribution algebra ------------------------------------------------------------
-from .distribution import (
-    ArrayDistribution,
-    DimDistribution,
-    ProcessorGrid,
-    Template,
-)
-
-# systems module --------------------------------------------------------------------
-from .system import (
-    SAG,
-    SAU,
-    FatTreeTopology,
-    HypercubeTopology,
-    Machine,
-    MeshTopology,
-    SwitchedTopology,
-    Topology,
-    TopologyError,
-    TorusTopology,
-    cluster,
-    cm5,
-    get_machine,
-    ipsc860,
-    machine_names,
-    make_topology,
-    modern_cluster,
-    paragon,
-    register_machine,
-    resolve_machine,
-    torus_cluster,
-)
-
-# application module -------------------------------------------------------------------
-from .appmodel import AAG, AAU, AAUType, SAAG, build_aag, build_saag
-
-# interpretation engine ------------------------------------------------------------------
-from .interpreter import (
-    InterpretationResult,
-    InterpreterOptions,
-    Metrics,
-    PerformanceInterpreter,
-    interpret,
-)
-
-# staged predict path (parse/compile/price caches) ------------------------------------------
+# staged predict path (parse/compile/price caches) --------------------------------
 from . import stages
 
-# functional interpreter and simulator ------------------------------------------------------
-from .functional import FunctionalEvaluator, evaluate_program
-from .simulator import (
-    SimulationResult,
-    SimulatorOptions,
-    simulate,
-    simulate_repeated,
-)
-
-# output module -----------------------------------------------------------------------------
-from .output import (
-    QueryInterface,
-    generate_trace,
-    line_profile,
-    phase_profile,
-    program_profile,
-    render_profile,
-)
-
-# benchmark suite ---------------------------------------------------------------------------
-from .suite import all_entries, compile_entry, get_entry
-
-# design-space exploration ------------------------------------------------------------------
-from .explore import (
-    Campaign,
-    CampaignRun,
-    ResultStore,
-    ScenarioPoint,
-    ScenarioResult,
-    ScenarioSpace,
-    campaign_report,
-    run_campaign,
-)
-
-# performance advisor -----------------------------------------------------------------------
-from .advisor import AdvisorReport, Finding, Recommendation, advise, diagnose
+from .simulator import SimulatorOptions, simulate
+from .output import QueryInterface, generate_trace, program_profile, render_profile
+from .suite import get_entry
+from .explore import ResultStore
+from .advisor import advise
 
 # prediction-as-a-service (imported last: serve builds on every layer above)
 from . import serve
+
+if TYPE_CHECKING:
+    from .interpreter import InterpretationResult, InterpreterOptions
+    from .simulator import SimulationResult
+    from .system import Machine
 
 
 def predict(
@@ -324,106 +246,26 @@ def measure(
 
 __all__ = [
     "__version__",
-    # observability
     "obs",
-    # fault injection + resilience
     "faults",
-    # staged predict path
     "stages",
-    # prediction-as-a-service
     "serve",
-    # compiler / frontend
-    "CompiledProgram",
-    "CompileOptions",
-    "OptimizationOptions",
-    "compile_program",
-    "compile_source",
-    "SourceFile",
-    "SymbolTable",
-    "parse_expression",
-    "parse_source",
-    # errors
-    "CompilerError",
-    "EvaluationError",
-    "FrontendError",
-    "InterpretationError",
-    "ParserError",
     "ReproError",
-    "SimulationError",
-    # distribution
-    "ArrayDistribution",
-    "DimDistribution",
-    "ProcessorGrid",
-    "Template",
-    # system
-    "SAG",
-    "SAU",
-    "Machine",
-    "Topology",
-    "TopologyError",
-    "FatTreeTopology",
-    "HypercubeTopology",
-    "MeshTopology",
-    "SwitchedTopology",
-    "TorusTopology",
-    "make_topology",
+    "compile_source",
+    "interpret",
+    "simulate",
+    "SimulatorOptions",
     "ipsc860",
-    "paragon",
-    "cluster",
-    "torus_cluster",
-    "cm5",
-    "modern_cluster",
     "get_machine",
     "register_machine",
     "machine_names",
-    "resolve_machine",
-    # appmodel
-    "AAG",
-    "AAU",
-    "AAUType",
-    "SAAG",
-    "build_aag",
-    "build_saag",
-    # interpreter
-    "InterpretationResult",
-    "InterpreterOptions",
-    "Metrics",
-    "PerformanceInterpreter",
-    "interpret",
-    # functional / simulator
-    "FunctionalEvaluator",
-    "evaluate_program",
-    "SimulationResult",
-    "SimulatorOptions",
-    "simulate",
-    "simulate_repeated",
-    # output
     "QueryInterface",
     "generate_trace",
-    "line_profile",
-    "phase_profile",
     "program_profile",
     "render_profile",
-    # suite
-    "all_entries",
-    "compile_entry",
-    "get_entry",
-    # design-space exploration
-    "Campaign",
-    "CampaignRun",
     "ResultStore",
-    "ScenarioPoint",
-    "ScenarioResult",
-    "ScenarioSpace",
-    "campaign_report",
-    "run_campaign",
-    # performance advisor
-    "AdvisorReport",
-    "Finding",
-    "Recommendation",
     "advise",
-    "diagnose",
-    # convenience
+    "get_entry",
     "predict",
     "measure",
 ]

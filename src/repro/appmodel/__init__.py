@@ -17,7 +17,7 @@ from .critical_vars import (
     identify_critical_variables,
     resolve_critical_variables,
 )
-from .machine_filter import FilterOptions, apply_machine_filter
+from .machine_filter import apply_machine_filter
 from .saag import SAAG, SyncEdge
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "CriticalVariableReport",
     "identify_critical_variables",
     "resolve_critical_variables",
-    "FilterOptions",
     "apply_machine_filter",
     "SAAG",
     "SyncEdge",

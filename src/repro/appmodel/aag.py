@@ -36,12 +36,6 @@ class AAG:
         """All AAUs abstracting the given physical source line."""
         return list(self._line_index.get(line, []))
 
-    def in_line_range(self, first: int, last: int) -> list[AAU]:
-        out: list[AAU] = []
-        for line in range(first, last + 1):
-            out.extend(self._line_index.get(line, []))
-        return out
-
     # -- traversal -----------------------------------------------------------
 
     def walk(self) -> Iterator[AAU]:
@@ -55,12 +49,6 @@ class AAG:
 
     def count(self) -> int:
         return self.root.count()
-
-    def max_id(self) -> int:
-        return max(aau.id for aau in self.walk())
-
-    def comm_aaus(self) -> list[AAU]:
-        return self.by_type(AAUType.COMM) + self.by_type(AAUType.SYNC)
 
     def describe(self) -> str:
         return f"AAG for program '{self.program_name}' ({self.count()} AAUs)\n" + \

@@ -57,12 +57,6 @@ class CommunicationTable:
     def for_aau(self, aau_id: int) -> list[CommTableEntry]:
         return [e for e in self.entries if e.aau_id == aau_id]
 
-    def by_kind(self, kind: str) -> list[CommTableEntry]:
-        return [e for e in self.entries if e.kind == kind]
-
-    def total_bytes_per_proc(self) -> float:
-        return sum(e.bytes_per_proc for e in self.entries)
-
     def __len__(self) -> int:
         return len(self.entries)
 

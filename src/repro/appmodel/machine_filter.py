@@ -5,11 +5,12 @@ by the machine specific filter.  This step incorporates machine specific
 information (such as introduced compiler transformations/optimizations) into
 the SAAG based on a mapping defined by the user."*
 
-Concretely the filter:
+The paper leaves that mapping to the user.  Here it is fixed in code,
+because no caller ever defined another.  Concretely the filter:
 
 * assigns every AAU the SAU it is charged against (node code → the ``node``
   SAU; communication → the ``cube`` SAU; I/O and program load → the ``host``
-  SAU),
+  SAU, when the machine has one),
 * annotates loop-nest AAUs with the machine-specific execution details the
   interpretation functions need (element size / precision of the home array,
   whether the compiler's loop-reordering produced stride-1 access), and
@@ -19,8 +20,6 @@ Concretely the filter:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..compiler.pipeline import CompiledProgram
 from ..compiler.spmd import CommPhase, LocalLoopNest, ReductionNode, ShiftNode
 from ..system.machine import Machine
@@ -28,23 +27,8 @@ from .aau import AAUType
 from .saag import SAAG
 
 
-@dataclass
-class FilterOptions:
-    """User-defined mapping choices for the machine-specific filter."""
-
-    charge_io_to_host: bool = True
-    assume_stride1_innermost: bool = True   # set by the loop-reordering optimisation
-    notes: dict[str, str] = field(default_factory=dict)
-
-
-def apply_machine_filter(
-    saag: SAAG,
-    compiled: CompiledProgram,
-    machine: Machine,
-    options: FilterOptions | None = None,
-) -> SAAG:
+def apply_machine_filter(saag: SAAG, compiled: CompiledProgram, machine: Machine) -> SAAG:
     """Augment *saag* in place with machine-specific information; returns it."""
-    options = options or FilterOptions()
     opts = compiled.options.optimizations
 
     for aau in saag.walk():
@@ -53,7 +37,7 @@ def apply_machine_filter(
         # --- SAU assignment ------------------------------------------------
         if aau.type in (AAUType.COMM, AAUType.SYNC):
             aau.sau_name = "cube"
-        elif aau.type is AAUType.IO and options.charge_io_to_host and machine.host is not None:
+        elif aau.type is AAUType.IO and machine.host is not None:
             aau.sau_name = "host"
         else:
             aau.sau_name = "node"
@@ -66,9 +50,7 @@ def apply_machine_filter(
                 aau.detail["precision"] = _precision_of(compiled, node.home_array)
                 aau.detail["local_elements_max"] = float(dist.max_local_size())
                 aau.detail["local_elements_avg"] = float(dist.avg_local_size())
-            aau.detail["stride1_innermost"] = bool(
-                opts.loop_reordering and options.assume_stride1_innermost
-            )
+            aau.detail["stride1_innermost"] = bool(opts.loop_reordering)
         elif isinstance(node, ReductionNode) and node.home_array:
             dist = compiled.mapping.distribution_of(node.home_array)
             if dist is not None:

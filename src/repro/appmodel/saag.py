@@ -70,12 +70,6 @@ class SAAG:
         self.edges.append(edge)
         return edge
 
-    def edges_from(self, aau_id: int) -> list[SyncEdge]:
-        return [e for e in self.edges if e.source_id == aau_id]
-
-    def edges_to(self, aau_id: int) -> list[SyncEdge]:
-        return [e for e in self.edges if e.target_id == aau_id]
-
     def describe(self) -> str:
         lines = [self.aag.describe()]
         lines.append(f"synchronisation edges ({len(self.edges)}):")

@@ -17,7 +17,7 @@ from .comm_detect import (
 )
 from .normalize import NormalizeResult, normalize_program
 from .optimizations import OptimizationOptions, apply_optimizations
-from .partition import MappingContext, PartitionOptions, build_mapping
+from .partition import MappingContext, build_mapping
 from .pipeline import CompiledProgram, CompileOptions, compile_program, compile_source
 from .sequentialize import Sequentializer, sequentialize
 from .spmd import (
@@ -50,7 +50,6 @@ __all__ = [
     "OptimizationOptions",
     "apply_optimizations",
     "MappingContext",
-    "PartitionOptions",
     "build_mapping",
     "CompiledProgram",
     "CompileOptions",

@@ -47,10 +47,6 @@ class ForallCommInfo:
     write_back: list[CommSpec] = field(default_factory=list)
     replicated_compute: bool = False
 
-    @property
-    def total_comms(self) -> int:
-        return len(self.gather_in) + len(self.write_back)
-
 
 # ---------------------------------------------------------------------------
 # Subscript shape analysis

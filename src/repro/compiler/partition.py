@@ -15,7 +15,7 @@ factored into a near-square shape unless an explicit ``grid_shape`` is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from ..distribution import (
@@ -57,15 +57,6 @@ class MappingContext:
         return [name for name, dist in self.distributions.items() if not dist.is_replicated]
 
 
-@dataclass
-class PartitionOptions:
-    """User-controllable partitioning parameters."""
-
-    nprocs: Optional[int] = None
-    grid_shape: Optional[tuple[int, ...]] = None
-    params: dict[str, float] = field(default_factory=dict)
-
-
 def _eval_shape(exprs: list[ast.Expr], env: Mapping[str, float], line: int) -> tuple[int, ...]:
     shape = []
     for expr in exprs:
@@ -79,13 +70,16 @@ def _eval_shape(exprs: list[ast.Expr], env: Mapping[str, float], line: int) -> t
 def build_mapping(
     program: ast.Program,
     symtable: SymbolTable,
-    options: PartitionOptions | None = None,
+    *,
+    nprocs: Optional[int] = None,
+    grid_shape: Optional[tuple[int, ...]] = None,
+    params: Mapping[str, float] | None = None,
     temp_array_aliases: Mapping[str, str] | None = None,
 ) -> MappingContext:
-    """Process the program's directives into a :class:`MappingContext`."""
-    options = options or PartitionOptions()
-    env = symtable.parameter_env(overrides=options.params)
-    env.setdefault("number_of_processors", float(options.nprocs or 1))
+    """Process the program's directives into a :class:`MappingContext`;
+    ``nprocs=None`` keeps the declared processor shapes."""
+    env = symtable.parameter_env(overrides=params)
+    env.setdefault("number_of_processors", float(nprocs or 1))
 
     grids = ProcessorSet()
     templates = TemplateSet()
@@ -96,7 +90,7 @@ def build_mapping(
     for directive in program.directives:
         if isinstance(directive, ast.ProcessorsDirective):
             shape = _eval_shape(directive.shape, env, directive.line) if directive.shape else (1,)
-            grid = _apply_processor_override(directive.name, shape, options)
+            grid = _apply_processor_override(directive.name, shape, nprocs, grid_shape)
             grids.add(grid)
         elif isinstance(directive, ast.TemplateDirective):
             shape = _eval_shape(directive.shape, env, directive.line)
@@ -109,7 +103,6 @@ def build_mapping(
 
     # Default grid if the program declared none but does distribute something.
     if len(grids) == 0:
-        nprocs = options.nprocs or 1
         rank = 1
         if distribute_directives:
             rank = max(
@@ -119,7 +112,7 @@ def build_mapping(
                     for d in distribute_directives
                 ),
             )
-        shape = options.grid_shape or default_grid_shape(nprocs, rank)
+        shape = grid_shape or default_grid_shape(nprocs or 1, rank)
         grids.add(ProcessorGrid(name="p", shape=tuple(shape)))
 
     primary_grid = grids.default()
@@ -207,18 +200,19 @@ def build_mapping(
 
 
 def _apply_processor_override(
-    name: str, declared_shape: tuple[int, ...], options: PartitionOptions
+    name: str, declared_shape: tuple[int, ...], nprocs: Optional[int],
+    grid_shape: Optional[tuple[int, ...]],
 ) -> ProcessorGrid:
     """Apply the compile-time processor-count / grid-shape override."""
     shape = declared_shape
-    if options.grid_shape is not None:
-        shape = tuple(options.grid_shape)
-    elif options.nprocs is not None:
+    if grid_shape is not None:
+        shape = tuple(grid_shape)
+    elif nprocs is not None:
         declared_total = 1
         for extent in declared_shape:
             declared_total *= extent
-        if declared_total != options.nprocs:
-            shape = default_grid_shape(options.nprocs, len(declared_shape))
+        if declared_total != nprocs:
+            shape = default_grid_shape(nprocs, len(declared_shape))
     return ProcessorGrid(name=name.lower(), shape=shape)
 
 

@@ -24,7 +24,7 @@ from ..frontend.source import SourceFile
 from ..frontend.symbols import SymbolTable
 from .normalize import NormalizeResult, normalize_program
 from .optimizations import OptimizationOptions, apply_optimizations
-from .partition import MappingContext, PartitionOptions, build_mapping
+from .partition import MappingContext, build_mapping
 from .sequentialize import sequentialize
 from .spmd import SPMDProgram
 
@@ -86,11 +86,9 @@ def compile_program(
     mapping = build_mapping(
         program,
         symtable,
-        PartitionOptions(
-            nprocs=options.nprocs,
-            grid_shape=options.grid_shape,
-            params=options.params,
-        ),
+        nprocs=options.nprocs,
+        grid_shape=options.grid_shape,
+        params=options.params,
         temp_array_aliases=normalized.temp_array_aliases,
     )
     nodes = sequentialize(normalized.program, symtable, mapping)

@@ -125,15 +125,6 @@ class AxisMapping:
         gidx = tidx - self.offset
         return gidx[(gidx >= 0) & (gidx < self.extent)]
 
-    def global_to_local(self, gidx: int) -> int:
-        """Local index of *gidx* on its owning processor."""
-        if not self.is_distributed:
-            return gidx
-        tidx = gidx + self.offset
-        if self.dist.kind == "block":
-            return layout.block_global_to_local(tidx, self.map_extent, self.nprocs)
-        return layout.cyclic_global_to_local(tidx, self.nprocs, self.dist.block)
-
     def owners_of(self, gidx: np.ndarray) -> np.ndarray:
         """Owning processor coordinate of every global (0-based) index in *gidx*.
 
@@ -223,10 +214,6 @@ class ArrayDistribution:
         return self.grid is None or not any(axis.is_distributed for axis in self.axes)
 
     @property
-    def distributed_axes(self) -> list[int]:
-        return [i for i, axis in enumerate(self.axes) if axis.is_distributed]
-
-    @property
     def nprocs(self) -> int:
         return self.grid.size if self.grid is not None else 1
 
@@ -271,9 +258,6 @@ class ArrayDistribution:
         for extent in self.local_shape(rank):
             total *= extent
         return total
-
-    def local_bytes(self, rank: int) -> int:
-        return self.local_size(rank) * self.element_size
 
     def axis_pcoords(self) -> np.ndarray:
         """``(nprocs, rank)`` array of every rank's coordinate along each axis.
@@ -321,12 +305,6 @@ class ArrayDistribution:
         return total
 
     # -- convenience ------------------------------------------------------------
-
-    def owning_ranks(self) -> list[int]:
-        """Ranks that own at least one element (all ranks for replicated arrays)."""
-        if self.grid is None:
-            return [0]
-        return [r for r in self.grid.all_ranks() if self.local_size(r) > 0]
 
     def describe(self) -> str:
         fmt = ", ".join(axis.describe() for axis in self.axes)

@@ -62,10 +62,6 @@ class ProcessorGrid:
             rank = rank * extent + coord
         return rank
 
-    def all_coords(self) -> list[tuple[int, ...]]:
-        """All coordinates in linear-rank order."""
-        return [self.coords(p) for p in range(self.size)]
-
     def coords_array(self) -> np.ndarray:
         """Row-major coordinates of every linear rank, shape ``(size, rank)``.
 
@@ -115,16 +111,6 @@ class ProcessorGrid:
         coords = list(self.coords(proc))
         coords[axis] = (coords[axis] + offset) % self.shape[axis]
         return self.linear_rank(tuple(coords))
-
-    def axis_peers(self, proc: int, axis: int) -> list[int]:
-        """All ranks that share every coordinate with *proc* except along *axis*."""
-        coords = list(self.coords(proc))
-        peers = []
-        for value in range(self.shape[axis]):
-            c = list(coords)
-            c[axis] = value
-            peers.append(self.linear_rank(tuple(c)))
-        return peers
 
     def __iter__(self):
         return iter(range(self.size))

@@ -85,6 +85,7 @@ from .store import (
     ScenarioResult,
     StoreError,
     StoreSchemaError,
+    prediction_error_pct,
     program_sha,
     quarantine_path_for,
     scenario_key,
@@ -136,6 +137,7 @@ __all__ = [
     "ScenarioResult",
     "StoreError",
     "StoreSchemaError",
+    "prediction_error_pct",
     "program_sha",
     "quarantine_path_for",
     "scenario_key",

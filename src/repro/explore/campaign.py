@@ -187,12 +187,6 @@ class CampaignRun:
         key = objective if objective is not None else (lambda r: r.objective_us)
         return min(self.results, key=key)
 
-    def result_for(self, point: ScenarioPoint) -> ScenarioResult:
-        for result in self.results:
-            if result.point == point:
-                return result
-        raise KeyError(point)
-
 
 @dataclass(frozen=True)
 class Campaign:

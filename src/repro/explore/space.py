@@ -26,7 +26,7 @@ mid-campaign.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..frontend.errors import ReproError

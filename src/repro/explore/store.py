@@ -89,6 +89,14 @@ def scenario_key(scenario: Mapping, mode: str, program_source: str | None = None
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:20]
 
 
+def prediction_error_pct(estimated: float | None, measured: float | None) -> float:
+    """The paper's prediction error, ``|estimated - measured| / measured`` in
+    percent; NaN when either time is missing or *measured* is not positive."""
+    if measured is None or estimated is None or measured <= 0:
+        return float("nan")
+    return abs(estimated - measured) / measured * 100.0
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
     """The evaluation of one scenario point.
@@ -130,9 +138,7 @@ class ScenarioResult:
 
     @property
     def abs_error_pct(self) -> float:
-        if self.measured_us is None or self.estimated_us is None or self.measured_us <= 0:
-            return float("nan")
-        return abs(self.estimated_us - self.measured_us) / self.measured_us * 100.0
+        return prediction_error_pct(self.estimated_us, self.measured_us)
 
     def to_record(self) -> dict:
         sha = self.source_sha

@@ -427,11 +427,6 @@ def expr_array_refs(expr: ExprLike) -> list[ArrayRef]:
     return [node for node in walk_expr(expr) if isinstance(node, ArrayRef)]
 
 
-def expr_func_calls(expr: ExprLike) -> list[FuncCall]:
-    """Return all :class:`FuncCall` nodes in *expr* in depth-first order."""
-    return [node for node in walk_expr(expr) if isinstance(node, FuncCall)]
-
-
 def format_expr(expr: ExprLike) -> str:
     """Render an expression back to (normalised) Fortran-like text."""
     if expr is None:

@@ -156,8 +156,6 @@ class SymbolTable:
                             line=decl.line,
                         )
                     )
-        # Implicit typing for loop indices / scalars used but never declared is
-        # handled lazily by consumers (Fortran implicit I-N integer rule).
         return table
 
     # ------------------------------------------------------------------
@@ -212,13 +210,6 @@ class SymbolTable:
         for dim in sym.array_spec.dims:
             lowers.append(1 if dim.lower is None else int(round(eval_const_expr(dim.lower, env))))
         return tuple(lowers)
-
-    def implicit_type(self, name: str) -> str:
-        """Fortran implicit typing rule: names starting with I-N are integer."""
-        sym = self.get(name)
-        if sym is not None:
-            return sym.type_name
-        return "integer" if name[0].lower() in "ijklmn" else "real"
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,6 @@ class ArrayValue:
     def shape(self) -> tuple[int, ...]:
         return tuple(self.data.shape)
 
-    def to_zero_based(self, axis: int, index):
-        """Convert a Fortran index (scalar or ndarray) on *axis* to 0-based."""
-        return index - self.lower_bounds[axis]
-
 
 @dataclass
 class ProgramState:
@@ -106,17 +102,6 @@ class ProgramState:
 
     def set_scalar(self, name: str, value) -> None:
         self.scalars[name.lower()] = value
-
-    def declare_array(self, name: str, shape: tuple[int, ...],
-                      lower_bounds: tuple[int, ...] | None = None,
-                      dtype=np.float64) -> ArrayValue:
-        value = ArrayValue(
-            name=name.lower(),
-            data=np.zeros(shape, dtype=dtype),
-            lower_bounds=lower_bounds or tuple(1 for _ in shape),
-        )
-        self.arrays[name.lower()] = value
-        return value
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copy of every array (for comparing evaluator vs simulator results)."""

@@ -14,18 +14,21 @@ from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..appmodel.aau import AAU, AAUType
 from ..appmodel.builder import build_saag
-from ..appmodel.machine_filter import FilterOptions, apply_machine_filter
+from ..appmodel.machine_filter import apply_machine_filter
 from ..appmodel.saag import SAAG
 from ..compiler.pipeline import CompiledProgram
 from ..compiler.spmd import LocalLoopNest, NodeDo, NodeDoWhile, NodeIf
+from ..system.ipsc860 import PROGRAM_STARTUP_US
 from ..system.machine import Machine
 from .functions import InterpretationContext, InterpreterOptions, interpret_leaf
 from .metrics import Metrics, MetricsTable
 from .overlap import apply_overlap
+
+BRANCH_PROBABILITY = 0.5    # for conditionals the parse cannot resolve
 
 
 @dataclass
@@ -119,14 +122,13 @@ class PerformanceInterpreter:
         machine: Machine,
         options: InterpreterOptions | None = None,
         saag: SAAG | None = None,
-        filter_options: FilterOptions | None = None,
     ):
         self.compiled = compiled
         self.machine = machine
         self.options = options or InterpreterOptions()
         if saag is None:
             saag = build_saag(compiled, overrides=self.options.overrides)
-            apply_machine_filter(saag, compiled, machine, filter_options)
+            apply_machine_filter(saag, compiled, machine)
         self.saag = saag
         env = dict(compiled.mapping.env)
         env.update(self.saag.critical_variables.resolved_env())
@@ -144,11 +146,7 @@ class PerformanceInterpreter:
     def interpret(self) -> InterpretationResult:
         started = _time.perf_counter()
         total = self._interpret_sequence(list(self.saag.root.children), multiplier=1.0)
-        startup = self.options.program_startup_us
-        if startup < 0:
-            from ..system.ipsc860 import PROGRAM_STARTUP_US
-            startup = PROGRAM_STARTUP_US
-        startup_metrics = Metrics(overhead=startup)
+        startup_metrics = Metrics(overhead=PROGRAM_STARTUP_US)
         total = total + startup_metrics
         self.table.record(self.saag.root.id, startup_metrics, 1.0)
         self.table.cumulative = total
@@ -281,7 +279,7 @@ class PerformanceInterpreter:
                 child = self._interpret_sequence([branch], multiplier * max(weight, 1e-12))
                 total += child.scaled(weight)
         else:
-            weight = self.options.branch_probability
+            weight = BRANCH_PROBABILITY
             weights = [weight] * len(branch_aaus)
             if weights:
                 weights[0] = max(weight, 1.0 - weight * (len(branch_aaus) - 1))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from ..appmodel.aau import AAU
 from ..appmodel.saag import SAAG
@@ -42,16 +41,17 @@ from .overlap import OverlapOptions
 
 @dataclass
 class InterpreterOptions:
-    """All user-controllable Phase-2 interpretation parameters."""
+    """All user-controllable Phase-2 interpretation parameters.
+
+    An unresolvable conditional weighs its branches by ``BRANCH_PROBABILITY``,
+    and every program pays ``PROGRAM_STARTUP_US``, as in the simulator.
+    """
 
     overrides: dict[str, float] = field(default_factory=dict)   # critical variables
     mask_true_fraction: float = 1.0       # static assumption for masked foralls
-    branch_probability: float = 0.5       # for non-resolvable conditionals
     while_trip_estimate: float = 10.0     # for DO WHILE loops
     memory: MemoryModelOptions = field(default_factory=MemoryModelOptions)
     overlap: OverlapOptions = field(default_factory=OverlapOptions)
-    charge_print_statements: bool = True
-    program_startup_us: float = -1.0      # <0 means "use the machine default"
 
 
 @dataclass
@@ -138,8 +138,6 @@ def interpret_serial_stmt(aau: AAU, ctx: InterpretationContext) -> Metrics:
                               include_loop_overhead=False)
         return Metrics(computation=time)
     if isinstance(stmt, ast.PrintStmt):
-        if not ctx.options.charge_print_statements:
-            return Metrics()
         items = max(len(stmt.items), 1)
         return Metrics(overhead=items * 55.0 + 180.0)   # formatted output to the host
     if isinstance(stmt, ast.CallStmt):

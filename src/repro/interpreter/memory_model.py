@@ -20,6 +20,9 @@ from dataclasses import dataclass
 
 from ..system.sau import MemoryComponent
 
+IN_CACHE_HIT_RATIO = 0.97    # working set fits in D-cache
+REUSE_BONUS = 0.5            # fraction of capacity misses avoided by reuse
+
 
 @dataclass
 class MemoryModelOptions:
@@ -27,8 +30,6 @@ class MemoryModelOptions:
 
     enabled: bool = True
     default_hit_ratio: float = 0.92       # used when the model is disabled
-    in_cache_hit_ratio: float = 0.97      # working set fits in D-cache
-    reuse_bonus: float = 0.5              # fraction of capacity misses avoided by reuse
 
 
 def streaming_miss_ratio(element_size: int, memory: MemoryComponent, stride1: bool) -> float:
@@ -63,7 +64,7 @@ def estimate_hit_ratio(
         return 0.0
     if working_set_bytes <= cache_bytes:
         # fits: only compulsory misses on the first pass, amortised away
-        return options.in_cache_hit_ratio
+        return IN_CACHE_HIT_RATIO
 
     miss = streaming_miss_ratio(element_size, memory, stride1)
     # conflict misses grow mildly with the number of competing arrays
@@ -71,7 +72,7 @@ def estimate_hit_ratio(
     miss = min(1.0, miss * conflict_factor)
     # partial reuse: the fraction of the working set that still fits gets hits
     resident_fraction = min(1.0, cache_bytes / working_set_bytes)
-    miss = miss * (1.0 - options.reuse_bonus * resident_fraction)
+    miss = miss * (1.0 - REUSE_BONUS * resident_fraction)
     return max(0.0, 1.0 - miss)
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 from .metrics import Metrics
 
+MAX_HIDDEN_US = 5000.0    # hardware can only buffer so much
+
 
 @dataclass
 class OverlapOptions:
@@ -21,7 +23,6 @@ class OverlapOptions:
 
     enabled: bool = False
     fraction: float = 0.25        # fraction of comm that may hide under adjacent comp
-    max_hidden_us: float = 5000.0 # hardware can only buffer so much
 
 
 def apply_overlap(
@@ -36,7 +37,7 @@ def apply_overlap(
     hideable = min(
         comm_metrics.communication * options.fraction,
         adjacent_computation_us,
-        options.max_hidden_us,
+        MAX_HIDDEN_US,
     )
     adjusted = comm_metrics.copy()
     adjusted.communication = max(comm_metrics.communication - hideable, 0.0)

@@ -104,7 +104,6 @@ class Tracer:
 
     def __init__(self) -> None:
         self._epoch = time.perf_counter()
-        self._epoch_unix = time.time()
         self._records: List[SpanRecord] = []
         self._local = threading.local()
         self._lock = threading.Lock()
@@ -142,12 +141,6 @@ class Tracer:
         with self._lock:
             self._records.clear()
             self._epoch = time.perf_counter()
-            self._epoch_unix = time.time()
-
-    @property
-    def epoch_unix(self) -> float:
-        """Wall-clock (unix) time of the tracer epoch, for trace metadata."""
-        return self._epoch_unix
 
 
 def phase_shares(spans: List[SpanRecord],

@@ -47,7 +47,7 @@ from .network import (
 )
 from .node import IterationProfile, NodeCostModel
 from .noise import NoiseKey, NoiseModel, NoiseOptions
-from .runtime import SimulationResult, simulate, simulate_repeated
+from .runtime import SimulationResult, simulate
 from .vector import VectorSPMDExecutor
 
 __all__ = [
@@ -81,5 +81,4 @@ __all__ = [
     "NoiseOptions",
     "SimulationResult",
     "simulate",
-    "simulate_repeated",
 ]

@@ -42,9 +42,6 @@ class EventQueue:
         heapq.heappush(self._heap, _Event(time=time, seq=self._seq, callback=callback))
         self._seq += 1
 
-    def schedule_after(self, delay: float, callback: Callable[[], None]) -> None:
-        self.schedule(self.now + max(delay, 0.0), callback)
-
     def empty(self) -> bool:
         return not self._heap
 

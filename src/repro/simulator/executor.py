@@ -82,16 +82,14 @@ class SimulatorOptions:
     original per-rank python implementation on the per-event network heap,
     kept as the correctness oracle.
     The two are required (and tested) to agree on every per-rank time to
-    within 1e-9 — in practice bit-for-bit.
+    within 1e-9 — in practice bit-for-bit.  A collective on p > 1 pays the
+    machine's ``collective_call_overhead`` and every clock starts at
+    ``PROGRAM_STARTUP_US``, as in the interpreter.
     """
 
     noise: NoiseOptions = field(default_factory=NoiseOptions)
     seed: int = 12345
     max_while_iterations: int = 100_000
-    #: per-collective library software overhead; None means "use the machine's
-    #: benchmarked collective_call_overhead" (30 µs on the iPSC/860)
-    collective_software_overhead: float | None = None
-    program_startup_us: float = PROGRAM_STARTUP_US   # node program load + initial barrier
     engine: str = "vector"                           # "vector" | "loop"
 
     def __post_init__(self) -> None:
@@ -167,8 +165,6 @@ class SPMDExecutor:
         # pays no software overhead (mirrors the analytic models' p=1 guard).
         if self.nprocs <= 1:
             self.collective_overhead = 0.0
-        elif self.options.collective_software_overhead is not None:
-            self.collective_overhead = self.options.collective_software_overhead
         else:
             self.collective_overhead = self.network.comm.collective_call_overhead
 
@@ -190,7 +186,7 @@ class SPMDExecutor:
     # ------------------------------------------------------------------
 
     def run(self) -> None:
-        self.clocks += self.options.program_startup_us
+        self.clocks += PROGRAM_STARTUP_US
         try:
             self._execute_sequence(self.compiled.spmd.nodes)
         except StopProgram:

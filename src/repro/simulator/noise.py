@@ -139,6 +139,7 @@ _SH_27 = _U64(27)
 _SH_31 = _U64(31)
 _SH_11 = _U64(11)
 _INV_2POW53 = np.float64(2.0 ** -53)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 _MASK_64 = (1 << 64) - 1
 
 
@@ -166,7 +167,10 @@ def keyed_uniform(seed: int, stream: int, phase: int, ranks: np.ndarray,
         h = _splitmix64(h ^ _U64(phase & _MASK_64))
         h = _splitmix64(h ^ np.asarray(ranks).astype(_U64))
         h = _splitmix64(h ^ _U64(draw & _MASK_64))
-    return ((h >> _SH_11).astype(np.float64) + 0.5) * _INV_2POW53
+    u = ((h >> _SH_11).astype(np.float64) + 0.5) * _INV_2POW53
+    # the top value, (2**53 - 1) + 0.5, rounds to 2**53 and so u to 1.0; no
+    # other value reaches 1 - 2**-53, so this moves that one deviate only
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 # Acklam's rational approximation to the inverse normal CDF (relative error

@@ -10,7 +10,7 @@ program state (for functional validation against the sequential evaluator).
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -136,22 +136,3 @@ def simulate(
         engine=executor.engine_name,
     )
 
-
-def simulate_repeated(
-    compiled: CompiledProgram,
-    machine: Machine,
-    repetitions: int = 3,
-    options: SimulatorOptions | None = None,
-    params: dict[str, float] | None = None,
-) -> tuple[float, list[SimulationResult]]:
-    """Average the measured time over several seeded runs (the paper averages 1000).
-
-    Returns (mean measured time in µs, individual results).
-    """
-    options = options or SimulatorOptions()
-    results = []
-    for rep in range(max(repetitions, 1)):
-        rep_options = replace(options, seed=options.seed + rep * 7919)
-        results.append(simulate(compiled, machine, options=rep_options, params=params))
-    mean = float(np.mean([r.measured_time_us for r in results]))
-    return mean, results

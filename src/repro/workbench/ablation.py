@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
+from ..explore import prediction_error_pct
 from ..interpreter import InterpreterOptions, MemoryModelOptions, interpret
 from ..output.report import render_table
 from ..simulator import simulate
@@ -37,9 +38,7 @@ class AblationPoint:
 
     @property
     def abs_error_pct(self) -> float:
-        if self.measured_us <= 0:
-            return float("nan")
-        return abs(self.estimated_us - self.measured_us) / self.measured_us * 100.0
+        return prediction_error_pct(self.estimated_us, self.measured_us)
 
 
 @dataclass

@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..explore import ResultStore, ScenarioSpace, resolve_campaign_machine, run_campaign
+from ..explore import (
+    ResultStore, ScenarioSpace, prediction_error_pct, resolve_campaign_machine, run_campaign)
 from ..output.report import render_table
 from ..simulator import SimulatorOptions
 from ..suite import all_entries, get_entry
@@ -36,9 +37,7 @@ class AccuracyPoint:
 
     @property
     def abs_error_pct(self) -> float:
-        if self.measured_us <= 0:
-            return float("nan")
-        return abs(self.estimated_us - self.measured_us) / self.measured_us * 100.0
+        return prediction_error_pct(self.estimated_us, self.measured_us)
 
 
 @dataclass

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from ..distribution import ArrayDistribution
-from ..explore import Campaign, ResultStore, ScenarioSpace, resolve_campaign_machine
+from ..explore import (
+    Campaign, ResultStore, ScenarioSpace, prediction_error_pct, resolve_campaign_machine)
 from ..output.report import render_series_chart, render_table
 from ..suite import get_entry, laplace_grid_shape
 from ..system import Machine
@@ -74,9 +75,7 @@ class LaplacePoint:
 
     @property
     def abs_error_pct(self) -> float:
-        if self.measured_s <= 0:
-            return float("nan")
-        return abs(self.estimated_s - self.measured_s) / self.measured_s * 100.0
+        return prediction_error_pct(self.estimated_s, self.measured_s)
 
 
 @dataclass

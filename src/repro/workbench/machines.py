@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..explore import Campaign, ResultStore, ScenarioSpace, run_campaign
+from ..explore import Campaign, ResultStore, ScenarioSpace, prediction_error_pct
 from ..output.report import render_table
 from ..suite import get_entry
 from ..system import machine_names
@@ -37,9 +37,7 @@ class MachinePoint:
 
     @property
     def abs_error_pct(self) -> float:
-        if self.measured_us is None or self.measured_us <= 0:
-            return float("nan")
-        return abs(self.estimated_us - self.measured_us) / self.measured_us * 100.0
+        return prediction_error_pct(self.estimated_us, self.measured_us)
 
 
 @dataclass

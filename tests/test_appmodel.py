@@ -11,8 +11,7 @@ from repro.appmodel import (
     resolve_critical_variables,
     apply_machine_filter,
 )
-from repro.appmodel.machine_filter import FilterOptions
-from repro.compiler import compile_source
+from repro.compiler import OptimizationOptions, compile_source
 from repro.frontend.parser import parse_source
 from repro.frontend.symbols import SymbolTable
 from repro.system import ipsc860
@@ -196,10 +195,11 @@ class TestMachineFilter:
             assert aau.detail["element_size"] in (4, 8)
             assert aau.detail["local_elements_max"] > 0
 
-    def test_stride1_annotation_follows_optimization_flag(self, laplace_compiled, machine4):
-        saag = build_saag(laplace_compiled)
-        apply_machine_filter(saag, laplace_compiled, machine4,
-                             FilterOptions(assume_stride1_innermost=False))
+    def test_stride1_annotation_follows_optimization_flag(self, laplace_source, machine4):
+        compiled = compile_source(laplace_source, name="laplace", nprocs=4,
+                                  optimizations=OptimizationOptions(loop_reordering=False))
+        saag = build_saag(compiled)
+        apply_machine_filter(saag, compiled, machine4)
         nests = [a for a in saag.by_type(AAUType.ITER) if "stride1_innermost" in a.detail]
         assert nests and all(a.detail["stride1_innermost"] is False for a in nests)
 

@@ -20,7 +20,6 @@ from repro.compiler import (
     normalize_program,
     subscript_offset,
 )
-from repro.compiler.partition import PartitionOptions
 from repro.frontend import ast_nodes as ast
 from repro.frontend.parser import parse_expression, parse_source
 from repro.frontend.symbols import SymbolTable
@@ -200,7 +199,7 @@ class TestPartitioning:
             "!HPF$ PROCESSORS p(2)\n!HPF$ DISTRIBUTE a(BLOCK) ONTO p\n"
             "      a = 0.0\n      end\n")
         table = SymbolTable.from_program(program)
-        mapping = build_mapping(program, table, PartitionOptions(nprocs=2))
+        mapping = build_mapping(program, table, nprocs=2)
         assert mapping.nprocs == 2
         assert mapping.distributed_arrays() == ["a"]
 

@@ -110,11 +110,6 @@ class TestProcessorGrid:
         assert grid.circular_neighbor(3, 0, 1) == 0
         assert grid.circular_neighbor(0, 0, -1) == 3
 
-    def test_axis_peers(self):
-        grid = ProcessorGrid("p", (2, 4))
-        peers = grid.axis_peers(0, axis=1)
-        assert len(peers) == 4 and 0 in peers
-
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
             ProcessorGrid("p", (0, 2))

@@ -5,6 +5,7 @@ campaign strategies (grid / random / hill-climb) with store memoisation, the
 report renderers, and the campaign-backed workbench presets."""
 
 import json
+import math
 
 import pytest
 
@@ -30,8 +31,12 @@ from repro.explore import (
     run_sharded_campaign,
     scenario_key,
 )
-from repro.explore.store import STORE_FORMAT, STORE_SCHEMA_VERSION
+from repro.explore.store import STORE_FORMAT, STORE_SCHEMA_VERSION, prediction_error_pct
 from repro.workbench import (
+    AblationPoint,
+    AccuracyPoint,
+    LaplacePoint,
+    MachinePoint,
     forall_scaling_campaign,
     laplace_study_campaign,
     machine_comparison_campaign,
@@ -155,6 +160,31 @@ class TestScenarioKey:
         a = small_result(estimated=1.0)
         b = small_result(estimated=99.0)
         assert a.key == b.key
+
+
+class TestPredictionError:
+    def test_definition_and_nan_rule(self):
+        assert prediction_error_pct(1100.0, 1000.0) == abs(1100.0 - 1000.0) / 1000.0 * 100.0
+        assert prediction_error_pct(900.0, 1000.0) == prediction_error_pct(1100.0, 1000.0)
+        assert prediction_error_pct(1000.0, 1000.0) == 0.0
+        for estimated, measured in [(None, 1000.0), (1000.0, None),
+                                    (1000.0, 0.0), (1000.0, -5.0)]:
+            assert math.isnan(prediction_error_pct(estimated, measured))
+
+    def test_every_point_type_shares_the_definition(self):
+        def points(estimated, measured):
+            return [
+                small_result(estimated=estimated, measured=measured),
+                AccuracyPoint("lfk1", 128, 4, estimated, measured),
+                AblationPoint("full", "lfk1", 128, 4, estimated, measured),
+                MachinePoint("ipsc860", "lfk1", 128, 4, estimated, measured),
+                LaplacePoint("block_star", 64, 4, (2, 2), estimated, measured),
+            ]
+
+        for point in points(1234.5, 1111.1):
+            assert point.abs_error_pct == prediction_error_pct(1234.5, 1111.1)
+        for point in points(1234.5, 0.0):
+            assert math.isnan(point.abs_error_pct)
 
 
 class TestResultStore:

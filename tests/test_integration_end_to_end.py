@@ -12,9 +12,17 @@ from repro.suite import get_entry
 class TestPublicAPI:
     def test_version_and_exports(self):
         assert repro.__version__
-        for name in ("compile_source", "interpret", "simulate", "ipsc860",
-                     "predict", "measure", "get_entry"):
-            assert hasattr(repro, name)
+        # the package exports what the docs, examples and tests reach
+        # through it; everything else is imported from its subpackage
+        assert sorted(repro.__all__) == sorted([
+            "__version__", "obs", "faults", "stages", "serve",
+            "ReproError", "compile_source", "interpret", "simulate",
+            "SimulatorOptions", "ipsc860", "get_machine", "register_machine",
+            "machine_names", "QueryInterface", "generate_trace",
+            "program_profile", "render_profile", "ResultStore", "advise",
+            "get_entry", "predict", "measure"])
+        for name in repro.__all__:
+            assert getattr(repro, name) is not None
 
     def test_predict_and_measure_helpers(self, stencil_source):
         estimate = predict(stencil_source, nprocs=4)

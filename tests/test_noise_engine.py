@@ -68,6 +68,15 @@ class TestKeyedUniform:
         assert abs(u.mean() - 0.5) < 0.005
         assert abs(u.var() - 1.0 / 12.0) < 0.002
 
+    def test_top_hash_stays_inside_the_open_interval(self, monkeypatch):
+        """A hash of all-ones bits is the one key whose deviate rounds to
+        1.0, where ``ndtri`` is NaN; it must stay below 1."""
+        monkeypatch.setattr(noise_module, "_splitmix64",
+                            lambda x: x | np.uint64(2 ** 64 - 1))
+        u = keyed_uniform(7, 1, 3, np.arange(4, dtype=np.int64))
+        assert np.all((u > 0.0) & (u < 1.0))
+        assert np.all(np.isfinite(ndtri(u)))
+
 
 class TestNdtri:
     def test_known_quantiles(self):
@@ -164,8 +173,9 @@ def _poisson_by_gathers(u, lam):
     return hits
 
 
-#: the smallest and largest values ``keyed_uniform`` can return, computed
-#: as it computes them; the largest rounds to 1.0
+#: the smallest and largest values of ``keyed_uniform``'s formula, computed
+#: as it computes them; the largest rounds to 1.0 (``keyed_uniform`` then
+#: clamps it below 1)
 _EXTREME_UNIFORMS = (np.array([0, 2 ** 53 - 1], dtype=np.uint64)
                      .astype(np.float64) + 0.5) * 2.0 ** -53
 

@@ -19,6 +19,7 @@ from repro.output import (
 from repro.output.report import format_us
 from repro.output.trace import EVENT_RECV, EVENT_SEND, merge_traces
 from repro.simulator import simulate
+from repro.system.ipsc860 import PROGRAM_STARTUP_US
 
 
 @pytest.fixture(scope="module")
@@ -36,11 +37,8 @@ class TestProfiles:
         entry_total = sum(e.total for e in profile.entries)
         # top-level entries cover the program body; the remainder is the
         # program-startup overhead charged at the root AAU
-        startup = est.options.program_startup_us
-        if startup < 0:
-            from repro.system.ipsc860 import PROGRAM_STARTUP_US
-            startup = PROGRAM_STARTUP_US
-        assert entry_total == pytest.approx(est.predicted_time_us - startup, rel=0.05)
+        assert entry_total == pytest.approx(est.predicted_time_us - PROGRAM_STARTUP_US,
+                                            rel=0.05)
 
     def test_profile_sorted_and_fraction(self, laplace_results):
         est, _ = laplace_results

@@ -49,13 +49,13 @@ class TestEventQueue:
         queue.run()
         assert log == ["x", "y", "z"]
 
-    def test_schedule_after_and_nested_scheduling(self):
+    def test_nested_scheduling(self):
         queue = EventQueue()
         log = []
 
         def first():
             log.append(queue.now)
-            queue.schedule_after(3.0, lambda: log.append(queue.now))
+            queue.schedule(queue.now + 3.0, lambda: log.append(queue.now))
 
         queue.schedule(1.0, first)
         queue.run()

@@ -68,10 +68,6 @@ class TestSymbolTable:
         assert table.lookup("d").element_size == 8
         assert table.lookup("i").element_size == 4
 
-    def test_implicit_typing_rule(self, table):
-        assert table.implicit_type("kount") == "integer"
-        assert table.implicit_type("value") == "real"
-
     def test_array_shape_of_scalar_raises(self, table):
         with pytest.raises(SemanticError):
             table.array_shape("x", {})
