@@ -40,9 +40,6 @@ python -m pytest benchmarks/test_bench_simulator_scale.py -x -q -k "p4096_vector
 echo "== simulator profile: sim-scale config (b) at p=8192, phase buckets reconcile with the simulate span"
 python scripts/profile_sim.py --nprocs 8192 --top 5 --phase-breakdown
 
-echo "== noise-engine retirement note: archived counter-engine times verified"
-python scripts/noise_drift_report.py
-
 echo "== docs check: markdown links + public-API doctests"
 python scripts/docs_check.py
 

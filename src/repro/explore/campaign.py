@@ -58,6 +58,13 @@ from .store import ResultStore, ScenarioResult
 STRATEGIES = ("grid", "random", "hillclimb", "genetic", "anneal", "bandit")
 MODES = ("predict", "measure", "both")
 
+#: ``genetic``: the chance that a child moves to a random neighbour.
+MUTATION_RATE = 0.3
+#: ``anneal``: the start temperature as a fraction of the first point's
+#: objective, and the factor the temperature shrinks by per step.
+ANNEAL_START_FRACTION = 0.1
+ANNEAL_COOLING = 0.85
+
 #: ``(point) -> Machine`` override used by workbench presets that receive a
 #: pre-built Machine instance instead of a registry name.
 MachineResolver = Callable[[ScenarioPoint], Machine]
@@ -323,9 +330,6 @@ def run_campaign(
     seed: int = 0,
     population: int = 8,
     generations: int = 6,
-    mutation_rate: float = 0.3,
-    temperature: float | None = None,
-    cooling: float = 0.85,
     ucb_c: float = 1.0,
     where: Callable[[ScenarioPoint], bool] | None = None,
     objective: Callable[[ScenarioResult], float] | None = None,
@@ -351,8 +355,9 @@ def run_campaign(
         samples: point count for ``random``.
         max_steps: step bound for ``hillclimb`` / ``anneal``.
         seed: RNG seed for the stochastic strategies.
-        population / generations / mutation_rate: ``genetic`` tuning.
-        temperature / cooling: ``anneal`` tuning.
+        population / generations: ``genetic`` tuning (its mutation rate is
+            :data:`MUTATION_RATE`; ``anneal``'s schedule is
+            :data:`ANNEAL_START_FRACTION` and :data:`ANNEAL_COOLING`).
         ucb_c: ``bandit`` exploration constant — scales the UCB1
             confidence bonus over the directive arms (0 is pure greedy).
         where: validity predicate pruning points before evaluation.
@@ -439,15 +444,13 @@ def run_campaign(
             _run_hillclimb(run, space, points, rng, evaluate, score, max_steps)
         elif strategy == "genetic":
             _run_genetic(run, space, points, rng, evaluate, score,
-                         population=population, generations=generations,
-                         mutation_rate=mutation_rate)
+                         population=population, generations=generations)
         elif strategy == "bandit":
             _run_bandit(run, points, rng, evaluate, score,
                         max_steps=max_steps, ucb_c=ucb_c)
         else:
             _run_anneal(run, space, points, rng, evaluate, score,
-                        max_steps=max_steps, temperature=temperature,
-                        cooling=cooling)
+                        max_steps=max_steps)
         run.results = list(memo.values())
 
     _finalize_campaign_obs(run, store=store, started=started, mark=obs_mark)
@@ -530,7 +533,7 @@ def _tournament(rng: Random, scored: list[ScenarioResult], score,
 
 
 def _run_genetic(run, space, points, rng, evaluate, score, *,
-                 population, generations, mutation_rate):
+                 population, generations):
     """Generational GA: tournament selection, crossover, mutation, elitism."""
     pool = set(points)
     pop_size = min(max(population, 2), len(points))
@@ -546,7 +549,7 @@ def _run_genetic(run, space, points, rng, evaluate, score, *,
             parent_a = _tournament(rng, scored, score)
             parent_b = _tournament(rng, scored, score)
             child = _crossover(rng, parent_a.point, parent_b.point, space, pool)
-            if rng.random() < mutation_rate:
+            if rng.random() < MUTATION_RATE:
                 neighbours = space.neighbors(child, points)
                 if neighbours:
                     child = neighbours[rng.randrange(len(neighbours))]
@@ -607,18 +610,17 @@ def _run_bandit(run, points, rng, evaluate, score, *, max_steps, ucb_c):
             + ucb_c * math.sqrt(2.0 * math.log(max(t, 2)) / pulls[app]))))
 
 
-def _run_anneal(run, space, points, rng, evaluate, score, *,
-                max_steps, temperature, cooling):
+def _run_anneal(run, space, points, rng, evaluate, score, *, max_steps):
     """Simulated annealing with Metropolis acceptance over one-axis moves.
 
-    The starting temperature defaults to 10% of the initial objective, so
-    early uphill moves of that order are accepted with probability ~1/e and
-    the schedule is scale-free across problem sizes.
+    The starting temperature is 10% of the initial objective
+    (:data:`ANNEAL_START_FRACTION`), so early uphill moves of that order are
+    accepted with probability ~1/e and the schedule is scale-free across
+    problem sizes.
     """
     current = rng.choice(points)
     [current_result], _, _ = evaluate([current])
-    t = temperature if temperature is not None \
-        else max(score(current_result) * 0.1, 1e-9)
+    t = max(score(current_result) * ANNEAL_START_FRACTION, 1e-9)
     run.trajectory.append(current_result)
     for step in range(max_steps):
         obs.gauge("repro_campaign_strategy_step",
@@ -633,4 +635,4 @@ def _run_anneal(run, space, points, rng, evaluate, score, *,
         if delta <= 0 or rng.random() < math.exp(-delta / max(t, 1e-12)):
             current, current_result = candidate, candidate_result
             run.trajectory.append(current_result)
-        t *= cooling
+        t *= ANNEAL_COOLING

@@ -221,10 +221,15 @@ class FunctionalEvaluator:
         for assign, use_mask in [(a, mask) for a in stmt.body] + \
                                 [(a, ~mask) for a in stmt.elsewhere]:
             target = assign.target
-            if not isinstance(target, ast.ArrayRef):
-                raise EvaluationError("WHERE assignment target must be an array section")
-            array = self.state.array(target.name)
-            indices = self._target_index(target, array)
+            if isinstance(target, ast.ArrayRef):
+                array = self.state.array(target.name)
+                indices = self._target_index(target, array)
+            elif isinstance(target, ast.Var) and self.state.is_array(target.name):
+                array = self.state.array(target.name)
+                indices = ...                   # the whole array
+            else:
+                raise EvaluationError(
+                    "WHERE assignment target must be an array or an array section")
             view = array.data[indices]
             value = np.broadcast_to(np.asarray(self.exprs.eval(assign.value)), view.shape)
             array.data[indices] = np.where(use_mask, value, view)

@@ -18,10 +18,14 @@ used by the simulator's node cost model so both timing paths agree on the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from ..frontend import ast_nodes as ast
 from ..frontend.intrinsics import IntrinsicClass, intrinsic_class, intrinsic_info, is_intrinsic
 from ..system.sau import MemoryComponent, ProcessingComponent
+
+if TYPE_CHECKING:
+    from ..compiler.spmd import ReductionNode
 
 
 @dataclass
@@ -179,6 +183,20 @@ def count_statement_body(body: list[ast.Assignment], mask: ast.Expr | None = Non
     if mask is not None:
         total += count_expr(mask)
     return total
+
+
+def count_reduction(node: ReductionNode) -> OpCount:
+    """Count one element of a reduction's local sweep: its operands, the
+    multiply of a two-operand reduction (``dot_product``), the mask, and
+    the accumulate.  The interpreter and the simulator both price it."""
+    count = count_expr(node.source)
+    if node.second_source is not None:
+        count += count_expr(node.second_source)
+        count.flops += 1.0  # the multiply of dot_product
+    if node.mask is not None:
+        count += count_expr(node.mask)
+    count.flops += 1.0      # the accumulate
+    return count
 
 
 def iteration_time(

@@ -33,7 +33,13 @@ from ..frontend import ast_nodes as ast
 from ..frontend.symbols import try_eval_const
 from ..system import comm_models, intrinsic_costs
 from ..system.machine import Machine
-from .expression_cost import OpCount, count_expr, count_statement_body, iteration_time
+from .expression_cost import (
+    OpCount,
+    count_expr,
+    count_reduction,
+    count_statement_body,
+    iteration_time,
+)
 from .memory_model import MemoryModelOptions, estimate_hit_ratio, working_set_bytes
 from .metrics import Metrics
 from .overlap import OverlapOptions
@@ -281,13 +287,7 @@ def interpret_reduction(aau: AAU, ctx: InterpretationContext) -> Metrics:
     memory = ctx.machine.memory
 
     local_elements = _reduction_local_elements(node, ctx)
-    count = count_expr(node.source)
-    if node.second_source is not None:
-        count += count_expr(node.second_source)
-        count.flops += 1.0  # the multiply of dot_product
-    if node.mask is not None:
-        count += count_expr(node.mask)
-    count.flops += 1.0      # the accumulate
+    count = count_reduction(node)
 
     element_size = _element_size(aau)
     ws = working_set_bytes(local_elements, max(len(count.arrays_touched), 1), element_size)

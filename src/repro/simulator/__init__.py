@@ -13,8 +13,9 @@ validated against.  The network routes over the target machine's pluggable
 Two execution cores are provided behind ``SimulatorOptions(engine=...)``:
 the ``"vector"`` engine (default) computes per-rank state in bulk and prices
 each network stage with array kernels, and the ``"loop"`` engine keeps the
-original per-rank python loops and the per-event network heap as the
-correctness oracle.  They produce identical times; see
+original per-rank python loops and the per-message network drain as the
+correctness oracle.  Both run one control flow (:class:`SPMDExecutor`) and
+differ only in their kernels, so they produce identical times; see
 ``docs/simulator.md``.
 """
 
@@ -30,7 +31,6 @@ from .collectives import (
     unstructured_gather,
     unstructured_gather_clocks,
 )
-from .events import EventQueue, batch_order
 from .executor import (
     ENGINES,
     CommStatistics,
@@ -44,6 +44,7 @@ from .network import (
     Message,
     Network,
     TransferResult,
+    batch_order,
 )
 from .node import IterationProfile, NodeCostModel
 from .noise import NoiseKey, NoiseModel, NoiseOptions
@@ -61,7 +62,6 @@ __all__ = [
     "shift_exchange_clocks",
     "unstructured_gather",
     "unstructured_gather_clocks",
-    "EventQueue",
     "batch_order",
     "STAGE_DISJOINT",
     "STAGE_PAIRED",

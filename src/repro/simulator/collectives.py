@@ -20,8 +20,8 @@ Two invariants every routine keeps (regression-tested):
 * the input ``clocks`` mapping is never mutated.
 
 The dict-based routines build :class:`Message` objects and price every stage
-on the per-event heap (:meth:`Network.transfer`); they are what the ``loop``
-engine runs and the oracle the tests compare against.
+on the per-message drain (:meth:`Network.transfer`); they are what the
+``loop`` engine runs and the oracle the tests compare against.
 
 **Array-clock kernels** (the ``*_clocks`` functions) are the scaled form the
 ``vector`` engine calls: per-rank clocks stay an ``np.ndarray`` indexed by
@@ -43,6 +43,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from ..frontend.errors import SimulationError
 from .network import Message, Network, StageRoute
 
 
@@ -78,7 +79,6 @@ def shift_exchange(
         messages.append(Message(
             src=src, dst=dst, nbytes=nbytes,
             start_time=done.get(src, 0.0) + software_overhead,
-            tag="shift",
         ))
     result = network.transfer(messages)
     for rank in ranks:
@@ -105,7 +105,7 @@ def broadcast(
     schedule = network.topology.broadcast_schedule(len(ordered))
     have = {root: done[root] + software_overhead}
 
-    for stage_no, stage in enumerate(schedule):
+    for stage in schedule:
         messages = []
         for sender_pos, receiver_pos in stage:
             sender = ordered[sender_pos]
@@ -113,7 +113,7 @@ def broadcast(
             if sender not in have or receiver in have:
                 continue
             messages.append(Message(src=sender, dst=receiver, nbytes=nbytes,
-                                    start_time=have[sender], tag=f"bcast{stage_no}"))
+                                    start_time=have[sender]))
         if not messages:
             continue
         result = network.transfer(messages)
@@ -132,7 +132,6 @@ def _pairwise_stages(
     ranks: Sequence[int],
     done: dict[int, float],
     nbytes_for_stage,
-    tag: str,
     post_exchange,
 ) -> dict[int, float]:
     """Drive the topology's pairwise-exchange schedule over *ranks*.
@@ -152,9 +151,9 @@ def _pairwise_stages(
             partner_of[a] = b
             partner_of[b] = a
             messages.append(Message(src=a, dst=b, nbytes=nbytes,
-                                    start_time=done[a], tag=f"{tag}{stage_no}"))
+                                    start_time=done[a]))
             messages.append(Message(src=b, dst=a, nbytes=nbytes,
-                                    start_time=done[b], tag=f"{tag}{stage_no}"))
+                                    start_time=done[b]))
         if not messages:
             continue
         result = network.transfer(messages)
@@ -184,7 +183,6 @@ def allreduce(
     return _pairwise_stages(
         network, ranks, done,
         nbytes_for_stage=lambda stage: nbytes,
-        tag="allreduce",
         post_exchange=lambda old, arrival: max(old, arrival) + combine_time,
     )
 
@@ -204,7 +202,6 @@ def allgather(
     return _pairwise_stages(
         network, ranks, done,
         nbytes_for_stage=lambda stage: nbytes_per_rank * (1 << stage),
-        tag="allgather",
         post_exchange=lambda old, arrival: max(old, arrival),
     )
 
@@ -266,14 +263,15 @@ def _exchange_stages(network: Network,
 
 
 def _broadcast_stages(network: Network, p: int,
-                      root: int) -> list[StageRoute] | None:
+                      root: int) -> list[StageRoute]:
     """The broadcast schedule from *root* as the routes of its active stages.
 
     A stage's active messages are those whose sender already holds the data
     and whose receiver does not.  Both follow from the schedule alone, not
-    from the clocks, so the plan is built once per (p, root).  None means
-    some active stage reuses a sender or a receiver, which needs the dict
-    routine's sequential semantics; no registered schedule does this.
+    from the clocks, so the plan is built once per (p, root).  An active
+    stage that reuses a sender or a receiver would need the dict routine's
+    one-message-at-a-time semantics; no topology's schedule has one, so it
+    raises :class:`SimulationError`.
     """
     key = ("broadcast", p, root)
     if key in network._schedule_plans:
@@ -283,7 +281,7 @@ def _broadcast_stages(network: Network, p: int,
     order = np.concatenate([[root], ranks[ranks != root]])
     known = np.zeros(p, dtype=bool)
     known[root] = True
-    stages: list[StageRoute] | None = []
+    stages: list[StageRoute] = []
     for stage in network.topology.broadcast_schedule(p):
         pairs = np.array(stage, dtype=np.int64).reshape(-1, 2)
         senders, receivers = order[pairs[:, 0]], order[pairs[:, 1]]
@@ -292,8 +290,9 @@ def _broadcast_stages(network: Network, p: int,
             continue
         route = network.stage_route_info(senders[active], receivers[active])
         if route.shared_nic or not route.distinct_dst:
-            stages = None
-            break
+            raise SimulationError(
+                f"the {p}-rank broadcast schedule from root {root} reuses a "
+                f"sender or a receiver within a stage")
         known[route.dst] = True
         stages.append(route)
     network._schedule_plans[key] = stages
@@ -339,21 +338,17 @@ def broadcast_clocks(
     nbytes: int,
     software_overhead: float = 0.0,
 ) -> np.ndarray:
-    """Array-clock :func:`broadcast` from *root* over the full partition."""
+    """Array-clock :func:`broadcast` from *root* over the full partition.
+
+    Each stage drains at once, which equals the dict routine only when no
+    stage reuses a sender or a receiver; see :func:`_broadcast_stages`.
+    """
     p = clocks.shape[0]
     if p <= 1:
         return clocks.copy()
-    stages = _broadcast_stages(network, p, root)
-    if stages is None:
-        done = broadcast(network, root, list(range(p)),
-                         nbytes, dict(enumerate(clocks.tolist())),
-                         software_overhead=software_overhead)
-        return np.fromiter((done[r] for r in range(p)), dtype=np.float64,
-                           count=p)
-
     have = np.full(p, -np.inf)
     have[root] = clocks[root] + software_overhead
-    for route in stages:
+    for route in _broadcast_stages(network, p, root):
         src, dst = route.src, route.dst
         sizes = np.full(src.shape[0], int(nbytes), dtype=np.int64)
         send_done, recv_done = network.drain_stage(route, have[src], sizes)

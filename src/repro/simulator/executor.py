@@ -45,7 +45,7 @@ from ..distribution import ArrayDistribution
 from ..frontend import ast_nodes as ast
 from ..frontend.errors import SimulationError
 from ..functional.evaluator import CycleLoop, ExitLoop, StopProgram
-from ..interpreter.expression_cost import OpCount, count_expr, count_statement_body
+from ..interpreter.expression_cost import OpCount, count_reduction, count_statement_body
 from ..interpreter.metrics import Metrics
 from ..system.ipsc860 import PROGRAM_STARTUP_US
 from ..system.machine import Machine
@@ -59,7 +59,7 @@ from .noise import NoiseModel, NoiseOptions
 #: Execution-core engines: ``"vector"`` computes per-rank state in bulk
 #: (array-based iteration counting, memoised cost-model calls, array network
 #: drain); ``"loop"`` is the original per-rank python loop implementation on
-#: the per-event network heap, kept as the oracle.  Both produce identical
+#: the per-message network drain, kept as the oracle.  Both produce identical
 #: results.
 ENGINES = ("vector", "loop")
 
@@ -79,8 +79,8 @@ class SimulatorOptions:
     ``engine`` selects the execution core: ``"vector"`` (default) computes
     per-rank iteration counts, compute-time accrual and boundary exchanges in
     bulk and prices each network stage with array kernels; ``"loop"`` is the
-    original per-rank python implementation on the per-event network heap,
-    kept as the correctness oracle.
+    original per-rank python implementation on the per-message network
+    drain, kept as the correctness oracle.
     The two are required (and tested) to agree on every per-rank time to
     within 1e-9 — in practice bit-for-bit.  A collective on p > 1 pays the
     machine's ``collective_call_overhead`` and every clock starts at
@@ -117,14 +117,18 @@ class CommStatistics:
 class SPMDExecutor:
     """Executes one compiled program on the simulated machine.
 
-    This class is the ``"loop"`` engine: every per-rank quantity is computed
-    in an explicit ``for rank in range(self.nprocs)`` python loop.  It is kept
-    as the correctness oracle; the scaled ``"vector"`` engine
-    (:class:`~repro.simulator.vector.VectorSPMDExecutor`) overrides the
-    per-rank hook methods (``_loop_nest_per_rank``, ``_reduction_per_rank``,
-    ``_shift_copy_per_rank``, ``_set_clocks``) and the whole communication
-    phases (``_exec_shift``, ``_exec_comm_spec`` — array clocks end to end)
-    with array-based implementations that must produce identical times.
+    This class holds the simulator's only copy of the control flow: node
+    dispatch, the data plane, charging, and which communication spec goes
+    to which collective with its byte counts and ``comm_stats``.  Its
+    kernels are the ``"loop"`` engine: every per-rank quantity is computed
+    in an explicit ``for rank in range(self.nprocs)`` python loop, and
+    communication runs the dict collectives on the per-message network
+    drain, so it stays the correctness oracle.  The scaled ``"vector"``
+    engine (:class:`~repro.simulator.vector.VectorSPMDExecutor`) overrides
+    only the kernel hooks — the per-rank ``_loop_nest_per_rank``,
+    ``_reduction_per_rank`` and ``_shift_copy_per_rank``, and the two
+    communication hooks ``_shift_exchange`` and ``_collective`` — with
+    array-based implementations that must produce identical times.
     Engine selection happens in :func:`repro.simulator.runtime.simulate`;
     instantiating this class directly always runs the loop implementation.
     ``plane`` is the program's data plane
@@ -248,14 +252,6 @@ class SPMDExecutor:
         """``np.mean``'s pairwise sum and division, without its overhead."""
         return float(per_rank.sum()) / per_rank.size if per_rank.size else 0.0
 
-    def _set_clocks(self, node: SPMDNode, category: str, new_clocks: dict[int, float]) -> None:
-        """Move clocks to the given completion times, attributing the delta."""
-        delta = np.zeros(self.nprocs, dtype=np.float64)
-        for rank in range(self.nprocs):
-            target = new_clocks.get(rank, self.clocks[rank])
-            delta[rank] = max(target - self.clocks[rank], 0.0)
-        self._charge(node, category, delta)
-
     def _static_cost(self, node: SPMDNode, compute):
         """The node's static cost, from ``compute()`` on its first execution.
 
@@ -267,21 +263,6 @@ class SPMDExecutor:
         if cost is None:
             cost = self._static_costs[id(node)] = compute()
         return cost
-
-    def _apply_comm_noise(self, done: dict[int, float],
-                          clocks: dict[int, float]) -> dict[int, float]:
-        """Perturb one communication phase's clock advances, rank by rank.
-
-        Claims exactly one noise phase (the vector engine's
-        ``communication_batch`` claims the same phase at the same point in
-        its control flow) and draws each participating rank's deviate keyed
-        on that phase — so the loop engine stays the scalar oracle while
-        remaining bit-identical to the batched draws.
-        """
-        with obs.span("noise"):
-            phase = self.noise.begin_phase()
-            return {r: self.noise.communication_keyed(phase, r, t - clocks[r])
-                    + clocks[r] for r, t in done.items()}
 
     # ------------------------------------------------------------------
     # sequence / control flow
@@ -524,7 +505,7 @@ class SPMDExecutor:
 
         mapping = self.compiled.mapping
         dist = mapping.distribution_of(node.home_array) if node.home_array else None
-        count = self._static_cost(node, lambda: self._reduction_count(node))
+        count = self._static_cost(node, lambda: count_reduction(node))
 
         if total_extent is None:
             total_extent = float(dist.size) if dist is not None else 1.0
@@ -533,17 +514,6 @@ class SPMDExecutor:
                                             element_size,
                                             self._precision(node.home_array))
         self._charge(node, "computation", per_rank)
-
-    @staticmethod
-    def _reduction_count(node: ReductionNode) -> OpCount:
-        count = count_expr(node.source)
-        if node.second_source is not None:
-            count += count_expr(node.second_source)
-            count.flops += 1.0
-        if node.mask is not None:
-            count += count_expr(node.mask)
-        count.flops += 1.0
-        return count
 
     def _reduction_per_rank(self, node: ReductionNode,
                             dist: ArrayDistribution | None, count: OpCount,
@@ -592,16 +562,9 @@ class SPMDExecutor:
             return
 
         direction = 1 if shift >= 0 else -1
-        pairs, sizes = self._shift_plan(dist, axis, axis_map, offset,
-                                        dist.element_size, direction,
-                                        clamp_shift_axis=False)
-
-        clocks = {r: float(self.clocks[r]) for r in range(self.nprocs)}
-        with obs.span("network"):
-            done = shift_exchange(self.network, pairs, sizes, clocks,
-                                  software_overhead=self.collective_overhead)
-        done = self._apply_comm_noise(done, clocks)
-        self._set_clocks(node, "communication", done)
+        self._shift_exchange(node, id(node), dist, axis, axis_map, offset,
+                             dist.element_size, direction,
+                             clamp_shift_axis=False)
 
     def _shift_copy_per_rank(self, dist: ArrayDistribution) -> np.ndarray:
         """Per-rank local copy cost of a shift (each rank copies its block)."""
@@ -616,6 +579,25 @@ class SPMDExecutor:
                     local * (proc.assignment_overhead + self.cost.memory.hit_time * 2)
                 )
             return copy_per_rank
+
+    def _shift_exchange(self, node: SPMDNode, key: int,
+                        dist: ArrayDistribution, axis: int, axis_map,
+                        offset: int, element_size: int, direction: int,
+                        clamp_shift_axis: bool) -> None:
+        """One boundary shift's exchange, its noise and its clock commit.
+
+        The loop kernel: partner pairs from :meth:`_shift_plan`, every
+        message on the per-message drain.  It plans afresh on each trip, so
+        *key* (the node or comm spec a plan could be kept under) is unused.
+        """
+        pairs, sizes = self._shift_plan(dist, axis, axis_map, offset,
+                                        element_size, direction,
+                                        clamp_shift_axis)
+        clocks = {r: float(self.clocks[r]) for r in range(self.nprocs)}
+        with obs.span("network"):
+            done = shift_exchange(self.network, pairs, sizes, clocks,
+                                  software_overhead=self.collective_overhead)
+        self._commit_comm(node, done, clocks)
 
     def _shift_plan(self, dist: ArrayDistribution, axis: int, axis_map, offset: int,
                     element_size: int, direction: int,
@@ -665,11 +647,13 @@ class SPMDExecutor:
             self._exec_comm_spec(node, spec)
 
     def _exec_comm_spec(self, node: SPMDNode, spec: CommSpec) -> None:
-        comm = self.network.comm
-        proc = self.cost.proc
+        """Route one communication spec to its exchange or collective.
+
+        Both engines run this dispatch; only the kernels behind
+        :meth:`_shift_exchange` and :meth:`_collective` differ.
+        """
+        p = self.nprocs
         dist = self.compiled.mapping.distribution_of(spec.array) if spec.array else None
-        clocks = {r: float(self.clocks[r]) for r in range(self.nprocs)}
-        overhead = self.collective_overhead
 
         if spec.kind == "shift" and dist is not None and dist.grid is not None:
             axis = spec.axis if spec.axis is not None else 0
@@ -678,60 +662,74 @@ class SPMDExecutor:
                 # boundary stays on-processor: a local copy only
                 elements = self._boundary_elements(dist, axis, abs(spec.offset) or 1, 0)
                 self._charge(node, "overhead",
-                             elements * (self.cost.memory.hit_time + proc.assignment_overhead))
+                             elements * (self.cost.memory.hit_time
+                                         + self.cost.proc.assignment_overhead))
                 return
             direction = 1 if spec.offset >= 0 else -1
-            pairs, sizes = self._shift_plan(dist, axis, axis_map,
-                                            abs(spec.offset) or 1,
-                                            spec.element_size, direction,
-                                            clamp_shift_axis=True)
-            with obs.span("network"):
-                done = shift_exchange(self.network, pairs, sizes, clocks,
-                                      software_overhead=overhead)
-            done = self._apply_comm_noise(done, clocks)
-            self._set_clocks(node, "communication", done)
-            return
-
-        if spec.kind == "broadcast":
+            self._shift_exchange(node, id(spec), dist, axis, axis_map,
+                                 abs(spec.offset) or 1, spec.element_size,
+                                 direction, clamp_shift_axis=True)
+        elif spec.kind == "broadcast":
             nbytes = max(int(self._spec_elements(spec, dist) * spec.element_size),
                          spec.element_size)
-            ranks = list(range(self.nprocs))
-            with obs.span("network"):
+            self._collective(node, "broadcast", nbytes)
+            self.comm_stats.record(max(p - 1, 0), nbytes * max(p - 1, 0))
+        elif spec.kind == "reduce":
+            nbytes = spec.element_size
+            self._collective(node, "reduce", nbytes)
+            self.comm_stats.record(p, nbytes * p)
+        elif spec.kind in ("gather", "writeback"):
+            nbytes = int(self._spec_elements(spec, dist) * spec.element_size)
+            self._collective(node, "gather", nbytes)
+            self.comm_stats.record(p * max(p - 1, 1) // 2, nbytes * max(p - 1, 1))
+        else:
+            # unknown pattern: charge a barrier
+            stages = max(int(math.ceil(math.log2(max(p, 2)))), 1)
+            self._charge(node, "communication",
+                         stages * self.network.comm.barrier_per_stage)
+
+    def _collective(self, node: SPMDNode, kind: str, nbytes: int) -> None:
+        """One collective over every rank — ``"broadcast"`` from rank 0,
+        ``"reduce"`` or ``"gather"`` — then its noise and clock commit.
+
+        The loop kernel: the dict routine of :mod:`repro.simulator.collectives`
+        on the per-message drain.
+        """
+        ranks = list(range(self.nprocs))
+        clocks = {r: float(self.clocks[r]) for r in ranks}
+        overhead = self.collective_overhead
+        with obs.span("network"):
+            if kind == "broadcast":
                 done = broadcast(self.network, 0, ranks, nbytes, clocks,
                                  software_overhead=overhead)
-            done = self._apply_comm_noise(done, clocks)
-            self.comm_stats.record(max(self.nprocs - 1, 0), nbytes * max(self.nprocs - 1, 0))
-            self._set_clocks(node, "communication", done)
-            return
-
-        if spec.kind == "reduce":
-            nbytes = spec.element_size
-            ranks = list(range(self.nprocs))
-            with obs.span("network"):
+            elif kind == "reduce":
                 done = allreduce(self.network, ranks, nbytes, clocks,
-                                 combine_time=proc.flop_time_sp,
+                                 combine_time=self.cost.proc.flop_time_sp,
                                  software_overhead=overhead)
-            done = self._apply_comm_noise(done, clocks)
-            self.comm_stats.record(self.nprocs, nbytes * self.nprocs)
-            self._set_clocks(node, "communication", done)
-            return
-
-        if spec.kind in ("gather", "writeback"):
-            elements = self._spec_elements(spec, dist)
-            nbytes = int(elements * spec.element_size)
-            ranks = list(range(self.nprocs))
-            with obs.span("network"):
+            else:
                 done = unstructured_gather(self.network, ranks, nbytes, clocks,
                                            software_overhead=overhead)
-            done = self._apply_comm_noise(done, clocks)
-            self.comm_stats.record(self.nprocs * max(self.nprocs - 1, 1) // 2,
-                                   nbytes * max(self.nprocs - 1, 1))
-            self._set_clocks(node, "communication", done)
-            return
+        self._commit_comm(node, done, clocks)
 
-        # unknown pattern: charge a barrier
-        stages = max(int(math.ceil(math.log2(max(self.nprocs, 2)))), 1)
-        self._charge(node, "communication", stages * comm.barrier_per_stage)
+    def _commit_comm(self, node: SPMDNode, done: dict[int, float],
+                     clocks: dict[int, float]) -> None:
+        """Noise one communication phase's clock advances, rank by rank, and
+        charge them.
+
+        Claims exactly one noise phase (the vector engine's
+        ``communication_batch`` claims the same phase at the same point in
+        the shared control flow) and draws each rank in *done* its deviate
+        keyed on that phase, so the scalar draws stay bit-identical to the
+        batched ones.  *clocks* are the phase's entry clocks.
+        """
+        with obs.span("noise"):
+            phase = self.noise.begin_phase()
+            done = {r: self.noise.communication_keyed(phase, r, t - clocks[r])
+                    + clocks[r] for r, t in done.items()}
+        delta = np.zeros(self.nprocs, dtype=np.float64)
+        for rank, target in done.items():
+            delta[rank] = max(target - self.clocks[rank], 0.0)
+        self._charge(node, "communication", delta)
 
     def _spec_elements(self, spec: CommSpec, dist: ArrayDistribution | None) -> float:
         if dist is None:

@@ -11,8 +11,8 @@ collective models do not capture.
 Two drain paths apply the same per-message timing rules and produce
 bit-identical results:
 
-* the per-event **heap** (:meth:`Network.transfer`, one
-  :class:`repro.simulator.events.EventQueue` event per message), which the
+* the **per-message** drain (:meth:`Network.transfer`: one sorted pass
+  that prices :class:`Message` objects one at a time), which the
   simulator's ``loop`` engine runs and the tests keep as the oracle;
 * the **array** drain (:meth:`Network.drain_stage`), which the ``vector``
   engine runs: the phase arrives as a structure-of-arrays batch (start
@@ -51,7 +51,6 @@ import numpy as np
 from ..system.comm_models import message_packets
 from ..system.sau import CommunicationComponent
 from ..system.topology import Topology, make_topology
-from .events import EventQueue, batch_order
 
 #: Stage verdicts of :meth:`Network.stage_route_info`.
 STAGE_DISJOINT = "disjoint"   # no two messages share a link; sources distinct
@@ -69,7 +68,6 @@ class Message:
     dst: int
     nbytes: int
     start_time: float = 0.0
-    tag: str = ""
     # filled by the simulation
     send_complete: float = 0.0
     recv_complete: float = 0.0
@@ -79,10 +77,8 @@ class Message:
 class TransferResult:
     """Result of simulating a batch of messages."""
 
-    messages: list[Message]
     send_complete: dict[int, float] = field(default_factory=dict)   # per source node
     recv_complete: dict[int, float] = field(default_factory=dict)   # per destination node
-    total_bytes: int = 0
 
     def completion(self, node: int, default: float = 0.0) -> float:
         """Time at which *node* has finished all its sends and receives."""
@@ -119,6 +115,24 @@ class StageRoute(NamedTuple):
     uniform_hops: bool
 
 
+def batch_order(start: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Dispatch order of a structure-of-arrays message batch.
+
+    Returns the permutation that visits messages in ascending
+    ``(start_time, src, dst)`` order with input order breaking exact ties —
+    the order in which :meth:`Network.transfer` prices them.  When no two
+    start times tie, the start times alone fix that order and numpy's
+    unstable ``argsort`` finds it; otherwise (or on a NaN) one stable
+    ``np.lexsort`` over all three keys does.  The array drain orders its
+    serial stages with it.
+    """
+    order = np.argsort(start)
+    ordered = start[order]
+    if (ordered[1:] > ordered[:-1]).all():      # no ties (and no NaN)
+        return order
+    return np.lexsort((dst, src, start))
+
+
 def _frozen(array: np.ndarray | None) -> np.ndarray | None:
     if array is not None:
         array.flags.writeable = False
@@ -146,25 +160,21 @@ class Network:
     def transfer(self, messages: list[Message]) -> TransferResult:
         """Simulate *messages* with link contention; fills per-message completions.
 
-        The oracle drain: one heap event per message (the ``loop`` engine's
-        path).  Deliberately self-contained — it spells out the timing rules
-        inline rather than sharing :meth:`_message_timing` or the topology's
-        route matrix with the array drain, so the parity tests compare two
-        independently-written implementations rather than one formula with
-        itself.
+        The oracle drain (the ``loop`` engine's path): messages are priced
+        one at a time in ``(start_time, src, dst)`` order, input order
+        breaking ties, none before time 0.  Deliberately self-contained — it
+        spells out the timing rules inline rather than sharing
+        :meth:`_message_timing` or the topology's route matrix with the array
+        drain, so the parity tests compare two independently-written
+        implementations rather than one formula with itself.
         """
-        result = TransferResult(messages=messages)
-        if not messages:
-            return result
-
-        queue = EventQueue()
+        result = TransferResult()
         link_free: dict[Hashable, float] = {}
         nic_free: dict[int, float] = {}
-
-        def start_message(msg: Message) -> None:
-            comm = self.comm
+        comm = self.comm
+        for msg in sorted(messages, key=lambda m: (m.start_time, m.src, m.dst)):
             # The sending node's interface is serially reusable.
-            send_start = max(queue.now, nic_free.get(msg.src, 0.0))
+            send_start = max(msg.start_time, 0.0, nic_free.get(msg.src, 0.0))
             launch = send_start + comm.latency(msg.nbytes)
             occupancy = msg.nbytes * comm.per_byte + (
                 (message_packets(comm, msg.nbytes) - 1) * comm.per_packet_overhead
@@ -177,27 +187,20 @@ class Network:
                             link_free.get(lid, 0.0))
                 link_free[lid] = ready + occupancy
                 arrival = ready
-            if not route:  # self-message (local copy through the NIC)
-                arrival = launch
-            recv_done = arrival + occupancy
+            recv_done = arrival + occupancy   # a self-message never leaves
             send_done = launch + occupancy * 0.5  # sender frees once data is streaming
             nic_free[msg.src] = send_done
             msg.send_complete = send_done
             msg.recv_complete = recv_done
             result.send_complete[msg.src] = max(result.send_complete.get(msg.src, 0.0), send_done)
             result.recv_complete[msg.dst] = max(result.recv_complete.get(msg.dst, 0.0), recv_done)
-            result.total_bytes += msg.nbytes
-
-        for msg in sorted(messages, key=lambda m: (m.start_time, m.src, m.dst)):
-            queue.schedule(msg.start_time, lambda m=msg: start_message(m))
-        queue.run()
         return result
 
     def _message_timing(self, nbytes: int) -> tuple[float, float]:
         """Memoised ``(latency, link occupancy)`` of one message size.
 
-        The timing formula of the array drain; the heap oracle intentionally
-        keeps its own inline copy (see :meth:`transfer`).
+        The timing formula of the array drain; the per-message oracle
+        intentionally keeps its own inline copy (see :meth:`transfer`).
         """
         cached = self._timing_cache.get(nbytes)
         if cached is None:
@@ -312,7 +315,7 @@ class Network:
         if route.verdict == STAGE_DISJOINT:
             # No interactions at all: each message pays its own latency, hop
             # delays and occupancy.  The per-hop delay accrues by repeated
-            # addition (hop by hop, exactly as the heap adds it) so the
+            # addition (hop by hop, exactly as transfer adds it) so the
             # float results stay bit-identical; when every route is as long
             # as the longest, the mask would select every message.
             arrival = launch                    # send_done is already taken
@@ -343,15 +346,15 @@ class Network:
                       route: StageRoute) -> tuple[np.ndarray, np.ndarray]:
         """Exact drain of a serial stage, level by level.
 
-        Messages are taken in the heap's dispatch order
-        (:func:`~repro.simulator.events.batch_order`).  Each waits on its
+        Messages are taken in :meth:`transfer`'s dispatch order
+        (:func:`batch_order`).  Each waits on its
         predecessor on its NIC (the previous message from its source) and,
         hop by hop, on its predecessor on each link (the previous message
         through that link).  A message's level is the length of the longest
         chain of such waits that ends at it, so messages of one level share
         no link and no NIC, and every predecessor sits at a lower level.
-        Each level is then priced with the heap's arithmetic as array
-        expressions, in the heap's operation order, reading and updating
+        Each level is then priced with :meth:`transfer`'s arithmetic as
+        array expressions, in its operation order, reading and updating
         per-link and per-NIC free times; a node's completion is the latest
         of its messages, reported only when above 0.0.
         """

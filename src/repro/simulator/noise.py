@@ -463,9 +463,6 @@ class NoiseModel:
     # communication noise
     # ------------------------------------------------------------------
 
-    def communication(self, duration_us: float, rank: int = 0) -> float:
-        return self.communication_keyed(self.begin_phase(), rank, duration_us)
-
     def communication_keyed(self, phase: int, rank: int,
                             duration_us: float) -> float:
         """Scalar view of one communication deviate (see :meth:`compute_keyed`)."""
@@ -480,7 +477,7 @@ class NoiseModel:
     def communication_batch(self, durations_us,
                             ranks: np.ndarray | None = None,
                             phase: int | None = None) -> np.ndarray:
-        """Per-element :meth:`communication` noise over a per-rank array.
+        """Per-element communication noise over a per-rank duration array.
 
         Two deviates per element (jitter and floor streams) from one tape
         row, keyed by ``ranks[i]`` so a participant subset of a phase draws

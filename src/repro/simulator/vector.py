@@ -3,7 +3,8 @@
 :class:`VectorSPMDExecutor` is the scaled counterpart of the per-rank-loop
 :class:`~repro.simulator.executor.SPMDExecutor` (the ``loop`` oracle).  It
 inherits all control flow — SPMD node dispatch, the data plane, charging,
-collective schedules — and overrides only the per-rank hot loops:
+which communication spec runs which collective with its byte counts and
+``comm_stats`` — and overrides only the kernel hooks behind it:
 
 * **iteration counting** — instead of one ``np.isin`` membership test per
   rank per loop dimension, each dimension's loop values are mapped to their
@@ -22,15 +23,18 @@ collective schedules — and overrides only the per-rank hot loops:
   ``(seed, stream, phase, rank)``, and the tape draws a block of phases ×
   ranks in one pass, so the row equals the loop engine's scalar draws bit
   for bit);
-* **boundary exchanges** — shift partners and boundary-slab sizes come from
-  vectorised grid coordinate arithmetic and per-axis local-count tables;
-* **collective completion** — per-rank clocks stay an ``np.ndarray`` across
-  whole communication phases: shifts, broadcasts, reductions and gathers run
-  through the array-clock kernels of :mod:`repro.simulator.collectives`
-  (``*_clocks``), communication noise for the whole phase is one tape row
-  (:meth:`NoiseModel.communication_batch`), and clock
-  advancement is a single vectorised maximum — no per-rank dict is built
-  anywhere between phase entry and exit;
+* **boundary exchanges** (:meth:`~VectorSPMDExecutor._shift_exchange`) —
+  shift partners and boundary-slab sizes come from vectorised grid
+  coordinate arithmetic and per-axis local-count tables;
+* **collective completion** (:meth:`~VectorSPMDExecutor._shift_exchange`,
+  :meth:`~VectorSPMDExecutor._collective`) — per-rank clocks stay an
+  ``np.ndarray`` across whole communication phases: shifts, broadcasts,
+  reductions and gathers run through the array-clock kernels of
+  :mod:`repro.simulator.collectives` (``*_clocks``), communication noise
+  for the whole phase is one tape row
+  (:meth:`NoiseModel.communication_batch`), and clock advancement is a
+  single vectorised maximum — no per-rank dict is built anywhere between
+  phase entry and exit;
 * **network draining** — each collective stage reaches the executor's
   :class:`~repro.simulator.network.Network` as a structure-of-arrays batch
   with the :class:`~repro.simulator.network.StageRoute` its plan built
@@ -61,18 +65,10 @@ Both engines report their phase timings through :mod:`repro.obs` spans —
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .. import obs
-from ..compiler.spmd import (
-    CommSpec,
-    LocalLoopNest,
-    ReductionNode,
-    ShiftNode,
-    SPMDNode,
-)
+from ..compiler.spmd import LocalLoopNest, ReductionNode, SPMDNode
 from ..distribution import ArrayDistribution
 from ..interpreter.expression_cost import OpCount
 from .collectives import (
@@ -115,48 +111,6 @@ class VectorSPMDExecutor(SPMDExecutor):
                 item.flags.writeable = False
         self._trips[key] = (signature, result)
         return result
-
-    # ------------------------------------------------------------------
-    # clock bookkeeping
-    # ------------------------------------------------------------------
-
-    def _set_clocks(self, node: SPMDNode, category: str,
-                    new_clocks: dict[int, float]) -> None:
-        delta = np.zeros(self.nprocs, dtype=np.float64)
-        if new_clocks:
-            ranks = np.fromiter(new_clocks.keys(), dtype=np.int64,
-                                count=len(new_clocks))
-            targets = np.fromiter(new_clocks.values(), dtype=np.float64,
-                                  count=len(new_clocks))
-            delta[ranks] = np.maximum(targets - self.clocks[ranks], 0.0)
-        self._charge(node, category, delta)
-
-    def _set_clocks_array(self, node: SPMDNode, category: str,
-                          targets: np.ndarray) -> None:
-        """Array form of :meth:`_set_clocks`: *targets* covers every rank."""
-        self._charge(node, category, np.maximum(targets - self.clocks, 0.0))
-
-    def _finish_comm_phase(self, node: SPMDNode, targets: np.ndarray,
-                           participants: np.ndarray | None = None) -> None:
-        """Noise the phase's clock advances and commit them.
-
-        Mirrors the loop engine's ``_apply_comm_noise``: one batched draw
-        over exactly the ranks the collective returned (*participants* of a
-        shift; everyone otherwise).  Each element is keyed on its **rank**
-        and the shared phase counter, so the batch is bit-identical to the
-        loop engine's scalar keyed draws.
-        """
-        entry = self.clocks
-        with obs.span("noise"):
-            if participants is None:
-                noisy = self.noise.communication_batch(targets - entry) + entry
-            else:
-                idx = np.nonzero(participants)[0]
-                noisy = entry.copy()
-                noisy[idx] = self.noise.communication_batch(
-                    targets[idx] - entry[idx], ranks=idx
-                ) + entry[idx]
-        self._set_clocks_array(node, "communication", noisy)
 
     # ------------------------------------------------------------------
     # local loop nests
@@ -344,28 +298,6 @@ class VectorSPMDExecutor(SPMDExecutor):
         with obs.span("noise"):
             return self.noise.compute_batch(raw)
 
-    def _shift_stage(self, key: int, dist: ArrayDistribution, axis: int,
-                     axis_map, offset: int, element_size: int, direction: int,
-                     clamp_shift_axis: bool) -> tuple[StageRoute, np.ndarray]:
-        """One boundary shift as a routed structure-of-arrays stage.
-
-        Returns ``(route, nbytes)`` over the exchanging ranks — the form
-        :meth:`Network.drain_stage` consumes directly — and records the
-        stage in ``comm_stats`` exactly like the loop engine's per-pair
-        bookkeeping, also when the plan is reused.  *key* is the shift node
-        or comm spec the plan is stored under; the plan keeps the route, so
-        a repeated trip neither re-derives the partners nor re-routes them.
-        """
-        route, pair_bytes = self._per_trip(
-            key, (offset, direction, clamp_shift_axis),
-            lambda: self._shift_plan_arrays(dist, axis, axis_map, offset,
-                                            element_size, direction,
-                                            clamp_shift_axis))
-        self.comm_stats.messages += pair_bytes.shape[0]
-        self.comm_stats.bytes += int(pair_bytes.sum())
-        self.comm_stats.operations += pair_bytes.shape[0]
-        return route, pair_bytes
-
     def _shift_plan_arrays(self, dist: ArrayDistribution, axis: int, axis_map,
                            offset: int, element_size: int, direction: int,
                            clamp_shift_axis: bool,
@@ -406,96 +338,70 @@ class VectorSPMDExecutor(SPMDExecutor):
     # communication phases (array clocks end to end)
     # ------------------------------------------------------------------
 
-    def _exec_shift(self, node: ShiftNode) -> None:
-        """Array-clock CSHIFT: same control flow as the loop engine's, but the
-        exchange prices a structure-of-arrays stage and clocks never leave
-        array form."""
-        shift = self.plane.shift(node)
+    def _shift_exchange(self, node: SPMDNode, key: int,
+                        dist: ArrayDistribution, axis: int, axis_map,
+                        offset: int, element_size: int, direction: int,
+                        clamp_shift_axis: bool) -> None:
+        """One boundary shift as a routed structure-of-arrays stage.
 
-        dist = self.compiled.mapping.distribution_of(node.source)
-        proc = self.cost.proc
-        if dist is None:
-            self._charge(node, "computation", proc.call_overhead)
-            return
-
-        offset = abs(shift)
-        self._charge(node, "computation", self._shift_copy_per_rank(dist))
-
-        axis = node.axis if node.axis < len(dist.axes) else 0
-        axis_map = dist.axes[axis]
-        if not axis_map.is_distributed or axis_map.nprocs <= 1 or dist.grid is None:
-            return
-
-        direction = 1 if shift >= 0 else -1
-        route, nbytes = self._shift_stage(
-            id(node), dist, axis, axis_map, offset, dist.element_size,
-            direction, clamp_shift_axis=False)
+        The plan — routed partners and per-pair byte counts — is kept under
+        *key* (the shift node or comm spec) for as long as the trip's offset
+        and direction repeat, so a repeated trip neither re-derives the
+        partners nor re-routes them.  ``comm_stats`` records the stage
+        exactly like the loop engine's per-pair bookkeeping, also when the
+        plan is reused.
+        """
+        route, nbytes = self._per_trip(
+            key, (offset, direction, clamp_shift_axis),
+            lambda: self._shift_plan_arrays(dist, axis, axis_map, offset,
+                                            element_size, direction,
+                                            clamp_shift_axis))
+        self.comm_stats.messages += nbytes.shape[0]
+        self.comm_stats.bytes += int(nbytes.sum())
+        self.comm_stats.operations += nbytes.shape[0]
         with obs.span("network"):
             targets, participants = shift_exchange_clocks(
                 self.network, route, nbytes, self.clocks,
                 software_overhead=self.collective_overhead)
         self._finish_comm_phase(node, targets, participants)
 
-    def _exec_comm_spec(self, node: SPMDNode, spec: CommSpec) -> None:
-        """Array-clock communication specs (shift / broadcast / reduce /
-        gather), mirroring the loop engine's dispatch branch for branch."""
-        comm = self.network.comm
-        proc = self.cost.proc
-        dist = self.compiled.mapping.distribution_of(spec.array) if spec.array else None
+    def _collective(self, node: SPMDNode, kind: str, nbytes: int) -> None:
+        """The array-clock kernel of one ``"broadcast"`` (from rank 0),
+        ``"reduce"`` or ``"gather"`` over every rank."""
         overhead = self.collective_overhead
-
-        if spec.kind == "shift" and dist is not None and dist.grid is not None:
-            axis = spec.axis if spec.axis is not None else 0
-            axis_map = dist.axes[axis] if axis < len(dist.axes) else None
-            if axis_map is None or not axis_map.is_distributed or axis_map.nprocs <= 1:
-                # boundary stays on-processor: a local copy only
-                elements = self._boundary_elements(dist, axis, abs(spec.offset) or 1, 0)
-                self._charge(node, "overhead",
-                             elements * (self.cost.memory.hit_time + proc.assignment_overhead))
-                return
-            direction = 1 if spec.offset >= 0 else -1
-            route, nbytes = self._shift_stage(
-                id(spec), dist, axis, axis_map, abs(spec.offset) or 1,
-                spec.element_size, direction, clamp_shift_axis=True)
-            with obs.span("network"):
-                targets, participants = shift_exchange_clocks(
-                    self.network, route, nbytes, self.clocks,
+        with obs.span("network"):
+            if kind == "broadcast":
+                targets = broadcast_clocks(self.network, 0, self.clocks,
+                                           nbytes, software_overhead=overhead)
+            elif kind == "reduce":
+                targets = allreduce_clocks(
+                    self.network, self.clocks, nbytes,
+                    combine_time=self.cost.proc.flop_time_sp,
                     software_overhead=overhead)
-            self._finish_comm_phase(node, targets, participants)
-            return
-
-        if spec.kind == "broadcast":
-            nbytes = max(int(self._spec_elements(spec, dist) * spec.element_size),
-                         spec.element_size)
-            with obs.span("network"):
-                targets = broadcast_clocks(self.network, 0, self.clocks, nbytes,
-                                           software_overhead=overhead)
-            self.comm_stats.record(max(self.nprocs - 1, 0), nbytes * max(self.nprocs - 1, 0))
-            self._finish_comm_phase(node, targets)
-            return
-
-        if spec.kind == "reduce":
-            nbytes = spec.element_size
-            with obs.span("network"):
-                targets = allreduce_clocks(self.network, self.clocks, nbytes,
-                                           combine_time=proc.flop_time_sp,
-                                           software_overhead=overhead)
-            self.comm_stats.record(self.nprocs, nbytes * self.nprocs)
-            self._finish_comm_phase(node, targets)
-            return
-
-        if spec.kind in ("gather", "writeback"):
-            elements = self._spec_elements(spec, dist)
-            nbytes = int(elements * spec.element_size)
-            with obs.span("network"):
+            else:
                 targets = unstructured_gather_clocks(
                     self.network, self.clocks, nbytes,
                     software_overhead=overhead)
-            self.comm_stats.record(self.nprocs * max(self.nprocs - 1, 1) // 2,
-                                   nbytes * max(self.nprocs - 1, 1))
-            self._finish_comm_phase(node, targets)
-            return
+        self._finish_comm_phase(node, targets)
 
-        # unknown pattern: charge a barrier
-        stages = max(int(math.ceil(math.log2(max(self.nprocs, 2)))), 1)
-        self._charge(node, "communication", stages * comm.barrier_per_stage)
+    def _finish_comm_phase(self, node: SPMDNode, targets: np.ndarray,
+                           participants: np.ndarray | None = None) -> None:
+        """Noise the phase's clock advances and commit them.
+
+        Mirrors the loop engine's ``_commit_comm``: one batched draw over
+        exactly the ranks the collective returned (*participants* of a
+        shift; everyone otherwise).  Each element is keyed on its **rank**
+        and the shared phase counter, so the batch is bit-identical to the
+        loop engine's scalar keyed draws.
+        """
+        entry = self.clocks
+        with obs.span("noise"):
+            if participants is None:
+                noisy = self.noise.communication_batch(targets - entry) + entry
+            else:
+                idx = np.nonzero(participants)[0]
+                noisy = entry.copy()
+                noisy[idx] = self.noise.communication_batch(
+                    targets[idx] - entry[idx], ranks=idx
+                ) + entry[idx]
+        self._charge(node, "communication", np.maximum(noisy - entry, 0.0))

@@ -119,6 +119,37 @@ class TestArrayExecution:
                      "      elsewhere\n        b(1:6) = -1.0\n      end where")
         assert result.array("b").sum() == 0.0
 
+    @pytest.mark.parametrize("where,printed", [
+        ("      where (u > 4.0) w = 2.0 * u\n", "52"),
+        ("      where (u > 4.0)\n        w = 2.0 * u\n      elsewhere\n"
+         "        w = -1.0\n      end where\n", "48"),
+    ], ids=["statement", "construct"])
+    def test_where_with_whole_array_target(self, where, printed):
+        # the source program, its normalised form and the simulator's data
+        # plane agree on a WHERE whose target names the whole array
+        import repro
+        from repro.compiler import compile_source
+
+        source = ("      program wh\n"
+                  "      integer, parameter :: n = 8\n"
+                  "      real, dimension(n) :: u, w\n"
+                  "!HPF$ PROCESSORS p(4)\n"
+                  "!HPF$ TEMPLATE t(n)\n"
+                  "!HPF$ ALIGN u(i) WITH t(i)\n"
+                  "!HPF$ ALIGN w(i) WITH t(i)\n"
+                  "!HPF$ DISTRIBUTE t(BLOCK) ONTO p\n"
+                  "      forall (i = 1:n) u(i) = 1.0 * i\n"
+                  "      w = 0.0\n"
+                  + where +
+                  "      print *, sum(w)\n"
+                  "      end program wh\n")
+        compiled = compile_source(source, nprocs=4)
+        original = evaluate_program(compiled.program)
+        normalized = evaluate_program(compiled.normalized)
+        assert original.printed == normalized.printed == [printed]
+        assert original.array("w").tolist() == normalized.array("w").tolist()
+        assert repro.measure(source, nprocs=4).printed == [printed]
+
     def test_indirect_addressing(self):
         result = run("      real :: a(5), g(5)\n      integer :: ix(5)\n"
                      "      forall (i = 1:5) g(i) = 100.0 * i\n"

@@ -25,11 +25,17 @@ A fourth digest pins the same fields as the first two over
 :data:`LARGE_SCALE_SCENARIOS`, the sim-scale benchmark's two programs at
 two iterations: contended serial stages on the 1024-node hypercube and
 the p=8192 crossbar, where one deviate-tape block holds a single phase.
+
+Last, :data:`ARCHIVED_NOISE_TIMES_US` pins the counter-keyed noise
+engine's column of the archived noise-engine migration table
+(``benchmarks/results/STORE_DIFF_noise_engine.md``), so the drift recorded
+there still describes the engine that runs today.
 """
 
 import hashlib
 
 from repro import stages
+from repro.explore import ScenarioSpace, run_campaign
 from repro.simulator import SimulatorOptions, simulate
 from repro.suite import all_entries
 from repro.system import get_machine
@@ -73,6 +79,39 @@ LARGE_SCALE_SCENARIOS = (
 #: as arrays and deviates skipped their gathers; none may move it.
 LARGE_SCALE_DIGEST = \
     "3a08f7aa59c2631da29c5143bf9debb6b2aae217aa20624727252ee757da1e27"
+
+
+#: The noise-engine migration's measure-mode space: both Laplace layouts,
+#: two problem sizes, two partition sizes, hypercube and crossbar.
+NOISE_MIGRATION_SPACE = ScenarioSpace(
+    apps=("laplace_block_star", "laplace_star_block"),
+    sizes=(16, 32),
+    proc_counts=(4, 8),
+    machines=("ipsc860", "modern-cluster"),
+)
+
+#: The archived migration table's counter-engine ("current") column:
+#: (app, size, nprocs, machine) -> simulated time in µs, rounded.  If a
+#: change moves one, the archived drift no longer describes this engine
+#: and the note must be re-derived, not kept.
+ARCHIVED_NOISE_TIMES_US = {
+    ("laplace_block_star", 16, 4, "ipsc860"): 9923,
+    ("laplace_block_star", 16, 4, "modern-cluster"): 2773,
+    ("laplace_block_star", 16, 8, "ipsc860"): 9391,
+    ("laplace_block_star", 16, 8, "modern-cluster"): 2697,
+    ("laplace_block_star", 32, 4, "ipsc860"): 20809,
+    ("laplace_block_star", 32, 4, "modern-cluster"): 2828,
+    ("laplace_block_star", 32, 8, "ipsc860"): 16831,
+    ("laplace_block_star", 32, 8, "modern-cluster"): 3312,
+    ("laplace_star_block", 16, 4, "ipsc860"): 9519,
+    ("laplace_star_block", 16, 4, "modern-cluster"): 2381,
+    ("laplace_star_block", 16, 8, "ipsc860"): 9080,
+    ("laplace_star_block", 16, 8, "modern-cluster"): 2403,
+    ("laplace_star_block", 32, 4, "ipsc860"): 20728,
+    ("laplace_star_block", 32, 4, "modern-cluster"): 2528,
+    ("laplace_star_block", 32, 8, "ipsc860"): 16008,
+    ("laplace_star_block", 32, 8, "modern-cluster"): 2479,
+}
 
 
 #: sha256 of :func:`breakdown_lines` joined by newlines, computed before
@@ -175,3 +214,11 @@ def test_time_breakdown_is_pinned():
     assert len(lines) == 2 * len(all_entries()) * len(PROC_COUNTS)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
         == BREAKDOWN_DIGEST
+
+
+def test_archived_noise_migration_times_are_pinned():
+    run = run_campaign(NOISE_MIGRATION_SPACE, name="noise-migration",
+                       mode="measure")
+    measured = {(r.point.app, r.point.size, r.point.nprocs, r.point.machine):
+                round(r.measured_us) for r in run.results}
+    assert measured == ARCHIVED_NOISE_TIMES_US

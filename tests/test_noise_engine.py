@@ -293,7 +293,7 @@ TAPE_OPTIONS = NoiseOptions(interruption_rate_per_ms=2.0)
 
 TAPE_VIEWS = ("compute_batch", "compute_subset", "compute_keyed", "compute",
               "communication_batch", "communication_subset",
-              "communication_keyed", "communication")
+              "communication_keyed")
 
 
 def _key_deviates(seed, stream, phase, ranks, gaussian=True):
@@ -343,7 +343,7 @@ class TestDeviateTape:
                                                   requests):
         model = NoiseModel(seed=seed, options=TAPE_OPTIONS)
         block = max(1, TAPE_DEVIATES // nprocs)
-        claimed = 0                  # phases claimed by compute()/communication()
+        claimed = 0                  # phases claimed by compute()
         for view, boundary, side, draw_seed in requests:
             rng = np.random.default_rng(draw_seed)
             durations = rng.uniform(50.0, 4000.0, nprocs)

@@ -10,7 +10,7 @@ from repro.distribution import layout
 from repro.frontend.lexer import tokenize_line
 from repro.frontend.parser import parse_expression
 from repro.frontend.symbols import eval_const_expr
-from repro.simulator import EventQueue, Message, Network
+from repro.simulator import Message, Network
 from repro.system import CommunicationComponent, p2p_time
 from repro.system.topology import ecube_route, hamming_distance, make_topology
 
@@ -190,18 +190,6 @@ def test_lexer_never_crashes_unexpectedly(text):
 
 
 @common_settings
-@given(times=st.lists(st.floats(0.0, 1e6, allow_nan=False), min_size=1, max_size=40))
-def test_event_queue_processes_in_nondecreasing_time(times):
-    queue = EventQueue()
-    seen = []
-    for t in times:
-        queue.schedule(t, lambda now=t: seen.append(queue.now))
-    queue.run()
-    assert len(seen) == len(times)
-    assert all(b >= a for a, b in zip(seen, seen[1:]))
-
-
-@common_settings
 @given(src=st.integers(0, 31), dst=st.integers(0, 31))
 def test_ecube_route_reaches_destination(src, dst):
     route = ecube_route(src, dst)
@@ -241,7 +229,27 @@ def test_network_transfer_completions_are_consistent(sizes, pairs):
         assert msg.recv_complete >= msg.start_time
         assert msg.recv_complete >= comm.latency(msg.nbytes)
         assert result.recv_complete[msg.dst] >= msg.start_time
-    assert result.total_bytes == sum(m.nbytes for m in messages)
+
+
+@common_settings
+@given(specs=st.lists(
+    st.tuples(st.sampled_from((0.0, 2.5)) | st.floats(-50.0, 300.0),
+              st.integers(0, 7), st.integers(0, 7), st.integers(1, 4000)),
+    min_size=1, max_size=12, unique_by=lambda spec: spec[:3]))
+def test_network_transfer_ignores_input_order(specs):
+    """With distinct ``(start_time, src, dst)`` keys the per-message drain
+    prices messages in key order, so any order of its input gives the same
+    completions, per message and per node."""
+    comm = CommunicationComponent()
+    outcomes = []
+    for ordered in (specs, specs[::-1], sorted(specs, key=lambda spec: spec[3])):
+        messages = {spec: Message(src=spec[1], dst=spec[2], nbytes=spec[3],
+                                  start_time=spec[0]) for spec in ordered}
+        result = Network(comm, 8).transfer(list(messages.values()))
+        outcomes.append((
+            {spec: (m.send_complete, m.recv_complete) for spec, m in messages.items()},
+            result.send_complete, result.recv_complete))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
 @st.composite
@@ -256,8 +264,9 @@ def _network_stages(draw):
     without a shared NIC; on the 100-node hypercube some e-cube routes
     leave the partition), a permutation of distinct sources (distinct
     destinations too), and distinct sources whose routes all have one hop
-    count.  Start times mostly tie; sizes straddle the long-message
-    threshold and the packet size of the default parameters.
+    count.  Start times mostly tie, and some are negative, which both
+    drains clamp to 0; sizes straddle the long-message threshold and the
+    packet size of the default parameters.
     """
     kind = draw(st.sampled_from(("hypercube", "mesh", "torus", "fattree", "switch")))
     p = draw(st.sampled_from((3, 8, 64, 100)))
@@ -285,7 +294,7 @@ def _network_stages(draw):
             topology = make_topology(kind, p)
             length = topology.hops(*pairs[0])
             pairs = [pair for pair in pairs if topology.hops(*pair) == length]
-    start = st.sampled_from((0.0, 3.5, 12.25)) | st.floats(0.0, 400.0)
+    start = st.sampled_from((0.0, 3.5, 12.25)) | st.floats(-100.0, 400.0)
     specs = [(draw(start), s, d, draw(st.integers(1, 4000))) for s, d in pairs]
     return kind, p, specs
 
@@ -294,8 +303,9 @@ def _network_stages(draw):
           suppress_health_check=[HealthCheck.too_slow])
 @given(stage=_network_stages())
 def test_array_drain_equals_heap_on_every_topology(stage):
-    """``Network.drain_stage`` equals the per-event heap bit for bit on every
-    stage verdict, and ``route_matrix`` agrees with ``route``/``link_id``.
+    """``Network.drain_stage`` equals the per-message drain
+    (``Network.transfer``) bit for bit on every stage verdict, and
+    ``route_matrix`` agrees with ``route``/``link_id``.
 
     Each stage is classified once and its route drained twice, the second
     time with its start times reversed, so one route serves a second

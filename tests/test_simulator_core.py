@@ -1,5 +1,5 @@
-"""Tests for the simulator substrates: event queue, hypercube, network,
-collectives, node cost model and noise."""
+"""Tests for the simulator substrates: hypercube, network, collectives,
+node cost model and noise."""
 
 from dataclasses import replace
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.interpreter.expression_cost import OpCount
 from repro.simulator import (
-    EventQueue,
     IterationProfile,
     Message,
     Network,
@@ -28,53 +27,6 @@ from repro.system.topology import (
     ecube_route,
     hamming_distance,
 )
-
-
-class TestEventQueue:
-    def test_events_run_in_time_order(self):
-        queue = EventQueue()
-        log = []
-        queue.schedule(5.0, lambda: log.append("b"))
-        queue.schedule(1.0, lambda: log.append("a"))
-        queue.schedule(9.0, lambda: log.append("c"))
-        queue.run()
-        assert log == ["a", "b", "c"]
-        assert queue.now == 9.0
-
-    def test_ties_broken_by_insertion_order(self):
-        queue = EventQueue()
-        log = []
-        for tag in ("x", "y", "z"):
-            queue.schedule(2.0, lambda t=tag: log.append(t))
-        queue.run()
-        assert log == ["x", "y", "z"]
-
-    def test_nested_scheduling(self):
-        queue = EventQueue()
-        log = []
-
-        def first():
-            log.append(queue.now)
-            queue.schedule(queue.now + 3.0, lambda: log.append(queue.now))
-
-        queue.schedule(1.0, first)
-        queue.run()
-        assert log == [1.0, 4.0]
-
-    def test_past_events_clamped_to_now(self):
-        queue = EventQueue()
-        times = []
-        queue.schedule(10.0, lambda: queue.schedule(1.0, lambda: times.append(queue.now)))
-        queue.run()
-        assert times == [10.0]
-
-    def test_run_limit_and_reset(self):
-        queue = EventQueue()
-        for i in range(5):
-            queue.schedule(float(i), lambda: None)
-        assert queue.run(max_events=3) == 3
-        queue.reset()
-        assert queue.empty() and queue.now == 0.0
 
 
 class TestHypercube:
@@ -145,7 +97,7 @@ class TestNetwork:
         msgs = [Message(src=0, dst=1, nbytes=2048), Message(src=2, dst=3, nbytes=2048)]
         result = network.transfer(msgs)
         assert abs(msgs[0].recv_complete - msgs[1].recv_complete) < 1.0
-        assert result.total_bytes == 4096
+        assert set(result.recv_complete) == {1, 3}
 
     def test_start_times_respected(self):
         network = Network(self.COMM, 4)
@@ -156,7 +108,34 @@ class TestNetwork:
     def test_empty_transfer(self):
         network = Network(self.COMM, 4)
         result = network.transfer([])
-        assert result.total_bytes == 0 and result.messages == []
+        assert result.send_complete == {} and result.recv_complete == {}
+
+    def _solo(self, src, dst, nbytes, start_time=0.0):
+        msg = Message(src=src, dst=dst, nbytes=nbytes, start_time=start_time)
+        Network(self.COMM, 8).transfer([msg])
+        return msg.recv_complete
+
+    def test_messages_priced_in_start_time_order(self):
+        # listed latest first: the earlier start still takes the NIC and link
+        late = Message(src=0, dst=1, nbytes=4096, start_time=100.0)
+        early = Message(src=0, dst=1, nbytes=4096, start_time=0.0)
+        Network(self.COMM, 8).transfer([late, early])
+        assert early.recv_complete == self._solo(0, 1, 4096)
+        assert late.recv_complete > early.recv_complete
+        assert late.recv_complete > self._solo(0, 1, 4096, start_time=100.0)
+
+    def test_ties_broken_by_input_order(self):
+        for first, second in ((4096, 64), (64, 4096)):
+            msgs = [Message(src=0, dst=1, nbytes=first), Message(src=0, dst=1, nbytes=second)]
+            Network(self.COMM, 8).transfer(msgs)
+            assert msgs[0].recv_complete == self._solo(0, 1, first)
+            assert msgs[1].recv_complete > msgs[0].recv_complete
+
+    def test_negative_start_clamped_to_zero(self):
+        msg = Message(src=0, dst=3, nbytes=512, start_time=-50.0)
+        Network(self.COMM, 8).transfer([msg])
+        assert msg.recv_complete == self._solo(0, 3, 512)
+        assert msg.send_complete > 0.0
 
 
 class TestCollectives:
@@ -308,7 +287,7 @@ class TestNodeCostModelAndNoise:
     def test_noise_disabled_is_identity(self):
         noise = NoiseModel(seed=1, options=NoiseOptions(enabled=False))
         assert noise.compute(123.0) == 123.0
-        assert noise.communication(55.0) == 55.0
+        assert noise.communication_keyed(noise.begin_phase(), 0, 55.0) == 55.0
         assert noise.quantise(77.7) == 77.7
 
     def test_quantisation(self):

@@ -1,5 +1,6 @@
 """Vector-engine tests: loop/vector parity, the array network drain against
-the per-event heap, collective state hygiene, and the modern-cluster target.
+the per-message drain, collective state hygiene, and the modern-cluster
+target.
 
 The ``vector`` engine is only allowed to exist because it is indistinguishable
 from the ``loop`` oracle: every per-rank time within 1e-9 (bit-for-bit in
@@ -35,7 +36,6 @@ from repro.simulator import (
     unstructured_gather,
     unstructured_gather_clocks,
 )
-from repro.simulator.events import EventQueue
 from repro.system import get_machine, machine_names
 from repro.system.sau import CommunicationComponent
 
@@ -146,7 +146,7 @@ class TestEnginePropertyParity:
         Laplace (BLOCK, BLOCK) on the iPSC/860 at p=1024 maps its 32x32 grid
         onto the cube, so each boundary shift is a serial stage of 1024
         messages of up to 5 e-cube hops, drained level by level by the
-        vector engine and message by message by the heap.
+        vector engine and message by message by ``Network.transfer``.
         """
         from repro.suite import get_entry
 
@@ -360,6 +360,18 @@ class TestEngineSwitch:
         assert SimulatorOptions().engine == "vector"
         assert set(ENGINES) == {"vector", "loop"}
 
+    def test_vector_engine_overrides_only_kernels(self):
+        # one control flow: the base executor dispatches every node and
+        # communication spec, the vector engine supplies kernels only
+        from repro.simulator import SPMDExecutor, VectorSPMDExecutor
+        defined = set(vars(VectorSPMDExecutor))
+        assert not [name for name in defined
+                    if name.startswith("_exec_") or name.startswith("_set_clocks")]
+        hooks = {"_loop_nest_per_rank", "_reduction_per_rank",
+                 "_shift_copy_per_rank", "_shift_exchange", "_collective"}
+        assert hooks <= defined
+        assert all(callable(getattr(SPMDExecutor, hook)) for hook in hooks)
+
     def test_result_records_engine(self, laplace_compiled, machine4):
         vector = simulate(laplace_compiled, machine4)
         loop = simulate(laplace_compiled, machine4,
@@ -414,7 +426,7 @@ class TestModernCluster:
 
 
 # ---------------------------------------------------------------------------
-# array drain: stage classification + equivalence with the heap oracle
+# array drain: stage classification + equivalence with the per-message oracle
 # ---------------------------------------------------------------------------
 
 
@@ -436,7 +448,7 @@ def _arrays(specs):
 
 
 def _drain_stage_vs_heap(kind, nodes, specs):
-    """Run one stage through drain_stage and the heap; return both + verdict."""
+    """Run one stage through drain_stage and transfer; return both + verdict."""
     from repro.system.topology import make_topology
     start, src, dst, nbytes = _arrays(specs)
     array_net = Network(_comm(), nodes, make_topology(kind, nodes))
@@ -459,7 +471,7 @@ def _assert_matches_heap(send_arr, recv_arr, result, nodes):
 
 class TestStageClassification:
     """Contention-free stage detection: fast paths only where links never
-    collide, and every verdict's times equal the heap oracle's."""
+    collide, and every verdict's times equal the per-message oracle's."""
 
     def test_link_disjoint_stage_is_fast_pathed(self):
         # hypercube 0->1 and 2->3: single distinct links, one vector expression
@@ -536,7 +548,8 @@ def _message_batch(num_nodes: int, seed: int) -> list[tuple[float, int, int, int
 
 
 class TestBatchedNetwork:
-    """A structure-of-arrays batch drained by the array path equals the heap.
+    """A structure-of-arrays batch drained by the array path equals the
+    per-message drain.
 
     Forty messages on eight nodes chain five or more deep on a NIC, so these
     batches drain through many levels of the serial path.
@@ -553,7 +566,6 @@ class TestBatchedNetwork:
                 kind, nodes, specs)
             assert verdict == STAGE_SERIAL
             _assert_matches_heap(send_arr, recv_arr, result, nodes)
-            assert result.total_bytes == sum(n for _, _, _, n in specs)
 
         # one route drained again under new start times: the route must not
         # carry the old times (or the old dispatch order) along
@@ -570,21 +582,27 @@ class TestBatchedNetwork:
                  for t, s, d, n in specs])
             _assert_matches_heap(send_arr, recv_arr, result, nodes)
 
-    def test_batch_order_matches_event_queue(self):
-        # distinct start times: the order the heap dispatches them in
-        order_heap = []
-        queue = EventQueue()
-        events = [(5.0, "a"), (1.0, "b"), (5.0, "c"), (0.0, "d")]
-        for time, label in events:
-            queue.schedule(time, lambda lab=label: order_heap.append(lab))
-        queue.run()
-        start = np.array([time for time, _ in events])
-        same = np.zeros(len(events), dtype=np.int64)
-        order = batch_order(start, same, same)
-        assert [events[k][1] for k in order] == order_heap == ["d", "b", "a", "c"]
+    def test_batch_order_matches_transfer_order(self, monkeypatch):
+        # the order in which Network.transfer prices its messages, read off
+        # the routes it asks for (no two messages share a (src, dst) pair);
+        # a negative start sorts first, although both drains clamp it to 0
+        from repro.system.topology import HypercubeTopology, make_topology
+        priced = []
+        route = HypercubeTopology.route
+        monkeypatch.setattr(
+            HypercubeTopology, "route",
+            lambda self, s, d: priced.append((s, d)) or route(self, s, d))
+        specs = [(5.0, 0, 1, 64), (1.0, 2, 3, 64), (5.0, 0, 2, 64),
+                 (0.0, 4, 5, 64), (-2.0, 6, 7, 64), (0.0, 1, 0, 64)]
+        Network(_comm(), 8, make_topology("hypercube", 8)).transfer(
+            [Message(src=s, dst=d, nbytes=n, start_time=t)
+             for t, s, d, n in specs])
+        start, src, dst, _nbytes = _arrays(specs)
+        assert [specs[k][1:3] for k in batch_order(start, src, dst)] == priced \
+            == [(6, 7), (1, 0), (4, 5), (2, 3), (0, 1), (0, 2)]
 
         # tied start times: src, then dst, then input order, as Network.transfer
-        # sorts messages before posting them to the heap
+        # sorts its messages
         src = np.array([2, 1, 1, 1], dtype=np.int64)
         dst = np.array([0, 3, 0, 0], dtype=np.int64)
         assert batch_order(np.zeros(4), src, dst).tolist() == [2, 3, 1, 0]
@@ -693,6 +711,19 @@ class TestArrayClockKernels:
         assert not participants.any()
         np.testing.assert_array_equal(got, clocks_arr)
         assert got is not clocks_arr
+
+    def test_broadcast_stage_reusing_a_sender_raises(self, monkeypatch):
+        # the array kernel drains each broadcast stage at once, which is only
+        # the dict routine's semantics when no stage reuses a NIC or receiver
+        from repro.simulator.collectives import _broadcast_stages
+        from repro.system.topology import SwitchedTopology
+        monkeypatch.setattr(SwitchedTopology, "broadcast_schedule",
+                            lambda self, p: [[(0, 1), (0, 2)]])
+        network = Network(_comm(), 3, SwitchedTopology(3))
+        with pytest.raises(SimulationError, match="reuses a sender"):
+            _broadcast_stages(network, 3, 0)
+        with pytest.raises(SimulationError):
+            broadcast_clocks(network, 0, np.zeros(3), 64)
 
 
 # ---------------------------------------------------------------------------
