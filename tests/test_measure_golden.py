@@ -26,6 +26,13 @@ A fourth digest pins the same fields as the first two over
 two iterations: contended serial stages on the 1024-node hypercube and
 the p=8192 crossbar, where one deviate-tape block holds a single phase.
 
+:data:`PREDICT_DIGEST` pins the other column: the interpreter's predicted
+total, its three categories, the balanced computation and every source
+line's four metrics, for every suite application at its first two paper
+sizes and p in {1, 3, 8, 16} on every registered machine.  None of the
+simulator's digests sees a prediction, so a change that claims to keep
+the cost model must leave this one as it is too.
+
 Last, :data:`ARCHIVED_NOISE_TIMES_US` pins the counter-keyed noise
 engine's column of the archived noise-engine migration table
 (``benchmarks/results/STORE_DIFF_noise_engine.md``), so the drift recorded
@@ -36,9 +43,10 @@ import hashlib
 
 from repro import stages
 from repro.explore import ScenarioSpace, run_campaign
+from repro.interpreter import interpret
 from repro.simulator import SimulatorOptions, simulate
 from repro.suite import all_entries
-from repro.system import get_machine
+from repro.system import get_machine, machine_names
 
 PROC_COUNTS = (1, 3, 8)
 MACHINE = "ipsc860"
@@ -120,6 +128,14 @@ BREAKDOWN_DIGEST = \
     "dff47322017945646a748699b19614929d414af971b1306b9a3b49a4d08d01f2"
 
 
+#: sha256 of :func:`predict_lines` joined by newlines, computed before the
+#: machine-specific filter and the intrinsic-cost module were deleted;
+#: pricing only what the compiler emits must not move it.
+PREDICT_DIGEST = \
+    "e3e88a600e9884cd2195aa39f556f1108fc58032340e0208f6d97f3be5fdc26c"
+PREDICT_PROC_COUNTS = (1, 3, 8, 16)
+
+
 def _measure_line(key: str, size: int, params: dict, machine: str,
                   nprocs: int) -> str:
     entry = all_entries()[key]
@@ -188,6 +204,28 @@ def breakdown_lines() -> list[str]:
     return lines
 
 
+def predict_lines() -> list[str]:
+    """One line per (app, size, p, machine): the predicted total, the
+    cumulative metrics and each line's metrics, exactly."""
+    lines = []
+    for key, entry in sorted(all_entries().items()):
+        for size in entry.sizes[:2]:
+            for nprocs in PREDICT_PROC_COUNTS:
+                compiled = stages.compile_cached(
+                    entry.source, name=entry.key, nprocs=nprocs,
+                    params=entry.params_for(size))
+                for machine in machine_names():
+                    result = interpret(compiled, get_machine(machine, nprocs),
+                                       options=entry.interpreter_options(size))
+                    parts = [key, str(size), str(nprocs), machine,
+                             float(result.predicted_time_us).hex(),
+                             "totals=" + _metrics_hex(result.total)]
+                    parts += [f"{line}=" + _metrics_hex(metrics) for line, metrics
+                              in sorted(result.line_breakdown().items())]
+                    lines.append(" ".join(parts))
+    return lines
+
+
 def test_suite_measure_outputs_are_pinned():
     lines = measure_lines()
     assert len(lines) == len(all_entries()) * len(PROC_COUNTS)
@@ -214,6 +252,14 @@ def test_time_breakdown_is_pinned():
     assert len(lines) == 2 * len(all_entries()) * len(PROC_COUNTS)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
         == BREAKDOWN_DIGEST
+
+
+def test_predictions_are_pinned():
+    lines = predict_lines()
+    assert len(lines) == (2 * len(all_entries()) * len(PREDICT_PROC_COUNTS)
+                          * len(machine_names()))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
+        == PREDICT_DIGEST
 
 
 def test_archived_noise_migration_times_are_pinned():
