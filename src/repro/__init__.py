@@ -10,7 +10,7 @@ performance-prediction framework of Parashar, Hariri, Haupt and Fox
 * the Systems Module (SAG/SAU machine characterisation, with the iPSC/860
   abstraction of §4.4),
 * the Application Module (AAU / AAG / SAAG, communication table, critical
-  variables, machine-specific filter),
+  variables),
 * the Interpretation Engine (per-AAU interpretation functions + the recursive
   interpretation algorithm) and the Output Module (profiles, per-line queries,
   ParaGraph-style traces),

@@ -4,7 +4,11 @@ Implements the abstraction parse of Phase 2: the SPMD node program is
 characterized into Application Abstraction Units (per programming construct or
 communication operation), combined into the Application Abstraction Graph,
 augmented with communication/synchronisation edges (SAAG), the communication
-table and the critical-variable report, then machine-specifically filtered.
+table and the critical-variable report.  The paper's machine-specific filter
+(§3.2) is no separate pass: the interpretation functions read each AAU's
+machine parameters from the SAU it is charged against, and its element size,
+precision and access stride from the compiled program, so nothing here
+depends on the target machine.
 """
 
 from .aag import AAG
@@ -17,7 +21,6 @@ from .critical_vars import (
     identify_critical_variables,
     resolve_critical_variables,
 )
-from .machine_filter import apply_machine_filter
 from .saag import SAAG, SyncEdge
 
 __all__ = [
@@ -33,7 +36,6 @@ __all__ = [
     "CriticalVariableReport",
     "identify_critical_variables",
     "resolve_critical_variables",
-    "apply_machine_filter",
     "SAAG",
     "SyncEdge",
 ]

@@ -10,11 +10,13 @@ Each AAU carries:
 
 * its type (sequential, iterative, conditional, communication, reduction, ...),
 * the source line it abstracts (for the per-line output queries),
-* a reference to the SPMD node it was built from (the machine-specific filter
-  and the interpretation functions read the details from there),
-* its children (the AAG is a rooted tree), and
-* the name of the SAU whose parameters it is charged against (assigned by the
-  machine-specific filter).
+* a reference to the SPMD node it was built from (the interpretation
+  functions read the details from there), and
+* its children (the AAG is a rooted tree).
+
+Nothing in an AAU depends on the target machine.  Each interpretation
+function charges its AAU type against the SAU it needs: node code against
+the ``node`` SAU, communication against the ``cube`` SAU.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ class AAU:
     children: list["AAU"] = field(default_factory=list)
     spmd_node: Any = None                 # the SPMD node this AAU abstracts (if any)
     detail: dict[str, Any] = field(default_factory=dict)
-    sau_name: str = "node"                # assigned by the machine-specific filter
     deterministic: bool = True            # IterD/CondtD vs IterND/CondtND
 
     def add(self, child: "AAU") -> "AAU":
@@ -79,9 +80,6 @@ class AAU:
 
     def count(self) -> int:
         return sum(1 for _ in self.walk())
-
-    def leaves(self) -> list["AAU"]:
-        return [aau for aau in self.walk() if not aau.children]
 
     def by_type(self, aau_type: AAUType) -> list["AAU"]:
         return [aau for aau in self.walk() if aau.type is aau_type]

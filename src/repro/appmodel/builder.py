@@ -221,12 +221,7 @@ class AAGBuilder:
                 aau.add(branch)
             return aau
 
-        # Unknown node type: abstract it as a sequential unit so interpretation
-        # never silently drops work.
-        return AAU(
-            id=self.state.new_id(), type=AAUType.SEQ,
-            name=type(node).__name__, line=node.line, spmd_node=node,
-        )
+        raise TypeError(f"cannot abstract SPMD node {type(node).__name__}")
 
     # ------------------------------------------------------------------
     # SAAG construction

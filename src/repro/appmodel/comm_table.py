@@ -3,8 +3,8 @@
 *"A communication table is generated to store the specifications and status of
 each communication/synchronization."*  Every communication operation detected
 by Phase 1 gets an entry recording what is communicated, in which pattern, at
-which AAU, and — once the interpretation or simulation has run — its status
-and realised cost.
+which AAU, and — once the interpretation parse has run — its status and
+estimated cost.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ class CommTableEntry:
     elements_per_proc: float = 0.0
     bytes_per_proc: float = 0.0
     line: int = 0
-    status: str = "pending"        # pending | interpreted | simulated
+    status: str = "pending"        # pending | interpreted
     estimated_time: float = 0.0    # µs, filled by the interpretation parse
-    measured_time: float = 0.0     # µs, filled by the simulator (if run)
 
     def describe(self) -> str:
         size = f"{self.bytes_per_proc:.0f} B/proc" if self.bytes_per_proc else "size tbd"

@@ -47,10 +47,6 @@ class CompiledProgram:
     def nprocs(self) -> int:
         return self.mapping.nprocs
 
-    @property
-    def env(self) -> dict[str, float]:
-        return self.mapping.env
-
     def describe(self) -> str:
         """A short multi-line summary used by reports and examples."""
         lines = [f"program {self.name}: {self.nprocs} processors, grid {self.mapping.grid.shape}"]

@@ -52,23 +52,9 @@ class CommSpec:
     axis: Optional[int] = None
     offset: int = 0
     reduce_op: Optional[str] = None
-    elements_per_proc: Optional[float] = None  # filled by sizing (interpreter/simulator)
     element_size: int = 4
     description: str = ""
     line: int = 0
-
-    def describe(self) -> str:
-        if self.description:
-            return self.description
-        if self.kind == "shift":
-            return f"shift({self.array}, axis={self.axis}, offset={self.offset})"
-        if self.kind == "reduce":
-            return f"reduce({self.reduce_op})"
-        if self.kind == "broadcast":
-            return f"broadcast({self.array})"
-        if self.kind == "gather":
-            return f"gather({self.array})"
-        return f"{self.kind}({self.array})"
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +222,6 @@ class SPMDProgram:
     scalars: dict[str, str] = field(default_factory=dict)  # name -> type
     source_name: str = "<string>"
 
-    @property
-    def nprocs(self) -> int:
-        return self.grid.size
-
     def walk(self):
         """Yield every SPMD node depth-first (pre-order)."""
 
@@ -266,6 +248,3 @@ class SPMDProgram:
         for node in self.walk():
             counts[type(node).__name__] = counts.get(type(node).__name__, 0) + 1
         return counts
-
-    def distribution_of(self, array: str) -> Optional[ArrayDistribution]:
-        return self.distributions.get(array.lower())

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from ..appmodel.aau import AAU, AAUType
 from ..appmodel.builder import build_saag
-from ..appmodel.machine_filter import apply_machine_filter
 from ..appmodel.saag import SAAG
 from ..compiler.pipeline import CompiledProgram
 from ..compiler.spmd import LocalLoopNest, NodeDo, NodeDoWhile, NodeIf
@@ -128,7 +127,6 @@ class PerformanceInterpreter:
         self.options = options or InterpreterOptions()
         if saag is None:
             saag = build_saag(compiled, overrides=self.options.overrides)
-            apply_machine_filter(saag, compiled, machine)
         self.saag = saag
         env = dict(compiled.mapping.env)
         env.update(self.saag.critical_variables.resolved_env())

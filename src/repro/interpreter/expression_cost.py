@@ -61,19 +61,6 @@ class OpCount:
     def memory_accesses(self) -> float:
         return self.mem_reads + self.mem_writes
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "flops": self.flops,
-            "divides": self.divides,
-            "int_ops": self.int_ops,
-            "mem_reads": self.mem_reads,
-            "mem_writes": self.mem_writes,
-            "scalar_refs": self.scalar_refs,
-            "compares": self.compares,
-            "logicals": self.logicals,
-            "calls": self.calls,
-        }
-
 
 def count_expr(expr: ast.Expr | None) -> OpCount:
     """Count the operations needed to evaluate *expr* once."""

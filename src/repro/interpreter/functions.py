@@ -31,7 +31,7 @@ from ..compiler.spmd import (
 )
 from ..frontend import ast_nodes as ast
 from ..frontend.symbols import try_eval_const
-from ..system import comm_models, intrinsic_costs
+from ..system import comm_models
 from ..system.machine import Machine
 from .expression_cost import (
     OpCount,
@@ -101,12 +101,14 @@ def _trip_count(ctx: InterpretationContext, lo: ast.Expr, hi: ast.Expr,
     return max(float(trips), 0.0)
 
 
-def _precision(aau: AAU) -> str:
-    return str(aau.detail.get("precision", "real"))
-
-
-def _element_size(aau: AAU, default: int = 4) -> int:
-    return int(aau.detail.get("element_size", default))
+def _home_format(ctx: InterpretationContext, array: str | None) -> tuple[int, str]:
+    """Element size and precision of a node's home array; 4-byte real without one."""
+    dist = ctx.compiled.mapping.distribution_of(array) if array else None
+    if dist is None:
+        return 4, "real"
+    sym = ctx.compiled.symtable.get(array)
+    return dist.element_size, ("double" if sym is not None and sym.type_name == "double"
+                               else "real")
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +132,9 @@ def interpret_seq_overhead(aau: AAU, ctx: InterpretationContext) -> Metrics:
 
 def interpret_serial_stmt(aau: AAU, ctx: InterpretationContext) -> Metrics:
     """Seq AAU: replicated scalar statement executed identically on every node."""
-    node = aau.spmd_node
-    stmt = node.stmt if isinstance(node, (SerialStmt, OwnerStmt)) else None
+    stmt = aau.spmd_node.stmt
     proc = ctx.machine.processing
     memory = ctx.machine.memory
-
-    if stmt is None:
-        return Metrics(overhead=proc.assignment_overhead)
 
     if isinstance(stmt, ast.Assignment):
         count = count_statement_body([stmt])
@@ -191,13 +189,7 @@ def _comm_spec_metrics(spec: CommSpec, ctx: InterpretationContext) -> Metrics:
     nbytes = int(elements * spec.element_size)
 
     if spec.kind == "shift":
-        procs_along = 1
-        if dist is not None and spec.axis is not None and spec.axis < len(dist.axes):
-            procs_along = dist.axes[spec.axis].nprocs
-        if procs_along <= 1:
-            # purely local boundary copy
-            copy = elements * (ctx.machine.memory.hit_time + proc.assignment_overhead)
-            return Metrics(overhead=copy)
+        # the compiler emits shifts only along axes spread over several ranks
         time = comm_models.shift_exchange_time(comm, nbytes)
         pack = elements * 2 * proc.int_op_time
         return Metrics(communication=time, overhead=pack)
@@ -266,13 +258,20 @@ def interpret_shift(aau: AAU, ctx: InterpretationContext) -> Metrics:
         else:
             boundary *= max(axis.avg_local_count(), 1.0)
 
-    precision = _precision(aau)
-    total = intrinsic_costs.cshift_cost(
-        proc, comm, local_elements, boundary, dist.element_size, procs_along, precision
-    )
-    copy_part = local_elements * (proc.assignment_overhead + proc.flop_time(precision))
-    comm_part = max(total - copy_part, 0.0) if procs_along > 1 else 0.0
-    metrics = Metrics(computation=min(copy_part, total), communication=comm_part)
+    # Every rank copies its block at the single-precision rate, whatever the
+    # array's type, as the pinned predictions do: no machine annotation ever
+    # gave a shift its array's precision, so pricing doubles at their own
+    # rate is a cost-model change.
+    copy =local_elements * (proc.assignment_overhead + proc.flop_time("real"))
+    communication = 0.0
+    if procs_along > 1:
+        exchange = comm_models.shift_exchange_time(comm, int(boundary * dist.element_size))
+        pack = boundary * proc.int_op_time * 2.0
+        # (copy + exchange + pack) - copy, not exchange + pack: the two round
+        # differently, and the shorter form moves finance's predictions in
+        # the last bits.
+        communication = copy + exchange + pack - copy
+    metrics = Metrics(computation=copy, communication=communication)
 
     for entry in ctx.saag.comm_table.for_aau(aau.id):
         entry.estimated_time = metrics.communication
@@ -289,12 +288,12 @@ def interpret_reduction(aau: AAU, ctx: InterpretationContext) -> Metrics:
     local_elements = _reduction_local_elements(node, ctx)
     count = count_reduction(node)
 
-    element_size = _element_size(aau)
+    element_size, precision = _home_format(ctx, node.home_array)
     ws = working_set_bytes(local_elements, max(len(count.arrays_touched), 1), element_size)
     hit = estimate_hit_ratio(memory, ws, element_size, stride1=True,
                              arrays_touched=len(count.arrays_touched),
                              options=ctx.options.memory)
-    per_iter = iteration_time(count, proc, memory, precision=_precision(aau), hit_ratio=hit)
+    per_iter = iteration_time(count, proc, memory, precision=precision, hit_ratio=hit)
     compute = proc.loop_startup_overhead + local_elements * per_iter
     return Metrics(computation=compute)
 
@@ -384,9 +383,9 @@ def interpret_loop_nest(aau: AAU, ctx: InterpretationContext) -> Metrics:
 
     # --- per-iteration cost ------------------------------------------------------
     count = count_statement_body(node.body, node.mask)
-    element_size = _element_size(aau)
-    precision = _precision(aau)
-    stride1 = bool(aau.detail.get("stride1_innermost", True))
+    element_size, precision = _home_format(ctx, node.home_array)
+    # loop reordering makes the innermost loop sweep the home array's stride-1 axis
+    stride1 = not node.home_array or ctx.compiled.options.optimizations.loop_reordering
     ws = working_set_bytes(local_iterations, max(len(count.arrays_touched), 1), element_size)
     hit = estimate_hit_ratio(memory, ws, element_size, stride1=stride1,
                              arrays_touched=len(count.arrays_touched),
@@ -413,14 +412,8 @@ def interpret_loop_nest(aau: AAU, ctx: InterpretationContext) -> Metrics:
     if node.mask is not None:
         overhead += proc.conditional_overhead  # the guard's setup
 
-    metrics = Metrics(computation=compute, overhead=overhead,
-                      balanced_computation=mean_iterations * per_iteration)
-
-    # Mask CondtD child bookkeeping: charge the conditional-evaluation share to it.
-    for child in aau.children:
-        if child.detail.get("mask"):
-            child.detail["charged_us"] = local_iterations * proc.conditional_overhead
-    return metrics
+    return Metrics(computation=compute, overhead=overhead,
+                   balanced_computation=mean_iterations * per_iteration)
 
 
 # dispatch table used by the engine ------------------------------------------------

@@ -109,12 +109,6 @@ class AAUMetrics:
     def total(self) -> Metrics:
         return self.per_execution.scaled(self.executions)
 
-    def describe(self) -> str:
-        return (
-            f"AAU {self.aau_id}: executed {self.executions:g}x, "
-            f"per execution {self.per_execution.describe()}"
-        )
-
 
 @dataclass
 class MetricsTable:

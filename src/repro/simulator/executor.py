@@ -655,18 +655,10 @@ class SPMDExecutor:
         p = self.nprocs
         dist = self.compiled.mapping.distribution_of(spec.array) if spec.array else None
 
-        if spec.kind == "shift" and dist is not None and dist.grid is not None:
-            axis = spec.axis if spec.axis is not None else 0
-            axis_map = dist.axes[axis] if axis < len(dist.axes) else None
-            if axis_map is None or not axis_map.is_distributed or axis_map.nprocs <= 1:
-                # boundary stays on-processor: a local copy only
-                elements = self._boundary_elements(dist, axis, abs(spec.offset) or 1, 0)
-                self._charge(node, "overhead",
-                             elements * (self.cost.memory.hit_time
-                                         + self.cost.proc.assignment_overhead))
-                return
+        if spec.kind == "shift":
+            # the compiler emits shifts only along axes spread over several ranks
             direction = 1 if spec.offset >= 0 else -1
-            self._shift_exchange(node, id(spec), dist, axis, axis_map,
+            self._shift_exchange(node, id(spec), dist, spec.axis, dist.axes[spec.axis],
                                  abs(spec.offset) or 1, spec.element_size,
                                  direction, clamp_shift_axis=True)
         elif spec.kind == "broadcast":
@@ -744,17 +736,6 @@ class SPMDExecutor:
                 total *= max(axis.avg_local_count(), 1.0)
             return total
         return max(dist.avg_local_size(), 1.0)
-
-    def _boundary_elements(self, dist: ArrayDistribution, axis: int, offset: int,
-                           rank: int) -> float:
-        total = 1.0
-        for axis_no in range(dist.rank):
-            local = dist.axes[axis_no].local_count(self._axis_coord(dist, rank, axis_no))
-            if axis_no == axis:
-                total *= min(max(offset, 1), max(local, 1))
-            else:
-                total *= max(local, 1)
-        return total
 
     # ------------------------------------------------------------------
     # misc helpers

@@ -17,29 +17,16 @@ from .cluster import SWITCH_COMMUNICATION, cluster
 from .cm5 import FAT_TREE_COMMUNICATION, cm5
 from .modern_cluster import MODERN_COMMUNICATION, modern_cluster
 from .comm_models import (
-    allgather_time,
     allreduce_time,
-    average_hypercube_hops,
     barrier_time,
     broadcast_time,
-    gather_time,
     hypercube_dim,
     message_packets,
     p2p_time,
-    reduce_time,
-    scatter_time,
     shift_exchange_time,
     unstructured_gather_time,
 )
 from .host import ExperimentationCostModel, InterpretationWorkflow, MeasurementWorkflow
-from .intrinsic_costs import (
-    cshift_cost,
-    maxloc_cost,
-    product_cost,
-    reduction_cost,
-    sum_cost,
-    tshift_cost,
-)
 from .ipsc860 import CUBE_COMMUNICATION, I860_MEMORY, I860_PROCESSING, ipsc860
 from .machine import Machine, build_machine
 from .paragon import MESH_COMMUNICATION, paragon
@@ -76,28 +63,17 @@ from .topology import (
 from .torus_cluster import TORUS_COMMUNICATION, torus_cluster
 
 __all__ = [
-    "allgather_time",
     "allreduce_time",
-    "average_hypercube_hops",
     "barrier_time",
     "broadcast_time",
-    "gather_time",
     "hypercube_dim",
     "message_packets",
     "p2p_time",
-    "reduce_time",
-    "scatter_time",
     "shift_exchange_time",
     "unstructured_gather_time",
     "ExperimentationCostModel",
     "InterpretationWorkflow",
     "MeasurementWorkflow",
-    "cshift_cost",
-    "maxloc_cost",
-    "product_cost",
-    "reduction_cost",
-    "sum_cost",
-    "tshift_cost",
     "CUBE_COMMUNICATION",
     "MESH_COMMUNICATION",
     "SWITCH_COMMUNICATION",

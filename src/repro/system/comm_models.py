@@ -10,9 +10,8 @@ bandwidth / per-hop constants of
 Each collective cost is computed from the *schedule* the topology exports
 (recursive doubling on the hypercube and the switch, row–column trees on the
 mesh): the cost of a stage is the worst uncontended point-to-point time of
-its pairs, at that pair's actual hop distance.  When no topology is given,
-the formulas fall back to the hypercube's structure (one-hop stages), which
-reproduces the original iPSC/860-only models exactly.
+its pairs, at that pair's actual hop distance.  Every collective takes the
+machine's topology over the nodes that take part.
 
 The same schedules drive the simulator's collective layer (per simulated
 operation), so any systematic difference between estimate and measurement
@@ -28,7 +27,7 @@ from __future__ import annotations
 import math
 
 from .sau import CommunicationComponent
-from .topology import Stage, Topology, make_topology
+from .topology import Topology
 
 
 def message_packets(comm: CommunicationComponent, nbytes: int) -> int:
@@ -52,78 +51,36 @@ def p2p_time(comm: CommunicationComponent, nbytes: int, hops: int = 1) -> float:
     )
 
 
-def average_hypercube_hops(p: int) -> float:
-    """Average hop distance between two random nodes of a p-node hypercube."""
-    if p <= 1:
-        return 1.0
-    dim = max(int(round(math.log2(p))), 1)
-    return max(dim / 2.0, 1.0)
-
-
 def hypercube_dim(p: int) -> int:
     if p <= 1:
         return 0
     return int(math.ceil(math.log2(p)))
 
 
-# ---------------------------------------------------------------------------
-# schedule helpers
-# ---------------------------------------------------------------------------
-
-
-def _stage_hops(topology: Topology | None, schedule_kind: str, p: int) -> list[int]:
+def _stage_hops(topology: Topology, schedule_kind: str, p: int) -> list[int]:
     """Worst-case hop distance of each stage of a collective on *topology*.
 
     ``schedule_kind`` selects the broadcast tree or the pairwise-exchange
-    schedule.  Without a topology the hypercube structure is assumed: one
-    one-hop stage per doubling (the original iPSC/860 model).
-
-    Schedule entries are *positions* in the collective's rank list, not
-    physical node labels, so when only ``p`` of the topology's nodes take
-    part the stages are priced on a same-kind partition of exactly ``p``
-    nodes (where positions and labels coincide) rather than on the full
-    fabric.
+    schedule over the topology's first *p* nodes.
     """
     if p <= 1:
         return []
-    if topology is None:
-        return [1] * hypercube_dim(p)
-    if topology.num_nodes != p:
-        topology = make_topology(topology.kind, p)
-    schedule: list[Stage] = (
-        topology.broadcast_schedule(p) if schedule_kind == "broadcast"
-        else topology.exchange_schedule(p)
-    )
-    out: list[int] = []
-    for stage in schedule:
-        if stage:
-            out.append(max(topology.hops(a, b) for a, b in stage))
-    return out
+    schedule = (topology.broadcast_schedule(p) if schedule_kind == "broadcast"
+                else topology.exchange_schedule(p))
+    return [max(topology.hops(a, b) for a, b in stage) for stage in schedule if stage]
 
 
-# ---------------------------------------------------------------------------
-# point-to-point patterns
-# ---------------------------------------------------------------------------
-
-
-def shift_exchange_time(comm: CommunicationComponent, nbytes: int, hops: int = 1) -> float:
+def shift_exchange_time(comm: CommunicationComponent, nbytes: int) -> float:
     """Nearest-neighbour boundary exchange (simultaneous send + receive).
 
     The network hardware allows the send and the matching receive to be
     largely overlapped, but the node CPU pays both protocol startups.
     """
-    transit = p2p_time(comm, nbytes, hops)
-    return transit + 0.5 * comm.latency(nbytes)
-
-
-# ---------------------------------------------------------------------------
-# collectives
-# ---------------------------------------------------------------------------
+    return p2p_time(comm, nbytes) + 0.5 * comm.latency(nbytes)
 
 
 def broadcast_time(
-    comm: CommunicationComponent, nbytes: int, p: int,
-    topology: Topology | None = None,
+    comm: CommunicationComponent, nbytes: int, p: int, *, topology: Topology,
 ) -> float:
     """Tree broadcast to *p* nodes over the topology's broadcast schedule."""
     nbytes = max(int(nbytes), 0)
@@ -134,24 +91,10 @@ def broadcast_time(
         p2p_time(comm, nbytes, hops=h) for h in stage_hops)
 
 
-def reduce_time(
-    comm: CommunicationComponent, nbytes: int, p: int,
-    combine_time_per_stage: float = 0.5,
-    topology: Topology | None = None,
-) -> float:
-    """Tree reduction of *nbytes* (usually one scalar) over *p* nodes."""
-    nbytes = max(int(nbytes), 0)
-    if p <= 1 or nbytes <= 0:
-        return 0.0
-    stage_hops = _stage_hops(topology, "broadcast", p)
-    return comm.collective_call_overhead + sum(
-        p2p_time(comm, nbytes, hops=h) + combine_time_per_stage for h in stage_hops)
-
-
 def allreduce_time(
-    comm: CommunicationComponent, nbytes: int, p: int,
+    comm: CommunicationComponent, nbytes: int, p: int, *,
     combine_time_per_stage: float = 0.5,
-    topology: Topology | None = None,
+    topology: Topology,
 ) -> float:
     """Reduce-to-all (the HPF intrinsic library returns the result on every node)."""
     nbytes = max(int(nbytes), 0)
@@ -162,80 +105,32 @@ def allreduce_time(
         p2p_time(comm, nbytes, hops=h) + combine_time_per_stage for h in stage_hops)
 
 
-def allgather_time(
-    comm: CommunicationComponent, nbytes_per_proc: int, p: int,
-    topology: Topology | None = None,
-) -> float:
-    """Recursive-doubling allgather: each node ends with every node's block."""
-    block = max(int(nbytes_per_proc), 0)
-    if p <= 1 or block <= 0:
-        return 0.0
-    total = comm.collective_call_overhead
-    for stage, hops in enumerate(_stage_hops(topology, "exchange", p)):
-        total += p2p_time(comm, block * (2 ** stage), hops=hops)
-    return total
-
-
-def gather_time(
-    comm: CommunicationComponent, nbytes_per_proc: int, p: int,
-    topology: Topology | None = None,
-) -> float:
-    """Gather to one node (tree algorithm); cost observed by the root."""
-    block = max(int(nbytes_per_proc), 0)
-    if p <= 1 or block <= 0:
-        return 0.0
-    total = comm.collective_call_overhead
-    for stage, hops in enumerate(_stage_hops(topology, "broadcast", p)):
-        total += p2p_time(comm, block * (2 ** stage), hops=hops)
-    return total
-
-
-def scatter_time(
-    comm: CommunicationComponent, nbytes_per_proc: int, p: int,
-    topology: Topology | None = None,
-) -> float:
-    """Scatter from one node; same tree as gather run in reverse."""
-    return gather_time(comm, nbytes_per_proc, p, topology=topology)
-
-
-def barrier_time(
-    comm: CommunicationComponent, p: int,
-    topology: Topology | None = None,
-) -> float:
+def barrier_time(comm: CommunicationComponent, p: int, *, topology: Topology) -> float:
     """Dissemination barrier over *p* nodes."""
     if p <= 1:
         return 0.0
-    if topology is None:
-        stages = hypercube_dim(p)
-    else:
-        stages = len(_stage_hops(topology, "exchange", p)) or hypercube_dim(p)
-    return stages * comm.barrier_per_stage
+    return len(_stage_hops(topology, "exchange", p)) * comm.barrier_per_stage
 
 
 def unstructured_gather_time(
-    comm: CommunicationComponent, nbytes_per_proc: int, p: int,
-    hops: float | None = None,
-    topology: Topology | None = None,
+    comm: CommunicationComponent, nbytes_per_proc: int, p: int, *,
+    topology: Topology,
 ) -> float:
     """General gather of off-processor data (the GATHER_DATA runtime call).
 
     Modelled as each node exchanging one block with every other node involved
     in the communication pattern — the worst of the runtime library's
-    unstructured patterns — serialised at the node interface.
+    unstructured patterns — serialised at the node interface, at the
+    topology's average hop distance.
     """
     block = max(int(nbytes_per_proc), 0)
     if p <= 1 or block <= 0:
         return 0.0
-    if hops is None:
-        if topology is not None and topology.num_nodes > 1:
-            hops = max(topology.average_distance(), 1.0)
-        else:
-            hops = average_hypercube_hops(p)
-    hops = max(float(hops), 1.0)
+    hops = int(round(max(topology.average_distance(), 1.0)))
     peers = max(p - 1, 1)
     # The runtime packs all destinations into at most log2(p) bulk messages.
     stages = hypercube_dim(p)
     per_stage_bytes = block * peers / max(stages, 1)
     return comm.collective_call_overhead + stages * p2p_time(
-        comm, int(per_stage_bytes), hops=int(round(hops))
+        comm, int(per_stage_bytes), hops=hops
     )

@@ -1,5 +1,4 @@
-"""Tests for the Application Module: AAU/AAG/SAAG, comm table, critical variables,
-machine-specific filter."""
+"""Tests for the Application Module: AAU/AAG/SAAG, comm table, critical variables."""
 
 import pytest
 
@@ -9,12 +8,11 @@ from repro.appmodel import (
     build_saag,
     identify_critical_variables,
     resolve_critical_variables,
-    apply_machine_filter,
 )
-from repro.compiler import OptimizationOptions, compile_source
+from repro.compiler import compile_source
+from repro.compiler.spmd import SPMDNode
 from repro.frontend.parser import parse_source
 from repro.frontend.symbols import SymbolTable
-from repro.system import ipsc860
 
 
 class TestAAGConstruction:
@@ -79,6 +77,12 @@ class TestAAGConstruction:
         aag = build_aag(laplace_compiled)
         text = aag.describe()
         assert "AAG" in text and "IterD" in text
+
+    def test_unknown_spmd_node_raises(self, laplace_source):
+        compiled = compile_source(laplace_source, name="laplace", nprocs=4)
+        compiled.spmd.nodes.append(SPMDNode(line=1))
+        with pytest.raises(TypeError, match="cannot abstract SPMD node SPMDNode"):
+            build_aag(compiled)
 
 
 class TestSAAG:
@@ -175,48 +179,12 @@ class TestCriticalVariables:
         assert "critical variables" in report.describe()
 
 
-class TestMachineFilter:
-    def test_sau_assignment(self, laplace_compiled, machine4):
-        saag = build_saag(laplace_compiled)
-        apply_machine_filter(saag, laplace_compiled, machine4)
-        for aau in saag.walk():
-            if aau.type in (AAUType.COMM, AAUType.SYNC):
-                assert aau.sau_name == "cube"
-            else:
-                assert aau.sau_name in ("node", "host")
-
-    def test_loop_nest_annotations(self, laplace_compiled, machine4):
-        saag = build_saag(laplace_compiled)
-        apply_machine_filter(saag, laplace_compiled, machine4)
-        annotated = [a for a in saag.by_type(AAUType.ITER)
-                     if "local_elements_max" in a.detail]
-        assert annotated
-        for aau in annotated:
-            assert aau.detail["element_size"] in (4, 8)
-            assert aau.detail["local_elements_max"] > 0
-
-    def test_stride1_annotation_follows_optimization_flag(self, laplace_source, machine4):
-        compiled = compile_source(laplace_source, name="laplace", nprocs=4,
-                                  optimizations=OptimizationOptions(loop_reordering=False))
-        saag = build_saag(compiled)
-        apply_machine_filter(saag, compiled, machine4)
-        nests = [a for a in saag.by_type(AAUType.ITER) if "stride1_innermost" in a.detail]
-        assert nests and all(a.detail["stride1_innermost"] is False for a in nests)
-
-    def test_machine_name_recorded(self, laplace_compiled, machine4):
-        saag = build_saag(laplace_compiled)
-        apply_machine_filter(saag, laplace_compiled, machine4)
-        assert all(aau.detail.get("machine") == machine4.name for aau in saag.walk())
-
-
 class TestAAGByType:
     def test_aag_type_query(self):
-        machine = ipsc860(4)
         cp = compile_source(
             "      program t\n      real :: a(16)\n      real :: s\n"
             "!HPF$ PROCESSORS p(4)\n!HPF$ DISTRIBUTE a(BLOCK) ONTO p\n"
             "      a = 1.0\n      s = sum(a)\n      print *, s\n      end\n", nprocs=4)
         saag = build_saag(cp)
-        apply_machine_filter(saag, cp, machine)
         types = {aau.type for aau in saag.walk()}
         assert {AAUType.SEQ, AAUType.ITER, AAUType.REDUCE, AAUType.COMM} <= types

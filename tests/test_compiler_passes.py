@@ -323,6 +323,32 @@ class TestSequentializationAndPipeline:
         assert shifts[0].source == "a" and shifts[0].target == "b"
         assert shifts[0].circular
 
+    def test_shift_dim_argument_selects_the_axis(self):
+        import repro
+        from repro.functional import evaluate_program
+        from repro.simulator import SimulatorOptions
+
+        source = ("      program dimshift\n      real :: x(8, 8), y(8, 8)\n"
+                  "!HPF$ PROCESSORS p(2, 2)\n"
+                  "!HPF$ DISTRIBUTE x(BLOCK, BLOCK) ONTO p\n"
+                  "!HPF$ ALIGN y(i, j) WITH x(i, j)\n"
+                  "      forall (i = 1:8, j = 1:8) x(i, j) = 10 * i + j\n"
+                  "      y = cshift(x, 1, 2)\n"
+                  "      print *, y(1, 1), y(1, 8), y(8, 1)\n"
+                  "      y = eoshift(x, -1, 0.0, 1)\n"
+                  "      print *, y(1, 1), y(2, 1), y(8, 8)\n"
+                  "      end program dimshift\n")
+        cp = compile_source(source, nprocs=4)
+        shifts = [n for n in cp.spmd.walk() if isinstance(n, ShiftNode)]
+        assert [(n.axis, n.circular) for n in shifts] == [(1, True), (0, False)]
+        printed = ["12 11 82", "0 11 78"]
+        assert evaluate_program(cp.program).printed == printed
+        runs = [repro.measure(source, nprocs=4, machine="ipsc860",
+                              options=SimulatorOptions(engine=engine))
+                for engine in ("loop", "vector")]
+        assert runs[0].printed == runs[1].printed == printed
+        assert list(runs[0].per_rank_us) == list(runs[1].per_rank_us)
+
     def test_owner_stmt_for_distributed_element(self):
         cp = compile_source(
             "      program t\n      real :: a(16)\n"

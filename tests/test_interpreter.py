@@ -3,7 +3,8 @@ metrics, and the interpretation algorithm's behaviour."""
 
 import pytest
 
-from repro.compiler import compile_source
+import repro
+from repro.compiler import OptimizationOptions, compile_source
 from repro.frontend.parser import parse_expression, parse_source
 from repro.interpreter import (
     InterpreterOptions,
@@ -19,6 +20,7 @@ from repro.interpreter import (
     streaming_miss_ratio,
     working_set_bytes,
 )
+from repro.suite import get_entry
 from repro.system import ipsc860
 
 
@@ -253,3 +255,80 @@ class TestInterpretationEngine:
     def test_wall_clock_recorded(self, laplace_compiled, machine4):
         result = interpret(laplace_compiled, machine4)
         assert result.wall_clock_seconds > 0
+
+
+class TestPricingFromTheCompiledProgram:
+    """The interpretation functions read element size, precision and access
+    stride from the compiled program, not from machine annotations."""
+
+    @pytest.mark.parametrize("reordering,computation", [
+        (True, 50072.4895), (False, 66761.662)])
+    def test_loop_reordering_sets_stride1_access(self, reordering, computation):
+        entry = get_entry("laplace_block_block")
+        compiled = compile_source(
+            entry.source, name=entry.key, nprocs=4, params=entry.params_for(64),
+            optimizations=OptimizationOptions(loop_reordering=reordering))
+        result = interpret(compiled, ipsc860(4), options=entry.interpreter_options(64))
+        assert result.total.computation == pytest.approx(computation, rel=1e-12)
+
+    PRECISION = """      program prec
+      {type} :: a(1024), b(1024), s
+!HPF$ PROCESSORS p(4)
+!HPF$ DISTRIBUTE a(BLOCK) ONTO p
+!HPF$ ALIGN b(i) WITH a(i)
+      b = 1.0
+      forall (i = 1:1024) a(i) = 2.0 * b(i) + 1.0
+      s = sum(a * b)
+      print *, s
+      end program prec
+"""
+
+    @pytest.mark.parametrize("type_name,forall,reduction", [
+        ("real", 206.464, 127.04), ("double precision", 242.304, 162.88)])
+    def test_home_array_precision_prices_loops_and_reductions(
+            self, type_name, forall, reduction):
+        result = repro.predict(self.PRECISION.format(type=type_name), nprocs=4,
+                               machine="ipsc860")
+        lines = result.line_breakdown()
+        assert lines[7].computation == pytest.approx(forall, rel=1e-12)
+        assert lines[8].computation == pytest.approx(reduction, rel=1e-12)
+
+    SHIFT = """      program shift
+      real :: x(64, 64), y(64, 64)
+!HPF$ PROCESSORS p(4)
+!HPF$ DISTRIBUTE x(BLOCK, *) ONTO p
+!HPF$ ALIGN y(i, j) WITH x(i, j)
+      x = 1.0
+      y = cshift(x, 1, {dim})
+      print *, y(1, 1)
+      end program shift
+"""
+
+    @pytest.mark.parametrize("dim,communication", [(2, 0.0), (1, 337.92)],
+                             ids=["collapsed", "distributed"])
+    def test_cshift_exchanges_only_along_a_distributed_axis(self, dim, communication):
+        result = repro.predict(self.SHIFT.format(dim=dim), nprocs=4, machine="ipsc860")
+        line = result.line_breakdown()[7]
+        # every rank copies its 16 x 64 block either way
+        assert line.computation == pytest.approx(158.72, rel=1e-12)
+        assert line.communication == pytest.approx(communication, rel=1e-12)
+
+    OWNER = """      program owner
+      real :: x(64)
+!HPF$ PROCESSORS p(4)
+!HPF$ DISTRIBUTE x(BLOCK) ONTO p
+      x = 1.0
+      x(3) = x(40) + 5.0
+      print *, x(3)
+      end program owner
+"""
+
+    @pytest.mark.parametrize("nprocs", [2, 4, 8])
+    def test_owner_computes_statement_matches_the_simulator(self, nprocs):
+        predicted = repro.predict(self.OWNER, nprocs=nprocs, machine="ipsc860")
+        measured = repro.measure(self.OWNER, nprocs=nprocs, machine="ipsc860")
+        line = predicted.line_breakdown()[6]
+        assert line.total == pytest.approx(measured.line_metrics[6].total, rel=0.02)
+        # only the owner computes, so the mean rank carries 1/p of it
+        assert line.balanced_computation == pytest.approx(line.computation / nprocs,
+                                                          rel=1e-12)

@@ -7,23 +7,20 @@ from repro.system import (
     SAU,
     CommunicationComponent,
     ExperimentationCostModel,
+    HypercubeTopology,
     MemoryComponent,
+    MeshTopology,
     ProcessingComponent,
-    allgather_time,
+    SwitchedTopology,
     allreduce_time,
-    average_hypercube_hops,
     barrier_time,
     broadcast_time,
-    cshift_cost,
-    gather_time,
     get_machine,
     hypercube_dim,
     ipsc860,
     message_packets,
     p2p_time,
-    reduction_cost,
     shift_exchange_time,
-    sum_cost,
     unstructured_gather_time,
 )
 from repro.system.ipsc860 import PROGRAM_STARTUP_US
@@ -132,23 +129,20 @@ class TestCommModels:
         assert message_packets(self.COMM, 1025) == 2
 
     def test_collectives_scale_logarithmically(self):
-        b2 = broadcast_time(self.COMM, 4, 2)
-        b8 = broadcast_time(self.COMM, 4, 8)
+        b2 = broadcast_time(self.COMM, 4, 2, topology=HypercubeTopology(2))
+        b8 = broadcast_time(self.COMM, 4, 8, topology=HypercubeTopology(8))
         assert b8 > b2
         assert b8 < 4 * b2  # log2(8)=3 stages, not 4x
 
-    @pytest.mark.parametrize("func", [broadcast_time, allreduce_time, allgather_time,
-                                      gather_time, unstructured_gather_time])
+    @pytest.mark.parametrize("func", [broadcast_time, allreduce_time,
+                                      unstructured_gather_time])
     def test_collectives_zero_on_single_node(self, func):
-        assert func(self.COMM, 128, 1) == 0.0
-
-    def test_reduce_vs_allreduce(self):
-        from repro.system import reduce_time
-        assert allreduce_time(self.COMM, 8, 8) >= reduce_time(self.COMM, 8, 8) * 0.99
+        assert func(self.COMM, 128, 1, topology=HypercubeTopology(1)) == 0.0
 
     def test_barrier_time(self):
-        assert barrier_time(self.COMM, 1) == 0.0
-        assert barrier_time(self.COMM, 8) == pytest.approx(3 * self.COMM.barrier_per_stage)
+        assert barrier_time(self.COMM, 1, topology=HypercubeTopology(1)) == 0.0
+        assert barrier_time(self.COMM, 8, topology=HypercubeTopology(8)) == \
+            pytest.approx(3 * self.COMM.barrier_per_stage)
 
     def test_shift_exchange_greater_than_p2p(self):
         assert shift_exchange_time(self.COMM, 512) > p2p_time(self.COMM, 512)
@@ -156,13 +150,6 @@ class TestCommModels:
     def test_hypercube_helpers(self):
         assert hypercube_dim(8) == 3
         assert hypercube_dim(1) == 0
-        assert average_hypercube_hops(8) == pytest.approx(1.5)
-        assert average_hypercube_hops(1) == 1.0
-
-    def test_allgather_grows_with_block(self):
-        small = allgather_time(self.COMM, 16, 8)
-        large = allgather_time(self.COMM, 4096, 8)
-        assert large > small
 
 
 class TestCommModelDegenerateInputs:
@@ -170,83 +157,40 @@ class TestCommModelDegenerateInputs:
     negative sizes and hop counts are clamped instead of corrupting costs."""
 
     COMM = CommunicationComponent()
+    ONE = HypercubeTopology(1)
 
-    @pytest.mark.parametrize("func", [broadcast_time, allreduce_time, allgather_time,
-                                      gather_time, unstructured_gather_time])
+    @pytest.mark.parametrize("func", [broadcast_time, allreduce_time,
+                                      unstructured_gather_time])
     def test_single_node_collectives_cost_zero(self, func):
-        assert func(self.COMM, 4096, 1) == 0.0
-        assert func(self.COMM, 4096, 0) == 0.0
-        assert func(self.COMM, 4096, -3) == 0.0
+        assert func(self.COMM, 4096, 1, topology=self.ONE) == 0.0
+        assert func(self.COMM, 4096, 0, topology=self.ONE) == 0.0
+        assert func(self.COMM, 4096, -3, topology=self.ONE) == 0.0
 
-    @pytest.mark.parametrize("func", [broadcast_time, allreduce_time, allgather_time,
-                                      gather_time, unstructured_gather_time])
+    @pytest.mark.parametrize("func", [broadcast_time, allreduce_time,
+                                      unstructured_gather_time])
     def test_zero_byte_collectives_cost_zero(self, func):
-        assert func(self.COMM, 0, 8) == 0.0
-        assert func(self.COMM, -128, 8) == 0.0
-
-    def test_reduce_time_guards(self):
-        from repro.system import reduce_time
-        assert reduce_time(self.COMM, 0, 8) == 0.0
-        assert reduce_time(self.COMM, 8, 1) == 0.0
+        cube = HypercubeTopology(8)
+        assert func(self.COMM, 0, 8, topology=cube) == 0.0
+        assert func(self.COMM, -128, 8, topology=cube) == 0.0
 
     def test_barrier_single_node_is_free(self):
-        assert barrier_time(self.COMM, 1) == 0.0
-        assert barrier_time(self.COMM, 0) == 0.0
+        assert barrier_time(self.COMM, 1, topology=self.ONE) == 0.0
+        assert barrier_time(self.COMM, 0, topology=self.ONE) == 0.0
 
     def test_negative_hops_clamped(self):
         assert p2p_time(self.COMM, 256, hops=-4) == p2p_time(self.COMM, 256, hops=1)
-        assert shift_exchange_time(self.COMM, 256, hops=-1) == \
-            shift_exchange_time(self.COMM, 256, hops=1)
 
     def test_negative_bytes_clamped(self):
         assert p2p_time(self.COMM, -512) == p2p_time(self.COMM, 0)
         assert message_packets(self.COMM, -1) == 1
 
-    def test_topology_aware_costs_match_legacy_on_hypercube(self):
-        """Passing the hypercube topology must reproduce the original model."""
-        from repro.system import HypercubeTopology
-        for p in (2, 4, 8):
-            topo = HypercubeTopology(p)
-            assert broadcast_time(self.COMM, 512, p, topology=topo) == \
-                pytest.approx(broadcast_time(self.COMM, 512, p))
-            assert allreduce_time(self.COMM, 8, p, topology=topo) == \
-                pytest.approx(allreduce_time(self.COMM, 8, p))
-            assert allgather_time(self.COMM, 256, p, topology=topo) == \
-                pytest.approx(allgather_time(self.COMM, 256, p))
-
     def test_mesh_and_switch_collectives_cost_more_per_stage_distance(self):
         """Multi-hop stages surface in the topology-aware collective costs."""
-        from repro.system import MeshTopology, SwitchedTopology
-        flat = broadcast_time(self.COMM, 512, 8)
+        flat = broadcast_time(self.COMM, 512, 8, topology=HypercubeTopology(8))
         mesh = broadcast_time(self.COMM, 512, 8, topology=MeshTopology(2, 4))
         switch = broadcast_time(self.COMM, 512, 8, topology=SwitchedTopology(8))
         assert mesh >= flat        # one two-hop row stage on the 2x4 mesh
         assert switch > flat       # every stage crosses the switch (2 hops)
-
-
-class TestIntrinsicCosts:
-    PROC = ProcessingComponent()
-    COMM = CommunicationComponent()
-
-    def test_cshift_local_only_when_single_proc(self):
-        local = cshift_cost(self.PROC, self.COMM, 1000, 1, 4, nprocs_along_axis=1)
-        distributed = cshift_cost(self.PROC, self.COMM, 1000, 1, 4, nprocs_along_axis=4)
-        assert distributed > local
-        assert distributed - local >= self.COMM.startup_latency
-
-    def test_reduction_cost_scales_with_local_elements(self):
-        small = sum_cost(self.PROC, self.COMM, 100, 8)
-        large = sum_cost(self.PROC, self.COMM, 10000, 8)
-        assert large > small
-
-    def test_reduction_cost_includes_collective(self):
-        serial = reduction_cost(self.PROC, self.COMM, 1000, 1)
-        parallel = reduction_cost(self.PROC, self.COMM, 1000, 8)
-        assert parallel > serial
-
-    def test_maxloc_costs_more_than_sum(self):
-        from repro.system import maxloc_cost
-        assert maxloc_cost(self.PROC, self.COMM, 1000, 8) > 0
 
 
 class TestWorkflowModel:
