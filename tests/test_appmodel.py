@@ -1,5 +1,7 @@
 """Tests for the Application Module: AAU/AAG/SAAG, comm table, critical variables."""
 
+import copy
+
 import pytest
 
 from repro.appmodel import (
@@ -13,6 +15,8 @@ from repro.compiler import compile_source
 from repro.compiler.spmd import SPMDNode
 from repro.frontend.parser import parse_source
 from repro.frontend.symbols import SymbolTable
+from repro.interpreter import interpret
+from repro.system import get_machine, machine_names
 
 
 class TestAAGConstruction:
@@ -177,6 +181,26 @@ class TestCriticalVariables:
         env = report.resolved_env()
         assert env["n"] == 32
         assert "critical variables" in report.describe()
+
+
+class TestSAAGIsMachineFree:
+    """Pricing writes nothing machine-specific into the SAAG, so one SAAG
+    built from a compiled program prices every machine."""
+
+    def test_one_saag_prices_every_machine(self, laplace_compiled):
+        saag = build_saag(laplace_compiled)
+        for name in machine_names():
+            machine = get_machine(name, nprocs=4)
+            shared = interpret(laplace_compiled, machine, saag=saag)
+            fresh = interpret(laplace_compiled, machine)
+            assert shared.line_breakdown() == fresh.line_breakdown(), name
+
+    def test_pricing_leaves_the_aau_details_unchanged(self, laplace_compiled):
+        saag = build_saag(laplace_compiled)
+        before = {aau.id: copy.deepcopy(aau.detail) for aau in saag.walk()}
+        for name in ("ipsc860", "paragon"):
+            interpret(laplace_compiled, get_machine(name, nprocs=4), saag=saag)
+        assert {aau.id: aau.detail for aau in saag.walk()} == before
 
 
 class TestAAGByType:

@@ -21,7 +21,7 @@ from repro.interpreter import (
     working_set_bytes,
 )
 from repro.suite import get_entry
-from repro.system import ipsc860
+from repro.system import HypercubeTopology, allreduce_time, ipsc860
 
 
 class TestExpressionCost:
@@ -332,3 +332,71 @@ class TestPricingFromTheCompiledProgram:
         # only the owner computes, so the mean rank carries 1/p of it
         assert line.balanced_computation == pytest.approx(line.computation / nprocs,
                                                           rel=1e-12)
+
+
+class TestIntrinsicCosts:
+    """The HPF intrinsic library as the interpretation functions price it
+    (§4.4): a shift's block copy and boundary exchange, a reduction's local
+    sweep and its combine."""
+
+    SHIFT = """      program shift
+      real :: x(64, 64), y(64, 64)
+!HPF$ PROCESSORS p({nprocs})
+!HPF$ DISTRIBUTE x(BLOCK, *) ONTO p
+!HPF$ ALIGN y(i, j) WITH x(i, j)
+      x = 1.0
+      y = cshift(x, 1, 1)
+      print *, y(1, 1)
+      end program shift
+"""
+
+    REDUCTION = """      program red
+      real :: a({n}), s
+      integer :: k
+!HPF$ PROCESSORS p({nprocs})
+!HPF$ DISTRIBUTE a(BLOCK) ONTO p
+      forall (i = 1:{n}) a(i) = real(i)
+      s = sum(a)
+      k = maxloc(a)
+      print *, s, k
+      end program red
+"""
+
+    def _reduction_lines(self, n, nprocs):
+        """The predicted ``sum`` and ``maxloc`` lines of REDUCTION."""
+        result = repro.predict(self.REDUCTION.format(n=n, nprocs=nprocs),
+                               nprocs=nprocs, machine="ipsc860")
+        lines = result.line_breakdown()
+        return lines[7], lines[8]
+
+    def test_cshift_local_only_when_single_proc(self):
+        local, distributed = (
+            repro.predict(self.SHIFT.format(nprocs=p), nprocs=p,
+                          machine="ipsc860").line_breakdown()[7]
+            for p in (1, 4))
+        assert local.communication == 0.0
+        # one rank copies the whole array, each of four ranks a quarter of it
+        assert local.computation == pytest.approx(4 * distributed.computation, rel=1e-12)
+        assert distributed.communication >= ipsc860(4).communication.startup_latency
+
+    def test_reduction_cost_scales_with_local_elements(self):
+        small, _ = self._reduction_lines(256, 8)
+        large, _ = self._reduction_lines(4096, 8)
+        assert large.computation > small.computation
+        # the combine carries one scalar whatever the array's size
+        assert large.communication == small.communication
+
+    def test_reduction_cost_includes_collective(self):
+        serial, _ = self._reduction_lines(1024, 1)
+        parallel, _ = self._reduction_lines(1024, 8)
+        assert serial.communication == 0.0
+        machine = ipsc860(8)
+        combine = allreduce_time(machine.communication, 4, 8,
+                                 combine_time_per_stage=machine.processing.flop_time_sp,
+                                 topology=HypercubeTopology(8))
+        assert parallel.communication == pytest.approx(combine, rel=1e-12)
+
+    def test_maxloc_costs_at_least_as_much_as_sum(self):
+        total, location = self._reduction_lines(1024, 8)
+        assert location.computation >= total.computation > 0.0
+        assert location.communication > 0.0

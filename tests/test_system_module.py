@@ -151,6 +151,12 @@ class TestCommModels:
         assert hypercube_dim(8) == 3
         assert hypercube_dim(1) == 0
 
+    def test_unstructured_gather_grows_with_block(self):
+        cube = HypercubeTopology(8)
+        small = unstructured_gather_time(self.COMM, 16, 8, topology=cube)
+        large = unstructured_gather_time(self.COMM, 4096, 8, topology=cube)
+        assert large > small
+
 
 class TestCommModelDegenerateInputs:
     """Satellite guards: zero-byte and single-node collectives cost nothing,
@@ -191,6 +197,20 @@ class TestCommModelDegenerateInputs:
         switch = broadcast_time(self.COMM, 512, 8, topology=SwitchedTopology(8))
         assert mesh >= flat        # one two-hop row stage on the 2x4 mesh
         assert switch > flat       # every stage crosses the switch (2 hops)
+
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    def test_hypercube_collectives_take_one_hop_per_doubling(self, p):
+        """On the hypercube every stage of both schedules crosses one link:
+        the closed-form iPSC/860 model of log2(p) one-hop stages."""
+        cube = HypercubeTopology(p)
+        stages = hypercube_dim(p)
+        overhead = self.COMM.collective_call_overhead
+        assert broadcast_time(self.COMM, 512, p, topology=cube) == pytest.approx(
+            overhead + stages * p2p_time(self.COMM, 512))
+        assert allreduce_time(self.COMM, 8, p, topology=cube) == pytest.approx(
+            overhead + stages * (p2p_time(self.COMM, 8) + 0.5))
+        assert barrier_time(self.COMM, p, topology=cube) == pytest.approx(
+            stages * self.COMM.barrier_per_stage)
 
 
 class TestWorkflowModel:
