@@ -2,9 +2,11 @@
 
 *"A communication table is generated to store the specifications and status of
 each communication/synchronization."*  Every communication operation detected
-by Phase 1 gets an entry recording what is communicated, in which pattern, at
-which AAU, and — once the interpretation parse has run — its status and
-estimated cost.
+by Phase 1 gets an entry recording what is communicated, in which pattern and
+at which AAU.  The table is machine-free and pricing never writes to it: one
+SAAG serves every machine, so an operation's estimated cost lives with its
+AAU's metrics in the :class:`~repro.interpreter.InterpretationResult` of each
+price.
 """
 
 from __future__ import annotations
@@ -28,15 +30,13 @@ class CommTableEntry:
     elements_per_proc: float = 0.0
     bytes_per_proc: float = 0.0
     line: int = 0
-    status: str = "pending"        # pending | interpreted
-    estimated_time: float = 0.0    # µs, filled by the interpretation parse
 
     def describe(self) -> str:
         size = f"{self.bytes_per_proc:.0f} B/proc" if self.bytes_per_proc else "size tbd"
         extra = f" op={self.reduce_op}" if self.reduce_op else ""
         axis = f" axis={self.axis}" if self.axis is not None else ""
         return (f"#{self.entry_id} AAU {self.aau_id} {self.kind}({self.array}){axis}"
-                f" offset={self.offset}{extra} [{size}] status={self.status}")
+                f" offset={self.offset}{extra} [{size}]")
 
 
 @dataclass

@@ -18,7 +18,14 @@ from .comm_detect import (
 from .normalize import NormalizeResult, normalize_program
 from .optimizations import OptimizationOptions, apply_optimizations
 from .partition import MappingContext, build_mapping
-from .pipeline import CompiledProgram, CompileOptions, compile_program, compile_source
+from .pipeline import (
+    CompiledProgram,
+    CompileFront,
+    CompileOptions,
+    compile_front,
+    compile_program,
+    compile_source,
+)
 from .sequentialize import Sequentializer, sequentialize
 from .spmd import (
     CommPhase,
@@ -52,7 +59,9 @@ __all__ = [
     "MappingContext",
     "build_mapping",
     "CompiledProgram",
+    "CompileFront",
     "CompileOptions",
+    "compile_front",
     "compile_program",
     "compile_source",
     "Sequentializer",

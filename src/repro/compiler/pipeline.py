@@ -25,7 +25,7 @@ from ..frontend.symbols import SymbolTable
 from .normalize import NormalizeResult, normalize_program
 from .optimizations import OptimizationOptions, apply_optimizations
 from .partition import MappingContext, build_mapping
-from .sequentialize import sequentialize
+from .sequentialize import sequentialize, statement_labels
 from .spmd import SPMDProgram
 
 
@@ -58,6 +58,30 @@ class CompiledProgram:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True, eq=False)
+class CompileFront:
+    """The passes that read the parsed program alone: its symbol table, the
+    normalised program and the normalised statements' labels.
+
+    Neither the process count, the grid nor the parameters enter, so one
+    front serves every compile of a program; :mod:`repro.stages` keeps it
+    with the parsed program.  Compiles only read it.
+    """
+
+    program: ast.Program
+    symtable: SymbolTable
+    normalized: NormalizeResult
+    labels: dict[int, str]
+
+
+def compile_front(program: ast.Program) -> CompileFront:
+    """Build the symbol table, normalise and label *program*."""
+    symtable = SymbolTable.from_program(program)
+    normalized = normalize_program(program, symtable)
+    return CompileFront(program=program, symtable=symtable, normalized=normalized,
+                        labels=statement_labels(normalized.program))
+
+
 @dataclass
 class CompileOptions:
     """All user-controllable Phase-1 parameters."""
@@ -72,13 +96,22 @@ def compile_program(
     program: ast.Program,
     source: SourceFile | None = None,
     options: CompileOptions | None = None,
+    front: CompileFront | None = None,
 ) -> CompiledProgram:
-    """Compile an already-parsed program unit."""
+    """Compile an already-parsed program unit.
+
+    *front* is the :func:`compile_front` of *program*, when the caller
+    shares one between compiles; without it the front end runs here.
+    """
     options = options or CompileOptions()
     source = source or SourceFile(text="", name=program.name)
+    if front is None:
+        front = compile_front(program)
+    elif front.program is not program:
+        raise ValueError("compile front was built for another program")
 
-    symtable = SymbolTable.from_program(program)
-    normalized: NormalizeResult = normalize_program(program, symtable)
+    symtable = front.symtable
+    normalized = front.normalized
     mapping = build_mapping(
         program,
         symtable,
@@ -87,7 +120,7 @@ def compile_program(
         params=options.params,
         temp_array_aliases=normalized.temp_array_aliases,
     )
-    nodes = sequentialize(normalized.program, symtable, mapping)
+    nodes = sequentialize(normalized.program, symtable, mapping, front.labels)
     nodes = apply_optimizations(nodes, mapping, options.optimizations)
 
     scalars = {

@@ -58,12 +58,24 @@ _REDUCTION_OPS = {
 _SHIFT_NAMES = {"cshift", "eoshift", "tshift"}
 
 
-class Sequentializer:
-    """Generates the SPMD node program from a normalised AST."""
+def statement_labels(program: ast.Program) -> dict[int, str]:
+    """``ast.format_stmt`` of every statement of *program*, keyed by ``id``:
+    the labels :class:`Sequentializer` gives SPMD nodes.  Valid while
+    *program* is alive and unchanged."""
+    return {id(stmt): ast.format_stmt(stmt) for stmt in program.all_statements()}
 
-    def __init__(self, symtable: SymbolTable, mapping: MappingContext):
+
+class Sequentializer:
+    """Generates the SPMD node program from a normalised AST.
+
+    ``labels`` is the :func:`statement_labels` table of the program lowered.
+    """
+
+    def __init__(self, symtable: SymbolTable, mapping: MappingContext,
+                 labels: dict[int, str]):
         self.symtable = symtable
         self.mapping = mapping
+        self.labels = labels
 
     # ------------------------------------------------------------------
     # entry point
@@ -105,7 +117,7 @@ class Sequentializer:
         if isinstance(stmt, ast.WhereStmt):
             raise CompilerError("WHERE statement survived normalisation", stmt.line)
         # print / call / stop / exit / cycle / continue / declarations in body
-        return [SerialStmt(line=stmt.line, stmt=stmt, label=ast.format_stmt(stmt))]
+        return [SerialStmt(line=stmt.line, stmt=stmt, label=self.labels[id(stmt)])]
 
     # ------------------------------------------------------------------
     # forall
@@ -149,7 +161,7 @@ class Sequentializer:
             mask=forall.mask,
             body=list(forall.body),
             origin=forall,
-            label=ast.format_stmt(forall),
+            label=self.labels[id(forall)],
         ))
 
         if info.write_back:
@@ -186,7 +198,7 @@ class Sequentializer:
             if comms:
                 nodes.append(CommPhase(line=stmt.line, comms=comms, purpose="broadcast",
                                        label="fetch remote operands"))
-            nodes.append(SerialStmt(line=stmt.line, stmt=stmt, label=ast.format_stmt(stmt)))
+            nodes.append(SerialStmt(line=stmt.line, stmt=stmt, label=self.labels[id(stmt)]))
             return nodes
 
         if isinstance(target, ast.ArrayRef):
@@ -194,10 +206,10 @@ class Sequentializer:
             if dist is not None and not dist.is_replicated:
                 comms = analyze_scalar_rhs(stmt.value, self.mapping)
                 return [OwnerStmt(line=stmt.line, stmt=stmt, array=target.name.lower(),
-                                  comms=comms, label=ast.format_stmt(stmt))]
-            return [SerialStmt(line=stmt.line, stmt=stmt, label=ast.format_stmt(stmt))]
+                                  comms=comms, label=self.labels[id(stmt)])]
+            return [SerialStmt(line=stmt.line, stmt=stmt, label=self.labels[id(stmt)])]
 
-        return [SerialStmt(line=stmt.line, stmt=stmt, label=ast.format_stmt(stmt))]
+        return [SerialStmt(line=stmt.line, stmt=stmt, label=self.labels[id(stmt)])]
 
     def _references_array(self, expr: ast.Expr) -> bool:
         for node in ast.walk_expr(expr):
@@ -329,6 +341,8 @@ def sequentialize(
     program: ast.Program,
     symtable: SymbolTable,
     mapping: MappingContext,
+    labels: dict[int, str],
 ) -> list[SPMDNode]:
-    """Lower the (normalised) *program* body into the SPMD node program."""
-    return Sequentializer(symtable, mapping).run(program.body)
+    """Lower the (normalised) *program* body into the SPMD node program;
+    *labels* is *program*'s :func:`statement_labels` table."""
+    return Sequentializer(symtable, mapping, labels).run(program.body)

@@ -94,6 +94,12 @@ def compile_scenario(point: ScenarioPoint, program: ProgramSpec | None = None):
     the machine is not part of the key, so cross-machine sweeps reuse one
     compile per (program, size, nprocs, layout) cell.
     """
+    compiled, options, _key = _compile_point(point, program)
+    return compiled, options
+
+
+def _compile_point(point: ScenarioPoint, program: ProgramSpec | None):
+    """:func:`compile_scenario` plus the compile-stage key it compiled under."""
     if program is not None:
         source, name = program.source, program.key
         params = program.params_for(point.size)
@@ -104,12 +110,14 @@ def compile_scenario(point: ScenarioPoint, program: ProgramSpec | None = None):
         params = entry.params_for(point.size)
         options = entry.interpreter_options(point.size)
     params.update({k: v for k, v in point.params})
+    key = stages.compile_stage_key(source, nprocs=point.nprocs,
+                                   grid_shape=point.grid_shape, params=params)
     with obs.span("compile", app=point.app, nprocs=point.nprocs):
         compiled = stages.compile_cached(source, name=name,
                                          nprocs=point.nprocs,
                                          grid_shape=point.grid_shape,
-                                         params=params)
-    return compiled, options
+                                         params=params, key=key)
+    return compiled, options, key
 
 
 def evaluate_point(
@@ -125,7 +133,7 @@ def evaluate_point(
     started = _time.perf_counter()
     with obs.span("point", app=point.app, machine=point.machine,
                   nprocs=point.nprocs, mode=mode):
-        compiled, options = compile_scenario(point, program)
+        compiled, options, compile_key = _compile_point(point, program)
         if machine_resolver is not None:
             machine = machine_resolver(point)
         else:
@@ -139,8 +147,7 @@ def evaluate_point(
             # a machine_resolver closure builds machines the registry cannot
             # reproduce, so those points bypass the cache
             estimate = stages.price_cached(
-                compiled, machine,
-                compile_key=stages.compile_key_of(compiled),
+                compiled, machine, compile_key=compile_key,
                 options=options, cacheable=machine_resolver is None)
             estimated = estimate.predicted_time_us
             comp = estimate.total.computation

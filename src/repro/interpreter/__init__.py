@@ -2,15 +2,22 @@
 interpretation algorithm that predicts application performance from SAU
 parameters (Phase 2 of the framework)."""
 
-from .engine import InterpretationResult, PerformanceInterpreter, interpret
+from .engine import (
+    InterpretationResult,
+    PerformanceInterpreter,
+    PricePlan,
+    build_plan,
+    interpret,
+)
 from .expression_cost import (
     OpCount,
+    assignment_counts,
     count_assignment,
     count_expr,
     count_statement_body,
     iteration_time,
 )
-from .functions import InterpretationContext, InterpreterOptions, interpret_leaf
+from .functions import InterpretationContext, InterpreterOptions
 from .memory_model import (
     MemoryModelOptions,
     estimate_hit_ratio,
@@ -23,15 +30,17 @@ from .overlap import OverlapOptions, apply_overlap
 __all__ = [
     "InterpretationResult",
     "PerformanceInterpreter",
+    "PricePlan",
+    "build_plan",
     "interpret",
     "OpCount",
+    "assignment_counts",
     "count_assignment",
     "count_expr",
     "count_statement_body",
     "iteration_time",
     "InterpretationContext",
     "InterpreterOptions",
-    "interpret_leaf",
     "MemoryModelOptions",
     "estimate_hit_ratio",
     "streaming_miss_ratio",

@@ -6,6 +6,13 @@ their body by the (critical-variable-resolved) trip count, conditionals select
 or weight their branches, and a global clock plus cumulative computation /
 communication / overhead metrics are maintained for the whole SAAG.
 
+Everything in that walk that depends on neither the machine nor the price
+is computed once, by :func:`build_plan`, into a :class:`PricePlan`: the
+SAAG, each leaf's planned data, each serial loop's trip count and each
+conditional's statically resolved branch.  A plan serves every machine —
+:mod:`repro.stages` keeps one per compiled program and options — and
+pricing only reads it.
+
 The result object supports the queries the output module exposes: cumulative
 metrics, per-AAU metrics, sub-AAG metrics and per-source-line metrics.
 """
@@ -15,6 +22,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
+from typing import Any, Mapping, Optional
 
 from ..appmodel.aau import AAU, AAUType
 from ..appmodel.builder import build_saag
@@ -23,11 +31,119 @@ from ..compiler.pipeline import CompiledProgram
 from ..compiler.spmd import LocalLoopNest, NodeDo, NodeDoWhile, NodeIf
 from ..system.ipsc860 import PROGRAM_STARTUP_US
 from ..system.machine import Machine
-from .functions import InterpretationContext, InterpreterOptions, interpret_leaf
+from .expression_cost import OpCount
+from .functions import (
+    InterpretationContext,
+    InterpreterOptions,
+    PlanContext,
+    plan_leaf,
+)
 from .metrics import Metrics, MetricsTable
 from .overlap import apply_overlap
 
 BRANCH_PROBABILITY = 0.5    # for conditionals the parse cannot resolve
+
+
+@dataclass(frozen=True, eq=False)
+class PricePlan:
+    """The machine-free part of interpreting one compiled program.
+
+    ``steps`` maps an AAU id to what the walk needs there: a leaf's
+    ``(pricer, data)``, a serial loop's trip count, a conditional's
+    statically chosen branch (``None`` when unresolved).  ``overrides`` and
+    ``while_trip_estimate`` are copies of the only option fields a plan
+    depends on; :meth:`check` refuses options that differ in them.
+    """
+
+    compiled: CompiledProgram
+    saag: SAAG
+    steps: dict[int, Any]
+    overrides: dict[str, float]
+    while_trip_estimate: float
+
+    def check(self, compiled: CompiledProgram, options: InterpreterOptions) -> None:
+        """Raise ``ValueError`` unless this plan was built for *compiled*
+        under options equal to *options* in the fields it depends on."""
+        if compiled is not self.compiled:
+            raise ValueError("price plan was built for another compiled program")
+        if options.overrides != self.overrides \
+                or options.while_trip_estimate != self.while_trip_estimate:
+            raise ValueError("price plan was built for other interpreter options")
+
+
+def build_plan(
+    compiled: CompiledProgram,
+    options: InterpreterOptions | None = None,
+    *,
+    saag: SAAG | None = None,
+    op_counts: Optional[Mapping[int, OpCount]] = None,
+) -> PricePlan:
+    """Run the abstraction parse and plan every AAU of *compiled*.
+
+    *saag* reuses an already built SAAG; *op_counts* is an
+    :func:`~repro.interpreter.expression_cost.assignment_counts` table of
+    ``compiled.normalized``.
+    """
+    options = options or InterpreterOptions()
+    if saag is None:
+        saag = build_saag(compiled, overrides=options.overrides)
+    env = dict(compiled.mapping.env)
+    env.update(saag.critical_variables.resolved_env())
+    env.update({k.lower(): float(v) for k, v in options.overrides.items()})
+    steps: dict[int, Any] = {}
+    _plan_sequence(saag.root.children, PlanContext(compiled, options, env, op_counts),
+                   steps)
+    return PricePlan(compiled=compiled, saag=saag, steps=steps,
+                     overrides=dict(options.overrides),
+                     while_trip_estimate=options.while_trip_estimate)
+
+
+def _plan_sequence(aaus: list[AAU], pc: PlanContext, steps: dict[int, Any]) -> None:
+    """Plan *aaus* in the order, and under the environment, the walk prices them."""
+    for aau in aaus:
+        node = aau.spmd_node
+        if isinstance(node, NodeDo):
+            start = pc.eval(node.start, 1.0)
+            end = pc.eval(node.end, start)
+            step = pc.eval(node.step, 1.0) or 1.0
+            steps[aau.id] = max(math.floor((end - start) / step) + 1, 0)
+            # Children see a representative (mid-range) value of the loop
+            # variable so bounds that depend on it (triangular loops)
+            # interpret to their average.
+            var = node.var.lower()
+            saved = pc.env.get(var)
+            pc.env[var] = (start + end) / 2.0
+            _plan_sequence(aau.children, pc, steps)
+            if saved is None:
+                pc.env.pop(var, None)
+            else:
+                pc.env[var] = saved
+        elif isinstance(node, NodeDoWhile):
+            steps[aau.id] = node.estimated_trips or pc.options.while_trip_estimate
+            _plan_sequence(aau.children, pc, steps)
+        elif isinstance(node, NodeIf):
+            steps[aau.id] = _static_branch(node, pc)
+            _plan_sequence(aau.children, pc, steps)
+        elif node is None and aau.children:
+            # structural grouping AAU (e.g. an IF branch)
+            _plan_sequence(aau.children, pc, steps)
+        else:
+            steps[aau.id] = plan_leaf(node, pc)
+            # LocalLoopNest children (the mask CondtD) are bookkeeping only.
+            if not isinstance(node, LocalLoopNest):
+                _plan_sequence(aau.children, pc, steps)
+
+
+def _static_branch(node: NodeIf, pc: PlanContext) -> int | None:
+    """The branch a deterministic conditional takes (``len(branches)`` for
+    the else branch), or ``None`` when a condition does not resolve."""
+    for index, (cond, _) in enumerate(node.branches):
+        value = pc.eval(cond, None)
+        if value is None:
+            return None
+        if value:
+            return index
+    return len(node.branches)
 
 
 @dataclass
@@ -121,20 +237,20 @@ class PerformanceInterpreter:
         machine: Machine,
         options: InterpreterOptions | None = None,
         saag: SAAG | None = None,
+        plan: PricePlan | None = None,
     ):
         self.compiled = compiled
         self.machine = machine
         self.options = options or InterpreterOptions()
-        if saag is None:
-            saag = build_saag(compiled, overrides=self.options.overrides)
-        self.saag = saag
-        env = dict(compiled.mapping.env)
-        env.update(self.saag.critical_variables.resolved_env())
-        env.update({k.lower(): float(v) for k, v in self.options.overrides.items()})
-        self.ctx = InterpretationContext(
-            compiled=compiled, machine=machine, saag=self.saag,
-            options=self.options, env=env,
-        )
+        if plan is None:
+            plan = build_plan(compiled, self.options, saag=saag)
+        else:
+            plan.check(compiled, self.options)
+            if saag is not None and saag is not plan.saag:
+                raise ValueError("pass a price plan or a SAAG, not both")
+        self.plan = plan
+        self.saag = plan.saag
+        self.ctx = InterpretationContext(machine, self.options, compiled.nprocs)
         self.table = MetricsTable()
 
     # ------------------------------------------------------------------
@@ -187,9 +303,9 @@ class PerformanceInterpreter:
         clock = self.table.global_clock
 
         if isinstance(node, NodeDo):
-            return self._interpret_do(aau, node, multiplier)
+            return self._interpret_do(aau, multiplier)
         if isinstance(node, NodeDoWhile):
-            return self._interpret_do_while(aau, node, multiplier)
+            return self._interpret_do_while(aau, multiplier)
         if isinstance(node, NodeIf):
             return self._interpret_if(aau, node, multiplier)
         if node is None and aau.children:
@@ -197,7 +313,8 @@ class PerformanceInterpreter:
             self.table.record(aau.id, Metrics(), multiplier, clock)
             return self._interpret_sequence(aau.children, multiplier)
 
-        own = interpret_leaf(aau, self.ctx)
+        price, data = self.plan.steps[aau.id]
+        own = price(data, self.ctx)
         self.table.record(aau.id, own, multiplier, clock)
         # LocalLoopNest children (the mask CondtD) are bookkeeping only.
         if not isinstance(node, LocalLoopNest):
@@ -211,38 +328,22 @@ class PerformanceInterpreter:
 
     # -- serial DO loop -----------------------------------------------------------
 
-    def _interpret_do(self, aau: AAU, node: NodeDo, multiplier: float) -> Metrics:
-        ctx = self.ctx
-        proc = self.machine.processing
-        start = ctx.eval(node.start, 1.0)
-        end = ctx.eval(node.end, start)
-        step = ctx.eval(node.step, 1.0) or 1.0
-        trips = max(math.floor((end - start) / step) + 1, 0)
-
+    def _interpret_do(self, aau: AAU, multiplier: float) -> Metrics:
+        proc = self.ctx.processing
+        trips = self.plan.steps[aau.id]
         own = Metrics(overhead=proc.loop_startup_overhead
                       + trips * (proc.loop_iteration_overhead + proc.int_op_time))
         self.table.record(aau.id, own, multiplier, self.table.global_clock)
-
-        # Children see a representative (mid-range) value of the loop variable so
-        # bounds that depend on it (triangular loops) interpret to their average.
-        var = node.var.lower()
-        saved = ctx.env.get(var)
-        ctx.env[var] = (start + end) / 2.0
         child_total = self._interpret_sequence(aau.children, multiplier * trips)
-        if saved is None:
-            ctx.env.pop(var, None)
-        else:
-            ctx.env[var] = saved
-
         # child_total is the metrics of ONE execution of the loop body sequence;
         # one execution of the loop runs the body `trips` times.
         return own + child_total.scaled(trips)
 
     # -- DO WHILE -------------------------------------------------------------------
 
-    def _interpret_do_while(self, aau: AAU, node: NodeDoWhile, multiplier: float) -> Metrics:
-        proc = self.machine.processing
-        trips = node.estimated_trips or self.options.while_trip_estimate
+    def _interpret_do_while(self, aau: AAU, multiplier: float) -> Metrics:
+        proc = self.ctx.processing
+        trips = self.plan.steps[aau.id]
         cond_cost = Metrics(overhead=trips * (proc.branch_time + 2 * proc.int_op_time))
         self.table.record(aau.id, cond_cost, multiplier, self.table.global_clock)
         child_total = self._interpret_sequence(aau.children, multiplier * trips)
@@ -251,24 +352,10 @@ class PerformanceInterpreter:
     # -- IF construct ----------------------------------------------------------------
 
     def _interpret_if(self, aau: AAU, node: NodeIf, multiplier: float) -> Metrics:
-        ctx = self.ctx
-        proc = self.machine.processing
-        own = Metrics(overhead=len(node.branches) * proc.conditional_overhead)
+        own = Metrics(overhead=len(node.branches) * self.ctx.processing.conditional_overhead)
         self.table.record(aau.id, own, multiplier, self.table.global_clock)
 
-        # Try to resolve the branch statically (deterministic conditional).
-        chosen: int | None = None
-        for index, (cond, _) in enumerate(node.branches):
-            value = ctx.eval(cond, None)
-            if value is None:
-                chosen = None
-                break
-            if value:
-                chosen = index
-                break
-        else:
-            chosen = len(node.branches)  # else branch (or nothing)
-
+        chosen = self.plan.steps[aau.id]
         branch_aaus = aau.children
         total = own
         if chosen is not None:
@@ -292,6 +379,13 @@ def interpret(
     machine: Machine,
     options: InterpreterOptions | None = None,
     saag: SAAG | None = None,
+    plan: PricePlan | None = None,
 ) -> InterpretationResult:
-    """Convenience wrapper: run the full interpretation parse."""
-    return PerformanceInterpreter(compiled, machine, options=options, saag=saag).interpret()
+    """Convenience wrapper: run the full interpretation parse.
+
+    *plan* prices from a :class:`PricePlan` of *compiled* built under equal
+    *options* (else ``ValueError``); *saag* plans from an already built
+    SAAG.  Without either, the abstraction parse runs first.
+    """
+    return PerformanceInterpreter(compiled, machine, options=options, saag=saag,
+                                  plan=plan).interpret()

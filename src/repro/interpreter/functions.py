@@ -3,20 +3,31 @@
 *"An interpretation function is defined for each AAU type to compute its
 performance in terms of parameters exported by the associated SAU."*
 
-Every function takes the AAU and the shared :class:`InterpretationContext`
-and returns the :class:`~repro.interpreter.metrics.Metrics` of **one
-execution** of that AAU; the interpretation algorithm (in
-:mod:`repro.interpreter.engine`) handles loop trip counts, branches and
-accumulation into the SAAG-level cumulative metrics.
+Each function comes in two halves, split where the paper splits the
+abstraction parse from the interpretation parse:
+
+* a **planner** (``plan_*``) computes, once per
+  :class:`~repro.interpreter.engine.PricePlan`, what depends on neither the
+  machine nor the price: iteration counts, home formats, operation counts,
+  communication sizes.  It reads the compiled program through a
+  :class:`PlanContext`, and returns a ``(pricer, data)`` pair;
+* the **pricer** (``price_*``) turns that data into the
+  :class:`~repro.interpreter.metrics.Metrics` of **one execution** of the
+  AAU with one machine's SAU parameters (an :class:`InterpretationContext`),
+  in the order the quantities were always combined, so a planned price is
+  bit-identical to a single-pass one.  It writes nothing into the plan.
+
+The interpretation algorithm (in :mod:`repro.interpreter.engine`) handles
+loop trip counts, branches and accumulation into the SAAG-level cumulative
+metrics.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any, Callable, Mapping, Optional
 
-from ..appmodel.aau import AAU
-from ..appmodel.saag import SAAG
 from ..compiler.comm_detect import comm_elements_per_proc
 from ..compiler.pipeline import CompiledProgram
 from ..compiler.spmd import (
@@ -61,22 +72,24 @@ class InterpreterOptions:
 
 
 @dataclass
-class InterpretationContext:
-    """Shared state threaded through the interpretation functions."""
+class PlanContext:
+    """What the planners read: the compiled program, the options a plan is
+    built for, and the critical-variable environment (``eval``).
+
+    ``op_counts`` maps ``id(assignment)`` to its operation count for the
+    assignments of ``compiled.normalized`` (the parse stage shares one such
+    table among every compile of a source); other statements are counted
+    afresh.
+    """
 
     compiled: CompiledProgram
-    machine: Machine
-    saag: SAAG
     options: InterpreterOptions
     env: dict[str, float]
+    op_counts: Optional[Mapping[int, OpCount]] = None
 
     @property
     def nprocs(self) -> int:
         return self.compiled.nprocs
-
-    def topology(self, nprocs: int | None = None):
-        """The machine's interconnect topology over *nprocs* nodes."""
-        return self.machine.topology(max(nprocs or self.nprocs, 1))
 
     def eval(self, expr: ast.Expr | None, default: float | None = None) -> float | None:
         if expr is None:
@@ -84,31 +97,76 @@ class InterpretationContext:
         value = try_eval_const(expr, self.env)
         return value if value is not None else default
 
+    def count_body(self, body: list[ast.Assignment],
+                   mask: ast.Expr | None = None) -> OpCount:
+        return count_statement_body(body, mask, counts=self.op_counts)
+
+
+class InterpretationContext:
+    """What the pricers read: one machine, the price's options and the
+    process count.
+
+    The machine's node processing and memory components and its cube
+    communication component are resolved once here: each
+    :class:`~repro.system.machine.Machine` property walks the SAG.
+    """
+
+    def __init__(self, machine: Machine, options: InterpreterOptions,
+                 nprocs: int):
+        self.machine = machine
+        self.options = options
+        self.nprocs = nprocs
+        self.processing = machine.processing
+        self.memory = machine.memory
+        self.communication = machine.communication
+
+
+#: what a planner returns: the pricer and the machine-free data it prices
+LeafPlan = tuple[Callable[[Any, InterpretationContext], Metrics], Any]
+
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
 
 
-def _trip_count(ctx: InterpretationContext, lo: ast.Expr, hi: ast.Expr,
+def _trip_count(pc: PlanContext, lo: ast.Expr, hi: ast.Expr,
                 step: ast.Expr | None) -> float:
-    lo_v = ctx.eval(lo, 1.0)
-    hi_v = ctx.eval(hi, lo_v)
-    step_v = ctx.eval(step, 1.0) or 1.0
+    lo_v = pc.eval(lo, 1.0)
+    hi_v = pc.eval(hi, lo_v)
+    step_v = pc.eval(step, 1.0) or 1.0
     if step_v == 0:
         step_v = 1.0
     trips = math.floor((hi_v - lo_v) / step_v) + 1
     return max(float(trips), 0.0)
 
 
-def _home_format(ctx: InterpretationContext, array: str | None) -> tuple[int, str]:
+def _home_format(pc: PlanContext, array: str | None) -> tuple[int, str]:
     """Element size and precision of a node's home array; 4-byte real without one."""
-    dist = ctx.compiled.mapping.distribution_of(array) if array else None
+    dist = pc.compiled.mapping.distribution_of(array) if array else None
     if dist is None:
         return 4, "real"
-    sym = ctx.compiled.symtable.get(array)
+    sym = pc.compiled.symtable.get(array)
     return dist.element_size, ("double" if sym is not None and sym.type_name == "double"
                                else "real")
+
+
+def price_nothing(_data: Any, ctx: InterpretationContext) -> Metrics:
+    """An AAU with no cost of its own (an empty branch)."""
+    return Metrics()
+
+
+def price_fixed_overhead(overhead: float, ctx: InterpretationContext) -> Metrics:
+    """An overhead that no machine parameter scales."""
+    return Metrics(overhead=overhead)
+
+
+def price_call(_data: Any, ctx: InterpretationContext) -> Metrics:
+    return Metrics(overhead=ctx.processing.call_overhead)
+
+
+def price_branch(_data: Any, ctx: InterpretationContext) -> Metrics:
+    return Metrics(overhead=ctx.processing.branch_time)
 
 
 # ---------------------------------------------------------------------------
@@ -116,215 +174,257 @@ def _home_format(ctx: InterpretationContext, array: str | None) -> tuple[int, st
 # ---------------------------------------------------------------------------
 
 
-def interpret_seq_overhead(aau: AAU, ctx: InterpretationContext) -> Metrics:
+def plan_seq_overhead(node: SeqOverhead, pc: PlanContext) -> LeafPlan:
     """Seq AAU: parameter packing / bounds adjustment around communication."""
-    node: SeqOverhead = aau.spmd_node
-    proc = ctx.machine.processing
-    items = max(node.items, 1)
-    if node.kind == "pack_parameters":
+    return price_seq_overhead, (node.kind, max(node.items, 1))
+
+
+def price_seq_overhead(data: tuple[str, int], ctx: InterpretationContext) -> Metrics:
+    kind, items = data
+    proc = ctx.processing
+    if kind == "pack_parameters":
         time = items * (12 * proc.int_op_time + 2 * proc.assignment_overhead)
-    elif node.kind == "adjust_bounds":
+    elif kind == "adjust_bounds":
         time = items * (8 * proc.int_op_time + proc.divide_time)
     else:  # index translation
         time = items * (6 * proc.int_op_time)
     return Metrics(overhead=time)
 
 
-def interpret_serial_stmt(aau: AAU, ctx: InterpretationContext) -> Metrics:
+def plan_serial_stmt(node: SerialStmt, pc: PlanContext) -> LeafPlan:
     """Seq AAU: replicated scalar statement executed identically on every node."""
-    stmt = aau.spmd_node.stmt
-    proc = ctx.machine.processing
-    memory = ctx.machine.memory
-
+    stmt = node.stmt
     if isinstance(stmt, ast.Assignment):
-        count = count_statement_body([stmt])
-        time = iteration_time(count, proc, memory, hit_ratio=0.95,
-                              include_loop_overhead=False)
-        return Metrics(computation=time)
+        return price_replicated, pc.count_body([stmt])
     if isinstance(stmt, ast.PrintStmt):
         items = max(len(stmt.items), 1)
-        return Metrics(overhead=items * 55.0 + 180.0)   # formatted output to the host
+        return price_fixed_overhead, items * 55.0 + 180.0   # formatted output to the host
     if isinstance(stmt, ast.CallStmt):
         count = OpCount(calls=1.0)
         for arg in stmt.args:
             count += count_expr(arg)
-        time = iteration_time(count, proc, memory, hit_ratio=0.95,
-                              include_loop_overhead=False)
-        return Metrics(computation=time)
+        return price_replicated, count
     # stop / exit / cycle / continue
-    return Metrics(overhead=proc.branch_time)
+    return price_branch, None
 
 
-def interpret_owner_stmt(aau: AAU, ctx: InterpretationContext) -> Metrics:
+def price_replicated(count: OpCount, ctx: InterpretationContext) -> Metrics:
+    time = iteration_time(count, ctx.processing, ctx.memory, hit_ratio=0.95,
+                          include_loop_overhead=False)
+    return Metrics(computation=time)
+
+
+def plan_owner_stmt(node: OwnerStmt, pc: PlanContext) -> LeafPlan:
     """Seq AAU for a single element assignment executed only by the owner.
 
     In the loosely-synchronous model the other processors reach the next
     communication point and wait, so the element's cost appears on the critical
     path exactly once (plus the ownership test every node performs).
     """
-    node: OwnerStmt = aau.spmd_node
-    proc = ctx.machine.processing
-    memory = ctx.machine.memory
-    count = count_statement_body([node.stmt])
-    compute = iteration_time(count, proc, memory, hit_ratio=0.95,
+    return price_owner_stmt, (pc.count_body([node.stmt]),
+                              [plan_comm_spec(spec, pc) for spec in node.comms])
+
+
+def price_owner_stmt(data: tuple[OpCount, list["CommSpecPlan"]],
+                     ctx: InterpretationContext) -> Metrics:
+    count, specs = data
+    proc = ctx.processing
+    compute = iteration_time(count, proc, ctx.memory, hit_ratio=0.95,
                              include_loop_overhead=False)
     guard = 4 * proc.int_op_time + proc.branch_time
     # only the owner computes while the other ranks idle at the guard, so the
     # mean-rank computation is 1/p of the critical-path charge
     metrics = Metrics(computation=compute, overhead=guard,
                       balanced_computation=compute / max(ctx.nprocs, 1))
-    for spec in node.comms:
-        metrics += _comm_spec_metrics(spec, ctx)
+    for spec in specs:
+        metrics += price_comm_spec(spec, ctx)
     return metrics
 
 
-def _comm_spec_metrics(spec: CommSpec, ctx: InterpretationContext) -> Metrics:
-    """Cost of one communication specification, charged to the cube SAU."""
-    comm = ctx.machine.communication
-    proc = ctx.machine.processing
-    nprocs = ctx.nprocs
-    dist = ctx.compiled.mapping.distribution_of(spec.array) if spec.array else None
+@dataclass(frozen=True)
+class CommSpecPlan:
+    """The machine-free sizes of one communication specification."""
 
-    elements = comm_elements_per_proc(spec, ctx.compiled.mapping)
-    nbytes = int(elements * spec.element_size)
+    kind: str
+    element_size: int
+    elements: float      # per processor
+    nbytes: int          # per processor
+    procs: int           # the ranks a collective spans
+
+
+def plan_comm_spec(spec: CommSpec, pc: PlanContext) -> CommSpecPlan:
+    mapping = pc.compiled.mapping
+    dist = mapping.distribution_of(spec.array) if spec.array else None
+    elements = comm_elements_per_proc(spec, mapping)
+    procs = max(pc.nprocs, 1)
+    if spec.kind == "broadcast":
+        if dist is not None and spec.axis is not None and spec.axis < len(dist.axes):
+            procs = max(dist.axes[spec.axis].nprocs, 1)
+    elif spec.kind in ("gather", "writeback"):
+        procs = max(dist.nprocs if dist is not None else pc.nprocs, 1)
+    return CommSpecPlan(spec.kind, spec.element_size, elements,
+                        int(elements * spec.element_size), procs)
+
+
+def price_comm_spec(spec: CommSpecPlan, ctx: InterpretationContext) -> Metrics:
+    """Cost of one communication specification, charged to the cube SAU."""
+    comm = ctx.communication
+    proc = ctx.processing
 
     if spec.kind == "shift":
         # the compiler emits shifts only along axes spread over several ranks
-        time = comm_models.shift_exchange_time(comm, nbytes)
-        pack = elements * 2 * proc.int_op_time
+        time = comm_models.shift_exchange_time(comm, spec.nbytes)
+        pack = spec.elements * 2 * proc.int_op_time
         return Metrics(communication=time, overhead=pack)
 
+    topology = ctx.machine.topology(spec.procs)
     if spec.kind == "broadcast":
-        procs = nprocs
-        if dist is not None and spec.axis is not None and spec.axis < len(dist.axes):
-            procs = max(dist.axes[spec.axis].nprocs, 1)
-        time = comm_models.broadcast_time(comm, max(nbytes, spec.element_size), procs,
-                                          topology=ctx.topology(procs))
+        time = comm_models.broadcast_time(comm, max(spec.nbytes, spec.element_size),
+                                          spec.procs, topology=topology)
         return Metrics(communication=time)
 
     if spec.kind == "reduce":
         time = comm_models.allreduce_time(
-            comm, spec.element_size, nprocs,
+            comm, spec.element_size, spec.procs,
             combine_time_per_stage=proc.flop_time_sp,
-            topology=ctx.topology(),
+            topology=topology,
         )
         return Metrics(communication=time)
 
     if spec.kind in ("gather", "writeback"):
-        procs = dist.nprocs if dist is not None else nprocs
-        time = comm_models.unstructured_gather_time(comm, nbytes, max(procs, 1),
-                                                    topology=ctx.topology(max(procs, 1)))
-        pack = elements * 3 * proc.int_op_time
+        time = comm_models.unstructured_gather_time(comm, spec.nbytes, spec.procs,
+                                                    topology=topology)
+        pack = spec.elements * 3 * proc.int_op_time
         return Metrics(communication=time, overhead=pack)
 
     # unknown pattern: charge a barrier as a safe over-approximation
-    return Metrics(communication=comm_models.barrier_time(comm, nprocs,
-                                                          topology=ctx.topology()))
+    return Metrics(communication=comm_models.barrier_time(comm, spec.procs,
+                                                          topology=topology))
 
 
-def interpret_comm_phase(aau: AAU, ctx: InterpretationContext) -> Metrics:
+def plan_comm_phase(node: CommPhase, pc: PlanContext) -> LeafPlan:
     """Comm AAU: one global communication phase (one or more collectives)."""
-    node: CommPhase = aau.spmd_node
+    return price_comm_phase, [plan_comm_spec(spec, pc) for spec in node.comms]
+
+
+def price_comm_phase(specs: list[CommSpecPlan], ctx: InterpretationContext) -> Metrics:
     metrics = Metrics()
-    for spec in node.comms:
-        spec_metrics = _comm_spec_metrics(spec, ctx)
-        metrics += spec_metrics
-        # update the communication table entries attached to this AAU
-        for entry in ctx.saag.comm_table.for_aau(aau.id):
-            if entry.kind == spec.kind and entry.array == spec.array and \
-                    entry.axis == spec.axis and entry.offset == spec.offset:
-                entry.estimated_time = spec_metrics.total
-                entry.status = "interpreted"
+    for spec in specs:
+        metrics += price_comm_spec(spec, ctx)
     return metrics
 
 
-def interpret_shift(aau: AAU, ctx: InterpretationContext) -> Metrics:
+def plan_shift(node: ShiftNode, pc: PlanContext) -> LeafPlan:
     """Comm AAU produced by a cshift/tshift/eoshift library call."""
-    node: ShiftNode = aau.spmd_node
-    dist = ctx.compiled.mapping.distribution_of(node.source)
-    proc = ctx.machine.processing
-    comm = ctx.machine.communication
+    dist = pc.compiled.mapping.distribution_of(node.source)
     if dist is None:
-        return Metrics(overhead=proc.call_overhead)
+        return price_call, None
 
-    local_elements = dist.avg_local_size()
     boundary = 1.0
     procs_along = 1
-    offset = abs(ctx.eval(node.offset_expr, 1.0) or 1.0)
+    offset = abs(pc.eval(node.offset_expr, 1.0) or 1.0)
     for axis_no, axis in enumerate(dist.axes):
         if axis_no == node.axis:
             procs_along = axis.nprocs
             boundary *= min(offset, axis.avg_local_count()) or 1.0
         else:
             boundary *= max(axis.avg_local_count(), 1.0)
+    exchange_bytes = int(boundary * dist.element_size) if procs_along > 1 else None
+    return price_shift, (dist.avg_local_size(), boundary, exchange_bytes)
 
+
+def price_shift(data: tuple[float, float, Optional[int]],
+                ctx: InterpretationContext) -> Metrics:
+    local_elements, boundary, exchange_bytes = data
+    proc = ctx.processing
     # Every rank copies its block at the single-precision rate, whatever the
     # array's type, as the pinned predictions do: no machine annotation ever
     # gave a shift its array's precision, so pricing doubles at their own
     # rate is a cost-model change.
-    copy =local_elements * (proc.assignment_overhead + proc.flop_time("real"))
+    copy = local_elements * (proc.assignment_overhead + proc.flop_time("real"))
     communication = 0.0
-    if procs_along > 1:
-        exchange = comm_models.shift_exchange_time(comm, int(boundary * dist.element_size))
+    if exchange_bytes is not None:
+        exchange = comm_models.shift_exchange_time(ctx.communication, exchange_bytes)
         pack = boundary * proc.int_op_time * 2.0
         # (copy + exchange + pack) - copy, not exchange + pack: the two round
         # differently, and the shorter form moves finance's predictions in
         # the last bits.
         communication = copy + exchange + pack - copy
-    metrics = Metrics(computation=copy, communication=communication)
-
-    for entry in ctx.saag.comm_table.for_aau(aau.id):
-        entry.estimated_time = metrics.communication
-        entry.status = "interpreted"
-    return metrics
+    return Metrics(computation=copy, communication=communication)
 
 
-def interpret_reduction(aau: AAU, ctx: InterpretationContext) -> Metrics:
+@dataclass(frozen=True)
+class LocalSweep:
+    """The machine-free half of a local loop nest or a reduction's local
+    sweep: how many iterations, what one iteration does, and what its cache
+    model needs."""
+
+    iterations: float           # the slowest rank's
+    count: OpCount              # one iteration (a masked nest: body and mask)
+    element_size: int
+    precision: str
+    stride1: bool
+    working_set: float          # bytes
+    arrays: int                 # distinct arrays touched
+    mean_iterations: float = 0.0          # loop nests: the perfectly-even split
+    depth: int = 0                        # loop nests: loops in the nest
+    assign_count: OpCount | None = None   # masked nests: the assignments alone
+    mask_count: OpCount | None = None     # masked nests: the mask alone
+
+
+def _hit_ratio(sweep: LocalSweep, ctx: InterpretationContext) -> float:
+    return estimate_hit_ratio(ctx.memory, sweep.working_set, sweep.element_size,
+                              stride1=sweep.stride1, arrays_touched=sweep.arrays,
+                              options=ctx.options.memory)
+
+
+def plan_reduction(node: ReductionNode, pc: PlanContext) -> LeafPlan:
     """Reduce AAU: the local partial reduction (the combine is the next Comm AAU)."""
-    node: ReductionNode = aau.spmd_node
-    proc = ctx.machine.processing
-    memory = ctx.machine.memory
-
-    local_elements = _reduction_local_elements(node, ctx)
+    local_elements = _reduction_local_elements(node, pc)
     count = count_reduction(node)
-
-    element_size, precision = _home_format(ctx, node.home_array)
-    ws = working_set_bytes(local_elements, max(len(count.arrays_touched), 1), element_size)
-    hit = estimate_hit_ratio(memory, ws, element_size, stride1=True,
-                             arrays_touched=len(count.arrays_touched),
-                             options=ctx.options.memory)
-    per_iter = iteration_time(count, proc, memory, precision=precision, hit_ratio=hit)
-    compute = proc.loop_startup_overhead + local_elements * per_iter
-    return Metrics(computation=compute)
+    element_size, precision = _home_format(pc, node.home_array)
+    arrays = len(count.arrays_touched)
+    return price_reduction, LocalSweep(
+        iterations=local_elements, count=count, element_size=element_size,
+        precision=precision, stride1=True,
+        working_set=working_set_bytes(local_elements, max(arrays, 1), element_size),
+        arrays=arrays)
 
 
-def _reduction_local_elements(node: ReductionNode, ctx: InterpretationContext) -> float:
+def price_reduction(sweep: LocalSweep, ctx: InterpretationContext) -> Metrics:
+    proc = ctx.processing
+    per_iter = iteration_time(sweep.count, proc, ctx.memory, precision=sweep.precision,
+                              hit_ratio=_hit_ratio(sweep, ctx))
+    return Metrics(computation=proc.loop_startup_overhead + sweep.iterations * per_iter)
+
+
+def _reduction_local_elements(node: ReductionNode, pc: PlanContext) -> float:
     """Static per-processor element count a reduction sweeps over."""
     if node.home_array:
-        dist = ctx.compiled.mapping.distribution_of(node.home_array)
+        dist = pc.compiled.mapping.distribution_of(node.home_array)
         if dist is not None:
-            extent = _reference_extent(node.source, node.home_array, ctx)
+            extent = _reference_extent(node.source, node.home_array, pc)
             if extent is not None and dist.size > 0:
                 return max(extent / max(dist.nprocs, 1), 1.0)
             return max(dist.avg_local_size(), 1.0)
     # replicated data: every node reduces the full extent
-    extent = _any_reference_extent(node.source, ctx)
+    extent = _any_reference_extent(node.source, pc)
     return extent if extent is not None else 1.0
 
 
-def _reference_extent(expr: ast.Expr, array: str, ctx: InterpretationContext) -> float | None:
+def _reference_extent(expr: ast.Expr, array: str, pc: PlanContext) -> float | None:
     """Number of elements of *array* referenced by *expr* (sections honoured)."""
     for ref in ast.expr_array_refs(expr):
         if ref.name.lower() != array.lower():
             continue
-        dist = ctx.compiled.mapping.distribution_of(array)
+        dist = pc.compiled.mapping.distribution_of(array)
         shape = dist.shape if dist is not None else None
         total = 1.0
         for axis, index in enumerate(ref.indices):
             if isinstance(index, ast.Section):
-                lo = ctx.eval(index.lo, 1.0)
-                hi = ctx.eval(index.hi, float(shape[axis]) if shape else lo)
-                stride = ctx.eval(index.stride, 1.0) or 1.0
+                lo = pc.eval(index.lo, 1.0)
+                hi = pc.eval(index.hi, float(shape[axis]) if shape else lo)
+                stride = pc.eval(index.stride, 1.0) or 1.0
                 total *= max(math.floor((hi - lo) / stride) + 1, 0)
             else:
                 total *= 1.0
@@ -332,19 +432,19 @@ def _reference_extent(expr: ast.Expr, array: str, ctx: InterpretationContext) ->
     # whole-array reference through a Var
     for node in ast.walk_expr(expr):
         if isinstance(node, ast.Var) and node.name.lower() == array.lower():
-            dist = ctx.compiled.mapping.distribution_of(array)
+            dist = pc.compiled.mapping.distribution_of(array)
             if dist is not None:
                 return float(dist.size)
     return None
 
 
-def _any_reference_extent(expr: ast.Expr, ctx: InterpretationContext) -> float | None:
+def _any_reference_extent(expr: ast.Expr, pc: PlanContext) -> float | None:
     for node in ast.walk_expr(expr):
         if isinstance(node, (ast.Var, ast.ArrayRef)):
-            sym = ctx.compiled.symtable.get(node.name)
+            sym = pc.compiled.symtable.get(node.name)
             if sym is not None and sym.is_array:
                 try:
-                    shape = ctx.compiled.symtable.array_shape(node.name, ctx.env)
+                    shape = pc.compiled.symtable.array_shape(node.name, pc.env)
                 except Exception:
                     continue
                 total = 1.0
@@ -354,23 +454,17 @@ def _any_reference_extent(expr: ast.Expr, ctx: InterpretationContext) -> float |
     return None
 
 
-def interpret_loop_nest(aau: AAU, ctx: InterpretationContext) -> Metrics:
+def plan_loop_nest(node: LocalLoopNest, pc: PlanContext) -> LeafPlan:
     """IterD AAU: the local computation level of a sequentialised forall."""
-    node: LocalLoopNest = aau.spmd_node
-    proc = ctx.machine.processing
-    memory = ctx.machine.memory
-    mapping = ctx.compiled.mapping
-
-    home_dist = mapping.distribution_of(node.home_array) if node.home_array else None
+    home_dist = pc.compiled.mapping.distribution_of(node.home_array) \
+        if node.home_array else None
     distributed = home_dist is not None and not home_dist.is_replicated
 
     # --- local iteration count (static, owner computes) -----------------------
     local_iterations = 1.0      # the slowest rank: ceil(trips / procs) per axis
     mean_iterations = 1.0       # the perfectly-even split: trips / procs
-    global_iterations = 1.0
     for dim in node.loops:
-        trips = _trip_count(ctx, dim.lo, dim.hi, dim.step)
-        global_iterations *= trips
+        trips = _trip_count(pc, dim.lo, dim.hi, dim.step)
         procs_along = 1
         if distributed and dim.home_axis is not None and dim.home_axis < len(home_dist.axes):
             procs_along = max(home_dist.axes[dim.home_axis].nprocs, 1)
@@ -381,25 +475,39 @@ def interpret_loop_nest(aau: AAU, ctx: InterpretationContext) -> Metrics:
             local_iterations *= trips
             mean_iterations *= trips
 
-    # --- per-iteration cost ------------------------------------------------------
-    count = count_statement_body(node.body, node.mask)
-    element_size, precision = _home_format(ctx, node.home_array)
-    # loop reordering makes the innermost loop sweep the home array's stride-1 axis
-    stride1 = not node.home_array or ctx.compiled.options.optimizations.loop_reordering
-    ws = working_set_bytes(local_iterations, max(len(count.arrays_touched), 1), element_size)
-    hit = estimate_hit_ratio(memory, ws, element_size, stride1=stride1,
-                             arrays_touched=len(count.arrays_touched),
-                             options=ctx.options.memory)
-    per_iteration = iteration_time(count, proc, memory, precision=precision, hit_ratio=hit)
+    # --- per-iteration work ------------------------------------------------------
+    count = pc.count_body(node.body, node.mask)
+    element_size, precision = _home_format(pc, node.home_array)
+    arrays = len(count.arrays_touched)
+    masked = node.mask is not None
+    return price_loop_nest, LocalSweep(
+        iterations=local_iterations, count=count, element_size=element_size,
+        precision=precision,
+        # loop reordering makes the innermost loop sweep the home array's
+        # stride-1 axis
+        stride1=not node.home_array or pc.compiled.options.optimizations.loop_reordering,
+        working_set=working_set_bytes(local_iterations, max(arrays, 1), element_size),
+        arrays=arrays, mean_iterations=mean_iterations, depth=len(node.loops),
+        assign_count=pc.count_body(node.body) if masked else None,
+        mask_count=count_expr(node.mask) if masked else None)
 
-    if node.mask is not None:
+
+def price_loop_nest(nest: LocalSweep, ctx: InterpretationContext) -> Metrics:
+    proc = ctx.processing
+    memory = ctx.memory
+    hit = _hit_ratio(nest, ctx)
+    if nest.mask_count is None:
+        per_iteration = iteration_time(nest.count, proc, memory,
+                                       precision=nest.precision, hit_ratio=hit)
+    else:
         # evaluation of the mask happens every iteration; the assignment only on
         # the (statically assumed) true fraction
-        assign_count = count_statement_body(node.body)
-        assign_time = iteration_time(assign_count, proc, memory, precision=precision,
-                                     hit_ratio=hit, include_loop_overhead=False)
-        mask_time = iteration_time(count_expr(node.mask), proc, memory, precision=precision,
-                                   hit_ratio=hit, include_loop_overhead=False)
+        assign_time = iteration_time(nest.assign_count, proc, memory,
+                                     precision=nest.precision, hit_ratio=hit,
+                                     include_loop_overhead=False)
+        mask_time = iteration_time(nest.mask_count, proc, memory,
+                                   precision=nest.precision, hit_ratio=hit,
+                                   include_loop_overhead=False)
         per_iteration = (
             proc.loop_iteration_overhead
             + proc.conditional_overhead
@@ -407,32 +515,31 @@ def interpret_loop_nest(aau: AAU, ctx: InterpretationContext) -> Metrics:
             + ctx.options.mask_true_fraction * assign_time
         )
 
-    compute = local_iterations * per_iteration
-    overhead = len(node.loops) * proc.loop_startup_overhead
-    if node.mask is not None:
+    compute = nest.iterations * per_iteration
+    overhead = nest.depth * proc.loop_startup_overhead
+    if nest.mask_count is not None:
         overhead += proc.conditional_overhead  # the guard's setup
 
     return Metrics(computation=compute, overhead=overhead,
-                   balanced_computation=mean_iterations * per_iteration)
+                   balanced_computation=nest.mean_iterations * per_iteration)
 
 
-# dispatch table used by the engine ------------------------------------------------
+# dispatch used by the plan builder ------------------------------------------------
 
-def interpret_leaf(aau: AAU, ctx: InterpretationContext) -> Metrics:
-    """Dispatch on the AAU's SPMD node type and return one-execution metrics."""
-    node = aau.spmd_node
+def plan_leaf(node: Any, pc: PlanContext) -> LeafPlan:
+    """Dispatch on a leaf AAU's SPMD node type: its pricer and planned data."""
     if isinstance(node, SeqOverhead):
-        return interpret_seq_overhead(aau, ctx)
+        return plan_seq_overhead(node, pc)
     if isinstance(node, CommPhase):
-        return interpret_comm_phase(aau, ctx)
+        return plan_comm_phase(node, pc)
     if isinstance(node, LocalLoopNest):
-        return interpret_loop_nest(aau, ctx)
+        return plan_loop_nest(node, pc)
     if isinstance(node, ReductionNode):
-        return interpret_reduction(aau, ctx)
+        return plan_reduction(node, pc)
     if isinstance(node, ShiftNode):
-        return interpret_shift(aau, ctx)
+        return plan_shift(node, pc)
     if isinstance(node, OwnerStmt):
-        return interpret_owner_stmt(aau, ctx)
+        return plan_owner_stmt(node, pc)
     if isinstance(node, SerialStmt):
-        return interpret_serial_stmt(aau, ctx)
-    return Metrics()
+        return plan_serial_stmt(node, pc)
+    return price_nothing, None

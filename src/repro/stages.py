@@ -1,30 +1,39 @@
-"""Three-stage cached predict path: *parse*, *compile* and *price* as keyed
+"""The cached predict path: *parse*, *compile*, *plan* and *price* as keyed
 stages, plus the simulator's *dataplane* stage.
 
-``repro.predict`` is really three pipelines glued together:
+``repro.predict`` is really four pipelines glued together:
 
 1. **parse** — HPF/Fortran 90D source text → logical lines → tokens →
-   program AST.  Depends on the program text and its name only.
+   program AST, plus the compile front that reads the AST alone: symbol
+   table, normalised program, statement labels and the operation count of
+   each normalised assignment.  Depends on the program text and its name
+   only.
 2. **compile** — parsed AST → partitioned, sequentialised SPMD node
    program (the app model).  Depends on the program text, process count,
    grid layout and parameter overrides — and on *nothing about the target
    machine*.
-3. **price** — walk that app model with one machine's SAG/SAU parameter
-   set and the analytic communication models (the interpretation parse).
-   Depends on the compile stage's output plus the machine and the
-   interpreter options.
+3. **plan** — the abstraction parse (SAAG, communication table, critical
+   variables) and every AAU's machine-free quantities: iteration counts,
+   operation counts, communication sizes, trip counts, static branches
+   (:class:`~repro.interpreter.PricePlan`).  Depends on the compile
+   stage's output and the interpreter options, and on nothing about the
+   machine.
+4. **price** — walk that plan with one machine's SAG/SAU parameter set and
+   the analytic communication models (the interpretation parse).  Depends
+   on the plan plus the machine.
 
 This module puts each stage behind its own **independent, explicitly keyed
 cache** so hot program ASTs/app models are built once and shared across
 sizes, process counts, machines and requests: a sweep over problem sizes
-and process counts parses each program once and compiles each
-(size, nprocs) cell once, a cross-machine sweep (or a prediction server
-fielding the same program against many targets) pays one compile and N
-prices, and repeated identical predictions pay nothing at all.  Every
-compile shares its parse stage's :class:`~repro.frontend.SourceFile` and
-program AST, which the compiler only reads.
+and process counts parses (and normalises) each program once and compiles
+each (size, nprocs) cell once, a cross-machine sweep (or a prediction
+server fielding the same program against many targets) pays one compile,
+one plan and N prices, and repeated identical predictions pay nothing at
+all.  Every compile shares its parse stage's
+:class:`~repro.frontend.SourceFile`, program AST and compile front, and
+every price shares its plan; the consumers only read them.
 
-``measure()`` adds a fourth: the **dataplane** stage holds each program's
+``measure()`` adds a fifth: the **dataplane** stage holds each program's
 data-plane tape (:mod:`repro.simulator.dataplane`) — every answer the
 simulator's timing plane took from the program's values.  It depends on
 the source text and the parameter env but not on the machine, the seed or
@@ -32,13 +41,13 @@ the source text and the parameter env but not on the machine, the seed or
 a sweep over p, machines and seeds runs each program's values once and
 replays them for every other point.
 
-All four caches are bounded thread-safe LRUs and are instrumented with
+All five caches are bounded thread-safe LRUs and are instrumented with
 ``repro.obs`` hit/miss counters (``repro_stage_cache_hits_total`` /
 ``repro_stage_cache_misses_total``, labelled ``stage="parse"`` /
-``stage="compile"`` / ``stage="price"`` / ``stage="dataplane"``), which is
-how the serve-layer tests assert the acceptance property: a second request
-for the same program on a different machine hits the compile cache but
-misses the price cache.
+``stage="compile"`` / ``stage="plan"`` / ``stage="price"`` /
+``stage="dataplane"``), which is how the serve-layer tests assert the
+acceptance property: a second request for the same program on a different
+machine hits the compile cache but misses the price cache.
 
 Example:
     >>> import repro
@@ -53,19 +62,23 @@ Example:
     ...       forall (i = 1:n) x(i) = 1.0 * i
     ...       end program tiny
     ... '''
-    >>> a = repro.predict(src, nprocs=2)                      # parse + compile + price
+    >>> a = repro.predict(src, nprocs=2)                  # parse + compile + plan + price
     >>> b = repro.predict(src, nprocs=2, machine="paragon")   # price only
-    >>> a.compiled is b.compiled                              # shared app model
+    >>> a.compiled is b.compiled                          # shared app model
     True
-    >>> c = repro.predict(src, nprocs=4)                      # compile + price
-    >>> c.compiled.program is a.compiled.program              # shared AST
+    >>> a.saag is b.saag                                  # shared plan
     True
-    >>> m = repro.measure(src, nprocs=2)                      # records the data plane
-    >>> n = repro.measure(src, nprocs=4)                      # replays it
+    >>> c = repro.predict(src, nprocs=4)                  # compile + plan + price
+    >>> c.compiled.program is a.compiled.program          # shared AST
+    True
+    >>> c.compiled.normalized is a.compiled.normalized    # shared compile front
+    True
+    >>> m = repro.measure(src, nprocs=2)                  # records the data plane
+    >>> n = repro.measure(src, nprocs=4)                  # replays it
     >>> m.array_checksum == n.array_checksum
     True
     >>> stages.stage_cache_sizes()
-    {'parse': 1, 'compile': 2, 'price': 3, 'dataplane': 1}
+    {'parse': 1, 'compile': 2, 'plan': 2, 'price': 3, 'dataplane': 1}
 """
 
 from __future__ import annotations
@@ -74,23 +87,33 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from dataclasses import is_dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Any, Callable, Mapping, Optional
 
 from . import obs
 from .compiler import pipeline
-from .compiler.pipeline import CompileOptions
+from .compiler.pipeline import CompileFront, CompileOptions
 from .frontend import SourceFile
-from .interpreter import InterpreterOptions, interpret
+from .frontend.ast_nodes import Program
+from .interpreter import (
+    InterpreterOptions,
+    OpCount,
+    PricePlan,
+    assignment_counts,
+    build_plan,
+    interpret,
+)
 from .system.machine import Machine
 
 #: Bounded sizes of the stage caches.  Parsed programs are few (one per
 #: distinct source) and shared by every compile of that source; compiled
-#: programs are the heavy objects (SPMD trees); priced estimates are small
+#: programs are the heavy objects (SPMD trees), and each has about one
+#: price plan (its SAAG and planned AAUs); priced estimates are small
 #: result records; a data-plane tape is one per (source, parameters) and
 #: at most ``repro.simulator.dataplane.TAPE_BYTE_CAP`` bytes.
 PARSE_CACHE_SIZE = 64
 COMPILE_CACHE_SIZE = 128
+PLAN_CACHE_SIZE = COMPILE_CACHE_SIZE
 PRICE_CACHE_SIZE = 1024
 DATAPLANE_CACHE_SIZE = 64
 
@@ -184,19 +207,6 @@ def compile_stage_key(source: str, *, nprocs: int,
     })
 
 
-def compile_key_of(compiled) -> str:
-    """The compile-stage key of an already-compiled program.
-
-    Derived from the inputs recorded on the
-    :class:`~repro.compiler.CompiledProgram` itself, so callers holding a
-    compiled program (the campaign worker) can key the price stage without
-    threading the original key through.
-    """
-    opts = compiled.options
-    return compile_stage_key(compiled.source.text, nprocs=opts.nprocs,
-                             grid_shape=opts.grid_shape, params=opts.params)
-
-
 def machine_stage_token(machine: Machine) -> str:
     """The part of the price key a :class:`Machine` contributes.
 
@@ -273,6 +283,10 @@ def price_stage_key(compile_key: str, machine: Machine,
     options_token = options_stage_token(options)
     if options_token is None:
         return None
+    return _price_key(compile_key, machine, options_token)
+
+
+def _price_key(compile_key: str, machine: Machine, options_token: str) -> str:
     return _canonical_hash({
         "stage": "price",
         "compile_key": compile_key,
@@ -312,22 +326,25 @@ def dataplane_stage_key(compiled, env: Mapping[str, float],
 
 _parse_cache = LRUCache(PARSE_CACHE_SIZE)
 _compile_cache = LRUCache(COMPILE_CACHE_SIZE)
+_plan_cache = LRUCache(PLAN_CACHE_SIZE)
 _price_cache = LRUCache(PRICE_CACHE_SIZE)
 _dataplane_cache = LRUCache(DATAPLANE_CACHE_SIZE)
 
 
 def clear_stage_caches() -> None:
-    """Drop all four stage caches (tests and long-lived servers under
+    """Drop all five stage caches (tests and long-lived servers under
     memory pressure; the obs counters are left alone)."""
     _parse_cache.clear()
     _compile_cache.clear()
+    _plan_cache.clear()
     _price_cache.clear()
     _dataplane_cache.clear()
 
 
 def stage_cache_sizes() -> dict[str, int]:
     return {"parse": len(_parse_cache), "compile": len(_compile_cache),
-            "price": len(_price_cache), "dataplane": len(_dataplane_cache)}
+            "plan": len(_plan_cache), "price": len(_price_cache),
+            "dataplane": len(_dataplane_cache)}
 
 
 def _note(stage: str, hit: bool) -> None:
@@ -336,14 +353,17 @@ def _note(stage: str, hit: bool) -> None:
     obs.counter(name, stage=stage).inc()
 
 
-def parse_cached(source: str, *, name: str = "<string>"):
-    """The parse stage, memoised per (source sha256, name).
+@dataclass(frozen=True, eq=False)
+class _ParseEntry:
+    """One parse-stage entry: the parsed source and what every compile and
+    every price plan of it share."""
 
-    Returns ``(SourceFile, Program)``: the pre-processed source and its
-    AST.  Both are shared by every compile of this source, so callers must
-    treat them as read-only.  The name is part of the key because the
-    :class:`~repro.frontend.SourceFile` records it.
-    """
+    parsed: tuple[SourceFile, Program]     # what parse_cached returns
+    front: CompileFront
+    op_counts: dict[int, OpCount]          # the normalised program's assignments
+
+
+def _parse_entry(source: str, name: str) -> _ParseEntry:
     key = (_source_sha(source), name)
     cached = _parse_cache.get(key)
     if cached is not None:
@@ -354,9 +374,29 @@ def parse_cached(source: str, *, name: str = "<string>"):
         source_file = SourceFile(text=source, name=name)
         # called through the pipeline module (as is compile_program below),
         # so wrappers installed there, e.g. by a tracer, see every call
-        parsed = (source_file, pipeline.parse_source(source_file, name=name))
-    _parse_cache.put(key, parsed)
-    return parsed
+        program = pipeline.parse_source(source_file, name=name)
+        front = pipeline.compile_front(program)
+        entry = _ParseEntry(parsed=(source_file, program), front=front,
+                            op_counts=assignment_counts(front.normalized.program))
+    _parse_cache.put(key, entry)
+    return entry
+
+
+def parse_cached(source: str, *, name: str = "<string>"):
+    """The parse stage, memoised per (source sha256, name).
+
+    Returns ``(SourceFile, Program)``: the pre-processed source and its
+    AST.  Both are shared by every compile of this source, so callers must
+    treat them as read-only.  The name is part of the key because the
+    :class:`~repro.frontend.SourceFile` records it.
+
+    The entry also holds the source's compile front
+    (:func:`~repro.compiler.pipeline.compile_front`: symbol table,
+    normalised program, statement labels) and the operation count of each
+    normalised assignment, built once with the parse and shared, read-only,
+    by every compile and price plan of the source.
+    """
+    return _parse_entry(source, name).parsed
 
 
 def compile_cached(source: str, *, name: str = "<string>", nprocs: int,
@@ -368,8 +408,9 @@ def compile_cached(source: str, *, name: str = "<string>", nprocs: int,
     Returns the cached :class:`~repro.compiler.CompiledProgram` on a hit —
     byte-identical by construction, since the key covers every compile
     input — and compiles, caches and returns on a miss.  A miss takes the
-    source's AST from the parse stage (:func:`parse_cached`) instead of
-    parsing it again.
+    source's AST and compile front from the parse stage
+    (:func:`parse_cached`) instead of building them again.  Pass *key* when
+    the caller already holds the compile key.
     """
     if key is None:
         key = compile_stage_key(source, nprocs=nprocs, grid_shape=grid_shape,
@@ -380,13 +421,46 @@ def compile_cached(source: str, *, name: str = "<string>", nprocs: int,
         return cached
     _note("compile", hit=False)
     with obs.span("compile", nprocs=nprocs):
-        source_file, program = parse_cached(source, name=name)
+        entry = _parse_entry(source, name)
+        source_file, program = entry.parsed
         compiled = pipeline.compile_program(
             program, source_file,
             CompileOptions(nprocs=nprocs, grid_shape=grid_shape,
-                           params=dict(params or {})))
+                           params=dict(params or {})),
+            front=entry.front)
     _compile_cache.put(key, compiled)
     return compiled
+
+
+def _op_counts_of(compiled) -> Optional[dict[int, OpCount]]:
+    """The parse stage's operation counts for *compiled*'s normalised
+    program, or None when that program is not the parse stage's."""
+    entry = _parse_cache.get((_source_sha(compiled.source.text), compiled.source.name))
+    if entry is None or entry.front.normalized.program is not compiled.normalized:
+        return None
+    return entry.op_counts
+
+
+def _plan_of(compiled, compile_key: str, options: Optional[InterpreterOptions],
+             options_token: str | None) -> PricePlan:
+    """The plan stage beneath price: one machine-free
+    :class:`~repro.interpreter.PricePlan` per (compile key, options token).
+
+    Options without a token get a plan of their own, as they get no price
+    entry.  A cached plan of an evicted and recompiled program is rebuilt.
+    """
+    key = (compile_key, options_token) if options_token is not None else None
+    if key is not None:
+        cached = _plan_cache.get(key)
+        if cached is not None and cached.compiled is compiled:
+            _note("plan", hit=True)
+            return cached
+        _note("plan", hit=False)
+    with obs.span("plan"):
+        plan = build_plan(compiled, options, op_counts=_op_counts_of(compiled))
+    if key is not None:
+        _plan_cache.put(key, plan)
+    return plan
 
 
 def price_cached(compiled, machine: Machine, *, compile_key: str,
@@ -395,12 +469,18 @@ def price_cached(compiled, machine: Machine, *, compile_key: str,
                  pricer: Callable | None = None):
     """The price stage, memoised per (compile key, machine, options).
 
-    ``cacheable=False`` (e.g. a caller-built :class:`Machine` instance that
-    may not match its registry namesake) bypasses the cache entirely but
-    keeps the one code path.  ``pricer`` overrides the default
-    :func:`repro.interpreter.interpret` call (tests).
+    A miss prices the plan stage's machine-free plan of (compile key,
+    options) through :func:`repro.interpreter.interpret`, so a program
+    priced on several machines is planned once.  ``cacheable=False`` (e.g.
+    a caller-built :class:`Machine` instance that may not match its
+    registry namesake) bypasses the price cache but keeps the one code
+    path; the plan, which no machine enters, is still shared.  ``pricer``
+    overrides the planned ``interpret`` call with a
+    ``pricer(compiled, machine, options=)`` (tests).
     """
-    key = price_stage_key(compile_key, machine, options) if cacheable else None
+    options_token = options_stage_token(options)
+    key = _price_key(compile_key, machine, options_token) \
+        if cacheable and options_token is not None else None
     if key is not None:
         cached = _price_cache.get(key)
         if cached is not None:
@@ -408,7 +488,11 @@ def price_cached(compiled, machine: Machine, *, compile_key: str,
             return cached
         _note("price", hit=False)
     with obs.span("price", machine=machine.name):
-        result = (pricer or interpret)(compiled, machine, options=options)
+        if pricer is not None:
+            result = pricer(compiled, machine, options=options)
+        else:
+            plan = _plan_of(compiled, compile_key, options, options_token)
+            result = interpret(compiled, machine, options=options, plan=plan)
     if key is not None:
         _price_cache.put(key, result)
     return result
@@ -429,11 +513,11 @@ def store_dataplane_tape(key: str, tape) -> None:
 __all__ = [
     "PARSE_CACHE_SIZE",
     "COMPILE_CACHE_SIZE",
+    "PLAN_CACHE_SIZE",
     "PRICE_CACHE_SIZE",
     "DATAPLANE_CACHE_SIZE",
     "LRUCache",
     "compile_stage_key",
-    "compile_key_of",
     "price_stage_key",
     "dataplane_stage_key",
     "machine_stage_token",

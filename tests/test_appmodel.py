@@ -198,9 +198,12 @@ class TestSAAGIsMachineFree:
     def test_pricing_leaves_the_aau_details_unchanged(self, laplace_compiled):
         saag = build_saag(laplace_compiled)
         before = {aau.id: copy.deepcopy(aau.detail) for aau in saag.walk()}
+        entries = copy.deepcopy(saag.comm_table.entries)
+        assert entries
         for name in ("ipsc860", "paragon"):
             interpret(laplace_compiled, get_machine(name, nprocs=4), saag=saag)
         assert {aau.id: aau.detail for aau in saag.walk()} == before
+        assert saag.comm_table.entries == entries
 
 
 class TestAAGByType:

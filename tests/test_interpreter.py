@@ -1,5 +1,9 @@
 """Tests for the interpretation engine: expression costs, memory model,
-metrics, and the interpretation algorithm's behaviour."""
+metrics, the interpretation algorithm's behaviour and its price plans."""
+
+import pickle
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -12,6 +16,7 @@ from repro.interpreter import (
     Metrics,
     OverlapOptions,
     apply_overlap,
+    build_plan,
     count_assignment,
     count_expr,
     estimate_hit_ratio,
@@ -21,7 +26,7 @@ from repro.interpreter import (
     working_set_bytes,
 )
 from repro.suite import get_entry
-from repro.system import HypercubeTopology, allreduce_time, ipsc860
+from repro.system import HypercubeTopology, allreduce_time, get_machine, ipsc860
 
 
 class TestExpressionCost:
@@ -196,10 +201,13 @@ class TestInterpretationEngine:
         assert "IterD" in by_type and by_type["IterD"].computation > 0
         assert "Comm" in by_type and by_type["Comm"].communication > 0
 
-    def test_comm_table_entries_marked_interpreted(self, laplace_compiled, machine4):
+    def test_every_comm_table_entry_is_priced(self, laplace_compiled, machine4):
+        # pricing writes nothing into the machine-free communication table:
+        # an entry's estimate is its AAU's communication in the result
         result = interpret(laplace_compiled, machine4)
-        statuses = {e.status for e in result.saag.comm_table}
-        assert "interpreted" in statuses
+        assert len(result.saag.comm_table) >= 2
+        for entry in result.saag.comm_table:
+            assert result.metrics_for(entry.aau_id).communication > 0, entry.describe()
 
     def test_branch_resolution_static(self, machine4):
         cp = compile_source(
@@ -255,6 +263,97 @@ class TestInterpretationEngine:
     def test_wall_clock_recorded(self, laplace_compiled, machine4):
         result = interpret(laplace_compiled, machine4)
         assert result.wall_clock_seconds > 0
+
+
+def _exact(result) -> tuple:
+    """Everything a price produces, as exact floats."""
+    total = result.total
+    return (result.predicted_time_us, total.computation, total.communication,
+            total.overhead, total.balanced_computation,
+            sorted((line, m.computation, m.communication, m.overhead,
+                    m.balanced_computation)
+                   for line, m in result.line_breakdown().items()))
+
+
+class TestPricePlan:
+    """One machine-free plan per (compiled program, options) prices every
+    machine exactly as a fresh interpretation does, and pricing only reads
+    it."""
+
+    MACHINES = ("ipsc860", "paragon", "cm5", "modern-cluster")
+
+    @pytest.fixture(scope="class")
+    def nbody(self):
+        entry = get_entry("nbody")
+        size = entry.sizes[0]
+        return (compile_source(entry.source, name=entry.key, nprocs=4,
+                               params=entry.params_for(size)),
+                entry.interpreter_options(size))
+
+    def test_one_plan_prices_every_machine_exactly(self, laplace_compiled, nbody):
+        for compiled, options in ((laplace_compiled, None), nbody):
+            plan = build_plan(compiled, options)
+            for name in self.MACHINES:
+                machine = get_machine(name, compiled.nprocs)
+                shared = interpret(compiled, machine, options=options, plan=plan)
+                assert shared.saag is plan.saag
+                assert _exact(shared) == _exact(
+                    interpret(compiled, machine, options=options)), name
+
+    def test_pricing_writes_nothing_into_the_plan(self, nbody):
+        compiled, options = nbody
+        plan = build_plan(compiled, options)
+        before = pickle.dumps((plan.steps, plan.saag))
+        for name in self.MACHINES:
+            interpret(compiled, get_machine(name, 4), options=options, plan=plan)
+        assert pickle.dumps((plan.steps, plan.saag)) == before
+
+    def test_a_plan_serves_only_its_program_and_options(self, laplace_compiled,
+                                                        stencil_compiled):
+        plan = build_plan(laplace_compiled, InterpreterOptions(overrides={"maxiter": 3}))
+        machine = ipsc860(4)
+        for options in (None, InterpreterOptions(overrides={"maxiter": 4}),
+                        InterpreterOptions(overrides={"maxiter": 3},
+                                           while_trip_estimate=2.0)):
+            with pytest.raises(ValueError, match="other interpreter options"):
+                interpret(laplace_compiled, machine, options=options, plan=plan)
+        with pytest.raises(ValueError, match="another compiled program"):
+            interpret(stencil_compiled, machine,
+                      options=InterpreterOptions(overrides={"maxiter": 3}), plan=plan)
+        # price-time fields are read from the price's own options
+        priced = InterpreterOptions(overrides={"maxiter": 3}, mask_true_fraction=0.5,
+                                    overlap=OverlapOptions(enabled=True))
+        assert _exact(interpret(laplace_compiled, machine, options=priced,
+                                plan=plan)) \
+            == _exact(interpret(laplace_compiled, machine, options=priced))
+
+    def test_a_plan_keeps_its_own_copy_of_the_options(self, laplace_compiled):
+        options = InterpreterOptions(overrides={"maxiter": 3})
+        plan = build_plan(laplace_compiled, options)
+        options.overrides["maxiter"] = 5
+        with pytest.raises(ValueError):
+            interpret(laplace_compiled, ipsc860(4), options=options, plan=plan)
+        interpret(laplace_compiled, ipsc860(4),
+                  options=InterpreterOptions(overrides={"maxiter": 3}), plan=plan)
+
+    def test_threads_pricing_one_plan_get_the_serial_results(self, nbody):
+        compiled, options = nbody
+        plan = build_plan(compiled, options)
+        machines = [get_machine(name, 4) for name in ("ipsc860", "paragon")]
+
+        def price(machine):
+            return _exact(interpret(compiled, machine, options=options, plan=plan))
+
+        serial = [price(m) for m in machines]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(price, m) for m in machines * 16]
+                threaded = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 16
 
 
 class TestPricingFromTheCompiledProgram:

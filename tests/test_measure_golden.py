@@ -31,7 +31,10 @@ total, its three categories, the balanced computation and every source
 line's four metrics, for every suite application at its first two paper
 sizes and p in {1, 3, 8, 16} on every registered machine.  None of the
 simulator's digests sees a prediction, so a change that claims to keep
-the cost model must leave this one as it is too.
+the cost model must leave this one as it is too.  The same 768 lines are
+rebuilt through the stage caches, where each compile shares its source's
+front and each price its (compile, options) plan, and must give the same
+digest.
 
 Last, :data:`ARCHIVED_NOISE_TIMES_US` pins the counter-keyed noise
 engine's column of the archived noise-engine migration table
@@ -41,7 +44,7 @@ there still describes the engine that runs today.
 
 import hashlib
 
-from repro import stages
+from repro import obs, stages
 from repro.explore import ScenarioSpace, run_campaign
 from repro.interpreter import interpret
 from repro.simulator import SimulatorOptions, simulate
@@ -204,6 +207,16 @@ def breakdown_lines() -> list[str]:
     return lines
 
 
+def _predict_line(key: str, size: int, nprocs: int, machine: str,
+                  result) -> str:
+    parts = [key, str(size), str(nprocs), machine,
+             float(result.predicted_time_us).hex(),
+             "totals=" + _metrics_hex(result.total)]
+    parts += [f"{line}=" + _metrics_hex(metrics) for line, metrics
+              in sorted(result.line_breakdown().items())]
+    return " ".join(parts)
+
+
 def predict_lines() -> list[str]:
     """One line per (app, size, p, machine): the predicted total, the
     cumulative metrics and each line's metrics, exactly."""
@@ -217,12 +230,32 @@ def predict_lines() -> list[str]:
                 for machine in machine_names():
                     result = interpret(compiled, get_machine(machine, nprocs),
                                        options=entry.interpreter_options(size))
-                    parts = [key, str(size), str(nprocs), machine,
-                             float(result.predicted_time_us).hex(),
-                             "totals=" + _metrics_hex(result.total)]
-                    parts += [f"{line}=" + _metrics_hex(metrics) for line, metrics
-                              in sorted(result.line_breakdown().items())]
-                    lines.append(" ".join(parts))
+                    lines.append(_predict_line(key, size, nprocs, machine,
+                                               result))
+    return lines
+
+
+def staged_predict_lines() -> list[str]:
+    """:func:`predict_lines` through ``stages.compile_cached`` and
+    ``stages.price_cached``, in sweep order: machine fastest, then p, then
+    size."""
+    lines = []
+    for key, entry in sorted(all_entries().items()):
+        for size in entry.sizes[:2]:
+            params = entry.params_for(size)
+            for nprocs in PREDICT_PROC_COUNTS:
+                compile_key = stages.compile_stage_key(
+                    entry.source, nprocs=nprocs, params=params)
+                compiled = stages.compile_cached(
+                    entry.source, name=entry.key, nprocs=nprocs,
+                    params=params, key=compile_key)
+                for machine in machine_names():
+                    result = stages.price_cached(
+                        compiled, get_machine(machine, nprocs),
+                        compile_key=compile_key,
+                        options=entry.interpreter_options(size))
+                    lines.append(_predict_line(key, size, nprocs, machine,
+                                               result))
     return lines
 
 
@@ -260,6 +293,33 @@ def test_predictions_are_pinned():
                           * len(machine_names()))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
         == PREDICT_DIGEST
+
+
+def test_staged_predictions_are_pinned():
+    # cold: the first machine of each (app, size, p) builds the plan that
+    # the other five price, and every p of a source shares its front
+    stages.clear_stage_caches()
+    lines = staged_predict_lines()
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() \
+        == PREDICT_DIGEST
+    cells = 2 * len(all_entries()) * len(PREDICT_PROC_COUNTS)
+    assert stages.stage_cache_sizes()["parse"] == len(all_entries())
+    assert stages.stage_cache_sizes()["plan"] == cells
+    # warm: every compile and plan is a cache hit, every price is fresh
+    stages._price_cache.clear()
+    obs.reset()
+    obs.enable()
+    try:
+        again = staged_predict_lines()
+        flat = obs.get_registry().flatten()
+    finally:
+        obs.disable()
+        obs.reset()
+    assert again == lines
+    prices = cells * len(machine_names())
+    assert flat['repro_stage_cache_hits_total{stage="plan"}'] == prices
+    assert 'repro_stage_cache_misses_total{stage="plan"}' not in flat
+    assert flat['repro_stage_cache_misses_total{stage="price"}'] == prices
 
 
 def test_archived_noise_migration_times_are_pinned():

@@ -1,14 +1,20 @@
-"""The parse stage beneath compile: one parse per source, a read-only AST.
+"""The parse stage beneath compile and the plan stage beneath price.
 
 ``repro.stages`` parses each distinct (source, name) once and hands the
-same :class:`SourceFile` and program AST to every compile of that source.
-These tests pin what makes that sharing sound and visible:
+same :class:`SourceFile`, program AST and compile front (symbol table,
+normalised program, statement labels, assignment operation counts) to
+every compile of that source; each (compile, options) pair gets one price
+plan that every machine prices.  These tests pin what makes that sharing
+sound and visible:
 
-* compiling, pricing and simulating never mutate the shared AST,
+* compiling, planning, pricing and simulating never mutate the shared AST
+  or front,
+* compiles that share a front equal fresh compiles,
 * a sweep over sizes, process counts and machines parses its one source
-  once,
+  once and plans each compile once,
 * ``measure()`` goes through the same compile stage as ``predict()``,
-* the parse stage has its own hit/miss counters and cache size.
+* the parse and plan stages have their own hit/miss counters and cache
+  sizes.
 """
 
 import pickle
@@ -17,8 +23,10 @@ import pytest
 
 import repro
 from repro import obs, stages
+from repro.compiler import CommPhase, OwnerStmt, compile_source
 from repro.explore import ResultStore, ScenarioSpace, run_campaign
 from repro.frontend import SourceFile, parse_source
+from repro.interpreter import InterpreterOptions
 from repro.suite import all_entries, get_entry
 from repro.system import get_machine
 
@@ -72,6 +80,87 @@ def test_compile_price_simulate_never_mutate_the_shared_ast(key):
     assert pickle.dumps((source_file, program)) == before
 
 
+@pytest.mark.parametrize("key", sorted(all_entries()))
+def test_compile_plan_price_simulate_never_mutate_the_shared_front(key):
+    entry = get_entry(key)
+    size = min(entry.sizes)
+    parsed = stages._parse_entry(entry.source, entry.key)
+    before = pickle.dumps((parsed.front, parsed.op_counts))
+    for nprocs in (1, 4):
+        params = entry.params_for(size)
+        compile_key = stages.compile_stage_key(entry.source, nprocs=nprocs,
+                                               params=params)
+        compiled = stages.compile_cached(entry.source, name=entry.key,
+                                         nprocs=nprocs, params=params,
+                                         key=compile_key)
+        assert compiled.symtable is parsed.front.symtable
+        assert compiled.normalized is parsed.front.normalized.program
+        for machine in ("ipsc860", "paragon"):
+            stages.price_cached(compiled, get_machine(machine, nprocs),
+                                compile_key=compile_key,
+                                options=entry.interpreter_options(size))
+    repro.simulate(compiled, get_machine("ipsc860", 4))
+    assert pickle.dumps((parsed.front, parsed.op_counts)) == before
+
+
+def _comm_specs(compiled) -> list:
+    return [spec for node in compiled.spmd.walk()
+            if isinstance(node, (CommPhase, OwnerStmt)) for spec in node.comms]
+
+
+@pytest.mark.parametrize("key", ["laplace_block_block", "nbody"])
+def test_compiles_sharing_a_front_equal_fresh_compiles(key):
+    entry = get_entry(key)
+    obs.enable()
+    compiled = [stages.compile_cached(entry.source, name=entry.key,
+                                      nprocs=nprocs, params=entry.params_for(size))
+                for size in entry.sizes[:2] for nprocs in (1, 2, 4)]
+    assert stage_counts("parse") == (5, 1)
+    assert len({id(c.symtable) for c in compiled}) == 1
+    assert len({id(c.normalized) for c in compiled}) == 1
+    for shared, (size, nprocs) in zip(
+            compiled, [(s, p) for s in entry.sizes[:2] for p in (1, 2, 4)]):
+        fresh = compile_source(entry.source, name=entry.key, nprocs=nprocs,
+                               params=entry.params_for(size))
+        assert [n.label for n in shared.spmd.walk()] \
+            == [n.label for n in fresh.spmd.walk()]
+        assert _comm_specs(shared) == _comm_specs(fresh)
+        assert shared.describe() == fresh.describe()
+
+
+def test_one_plan_per_compile_prices_every_machine():
+    obs.enable()
+    on_cube = repro.predict(SOURCE, nprocs=2)
+    on_mesh = repro.predict(SOURCE, nprocs=2, machine="paragon")
+    assert on_mesh.saag is on_cube.saag
+    assert stage_counts("plan") == (1, 1)
+    # other options are another plan; so is another compile
+    repro.predict(SOURCE, nprocs=2, options=InterpreterOptions(mask_true_fraction=0.5))
+    repro.predict(SOURCE, nprocs=4)
+    assert stage_counts("plan") == (1, 3)
+    # a caller-built machine skips the price cache, not the plan
+    repro.predict(SOURCE, nprocs=2, machine=get_machine("cm5", 2))
+    assert stage_counts("plan") == (2, 3)
+    assert stages.stage_cache_sizes()["plan"] == 3
+    assert stages._plan_cache.maxsize == stages.PLAN_CACHE_SIZE \
+        == stages.COMPILE_CACHE_SIZE
+    stages.clear_stage_caches()
+    assert stages.stage_cache_sizes()["plan"] == 0
+
+
+def test_a_recompiled_program_gets_a_new_plan():
+    compile_key = stages.compile_stage_key(SOURCE, nprocs=2)
+    first = stages.price_cached(stages.compile_cached(SOURCE, nprocs=2),
+                                get_machine("ipsc860", 2), compile_key=compile_key)
+    stages._compile_cache.clear()
+    stages._price_cache.clear()
+    recompiled = stages.compile_cached(SOURCE, nprocs=2)
+    again = stages.price_cached(recompiled, get_machine("ipsc860", 2),
+                                compile_key=compile_key)
+    assert again.compiled is recompiled and again.saag is not first.saag
+    assert again.predicted_time_us == first.predicted_time_us
+
+
 def test_one_app_sweep_parses_its_source_once(tmp_path):
     entry = get_entry("laplace_block_star")
     space = ScenarioSpace(apps=(entry.key,), sizes=entry.sizes,
@@ -85,6 +174,7 @@ def test_one_app_sweep_parses_its_source_once(tmp_path):
     assert compile_hits == compile_misses       # the second machine
     assert stage_counts("parse") == (compile_misses - 1, 1)
     assert stages.stage_cache_sizes()["parse"] == 1
+    assert stage_counts("plan") == (compile_hits, compile_misses)
 
 
 def test_measure_after_predict_compiles_once():
@@ -108,7 +198,7 @@ def test_parse_stage_counters_sizes_and_clear():
     renamed = stages.parse_cached(SOURCE, name="other")
     assert renamed is not first and renamed[0].name == "other"
     assert stage_counts("parse") == (1, 2)
-    assert stages.stage_cache_sizes() == {"parse": 2, "compile": 0,
+    assert stages.stage_cache_sizes() == {"parse": 2, "compile": 0, "plan": 0,
                                           "price": 0, "dataplane": 0}
     stages.clear_stage_caches()
     assert stages.stage_cache_sizes()["parse"] == 0

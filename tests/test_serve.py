@@ -656,13 +656,12 @@ class TestOptionsTokenCanonicalisation:
         """Price the same (compiled, machine) twice under *options*;
         returns how many times the pricer actually ran."""
         from repro.system import get_machine
-        compiled = stages.compile_cached(SOURCE, nprocs=4, grid_shape=None,
-                                         params=None)
+        compile_key = stages.compile_stage_key(SOURCE, nprocs=4)
+        compiled = stages.compile_cached(SOURCE, nprocs=4, key=compile_key)
         machine = get_machine("ipsc860", nprocs=4)
         pricer = _FakePricer()
         for _ in range(2):
-            stages.price_cached(compiled, machine,
-                                compile_key=stages.compile_key_of(compiled),
+            stages.price_cached(compiled, machine, compile_key=compile_key,
                                 options=options, pricer=pricer)
         return pricer.calls
 
