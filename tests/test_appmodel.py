@@ -15,7 +15,7 @@ from repro.compiler import compile_source
 from repro.compiler.spmd import SPMDNode
 from repro.frontend.parser import parse_source
 from repro.frontend.symbols import SymbolTable
-from repro.interpreter import interpret
+from repro.interpreter import build_plan, interpret
 from repro.system import get_machine, machine_names
 
 
@@ -188,20 +188,22 @@ class TestSAAGIsMachineFree:
     built from a compiled program prices every machine."""
 
     def test_one_saag_prices_every_machine(self, laplace_compiled):
-        saag = build_saag(laplace_compiled)
+        plan = build_plan(laplace_compiled)
         for name in machine_names():
             machine = get_machine(name, nprocs=4)
-            shared = interpret(laplace_compiled, machine, saag=saag)
+            shared = interpret(laplace_compiled, machine, plan=plan)
+            assert shared.saag is plan.saag, name
             fresh = interpret(laplace_compiled, machine)
             assert shared.line_breakdown() == fresh.line_breakdown(), name
 
     def test_pricing_leaves_the_aau_details_unchanged(self, laplace_compiled):
-        saag = build_saag(laplace_compiled)
+        plan = build_plan(laplace_compiled)
+        saag = plan.saag
         before = {aau.id: copy.deepcopy(aau.detail) for aau in saag.walk()}
         entries = copy.deepcopy(saag.comm_table.entries)
         assert entries
         for name in ("ipsc860", "paragon"):
-            interpret(laplace_compiled, get_machine(name, nprocs=4), saag=saag)
+            interpret(laplace_compiled, get_machine(name, nprocs=4), plan=plan)
         assert {aau.id: aau.detail for aau in saag.walk()} == before
         assert saag.comm_table.entries == entries
 

@@ -3,6 +3,7 @@ metrics, the interpretation algorithm's behaviour and its price plans."""
 
 import pickle
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -263,6 +264,26 @@ class TestInterpretationEngine:
     def test_wall_clock_recorded(self, laplace_compiled, machine4):
         result = interpret(laplace_compiled, machine4)
         assert result.wall_clock_seconds > 0
+
+    def test_wall_clock_counts_planning_but_not_the_saag(self, laplace_compiled,
+                                                         machine4, monkeypatch):
+        """The interpretation parse is planning plus pricing, as it was one
+        walk before plans: a slow planner shows in ``wall_clock_seconds``,
+        a slow abstraction parse does not, and a prebuilt plan's price
+        counts neither."""
+        from repro.interpreter import engine
+
+        def slowed(function, seconds):
+            def slow(*args, **kwargs):
+                time.sleep(seconds)
+                return function(*args, **kwargs)
+            return slow
+
+        monkeypatch.setattr(engine, "build_saag", slowed(engine.build_saag, 0.5))
+        monkeypatch.setattr(engine, "_plan_saag", slowed(engine._plan_saag, 0.05))
+        assert 0.05 <= interpret(laplace_compiled, machine4).wall_clock_seconds < 0.5
+        plan = build_plan(laplace_compiled)
+        assert interpret(laplace_compiled, machine4, plan=plan).wall_clock_seconds < 0.05
 
 
 def _exact(result) -> tuple:
