@@ -11,7 +11,6 @@ from .engine import (
 )
 from .expression_cost import (
     OpCount,
-    assignment_counts,
     count_assignment,
     count_expr,
     count_statement_body,
@@ -34,7 +33,6 @@ __all__ = [
     "build_plan",
     "interpret",
     "OpCount",
-    "assignment_counts",
     "count_assignment",
     "count_expr",
     "count_statement_body",

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any
 
 from ..appmodel.aau import AAU, AAUType
 from ..appmodel.builder import build_saag
@@ -31,7 +31,6 @@ from ..compiler.pipeline import CompiledProgram
 from ..compiler.spmd import LocalLoopNest, NodeDo, NodeDoWhile, NodeIf
 from ..system.ipsc860 import PROGRAM_STARTUP_US
 from ..system.machine import Machine
-from .expression_cost import OpCount
 from .functions import (
     InterpretationContext,
     InterpreterOptions,
@@ -71,32 +70,22 @@ class PricePlan:
             raise ValueError("price plan was built for other interpreter options")
 
 
-def build_plan(
-    compiled: CompiledProgram,
-    options: InterpreterOptions | None = None,
-    *,
-    op_counts: Optional[Mapping[int, OpCount]] = None,
-) -> PricePlan:
-    """Run the abstraction parse and plan every AAU of *compiled*.
-
-    *op_counts* is an
-    :func:`~repro.interpreter.expression_cost.assignment_counts` table of
-    ``compiled.normalized``.
-    """
+def build_plan(compiled: CompiledProgram,
+               options: InterpreterOptions | None = None) -> PricePlan:
+    """Run the abstraction parse and plan every AAU of *compiled*."""
     options = options or InterpreterOptions()
     return _plan_saag(compiled, options,
-                      build_saag(compiled, overrides=options.overrides), op_counts)
+                      build_saag(compiled, overrides=options.overrides))
 
 
-def _plan_saag(compiled: CompiledProgram, options: InterpreterOptions, saag: SAAG,
-               op_counts: Optional[Mapping[int, OpCount]] = None) -> PricePlan:
+def _plan_saag(compiled: CompiledProgram, options: InterpreterOptions,
+               saag: SAAG) -> PricePlan:
     """Plan every AAU of *saag*, the abstraction parse of *compiled*."""
     env = dict(compiled.mapping.env)
     env.update(saag.critical_variables.resolved_env())
     env.update({k.lower(): float(v) for k, v in options.overrides.items()})
     steps: dict[int, Any] = {}
-    _plan_sequence(saag.root.children, PlanContext(compiled, options, env, op_counts),
-                   steps)
+    _plan_sequence(saag.root.children, PlanContext(compiled, options, env), steps)
     return PricePlan(compiled=compiled, saag=saag, steps=steps,
                      overrides=dict(options.overrides),
                      while_trip_estimate=options.while_trip_estimate)

@@ -18,7 +18,7 @@ used by the simulator's node cost model so both timing paths agree on the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from ..frontend import ast_nodes as ast
 from ..frontend.intrinsics import IntrinsicClass, intrinsic_class, intrinsic_info, is_intrinsic
@@ -162,29 +162,11 @@ def count_assignment(stmt: ast.Assignment) -> OpCount:
     return count
 
 
-def assignment_counts(program: ast.Program) -> dict[int, OpCount]:
-    """:func:`count_assignment` of every assignment in *program*, forall
-    bodies and nested blocks included, keyed by ``id``.
-
-    The table is valid only while *program* is alive and unchanged: the
-    parse stage keeps one per normalised program it shares, and price
-    plans pass it to :func:`count_statement_body` as ``counts``.
-    """
-    return {id(stmt): count_assignment(stmt) for stmt in program.all_statements()
-            if isinstance(stmt, ast.Assignment)}
-
-
-def count_statement_body(body: list[ast.Assignment], mask: ast.Expr | None = None,
-                         counts: Mapping[int, OpCount] | None = None) -> OpCount:
-    """Count one iteration of a forall/loop body (all assignments + mask evaluation).
-
-    ``counts`` is an :func:`assignment_counts` table of the program *body*
-    belongs to; assignments it holds are not counted again.
-    """
+def count_statement_body(body: list[ast.Assignment], mask: ast.Expr | None = None) -> OpCount:
+    """Count one iteration of a forall/loop body (all assignments + mask evaluation)."""
     total = OpCount()
     for stmt in body:
-        count = counts.get(id(stmt)) if counts is not None else None
-        total += count if count is not None else count_assignment(stmt)
+        total += count_assignment(stmt)
     if mask is not None:
         total += count_expr(mask)
     return total

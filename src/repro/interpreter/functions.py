@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Optional
 
 from ..compiler.comm_detect import comm_elements_per_proc
 from ..compiler.pipeline import CompiledProgram
@@ -74,18 +74,11 @@ class InterpreterOptions:
 @dataclass
 class PlanContext:
     """What the planners read: the compiled program, the options a plan is
-    built for, and the critical-variable environment (``eval``).
-
-    ``op_counts`` maps ``id(assignment)`` to its operation count for the
-    assignments of ``compiled.normalized`` (the parse stage shares one such
-    table among every compile of a source); other statements are counted
-    afresh.
-    """
+    built for, and the critical-variable environment (``eval``)."""
 
     compiled: CompiledProgram
     options: InterpreterOptions
     env: dict[str, float]
-    op_counts: Optional[Mapping[int, OpCount]] = None
 
     @property
     def nprocs(self) -> int:
@@ -96,10 +89,6 @@ class PlanContext:
             return default
         value = try_eval_const(expr, self.env)
         return value if value is not None else default
-
-    def count_body(self, body: list[ast.Assignment],
-                   mask: ast.Expr | None = None) -> OpCount:
-        return count_statement_body(body, mask, counts=self.op_counts)
 
 
 class InterpretationContext:
@@ -195,7 +184,7 @@ def plan_serial_stmt(node: SerialStmt, pc: PlanContext) -> LeafPlan:
     """Seq AAU: replicated scalar statement executed identically on every node."""
     stmt = node.stmt
     if isinstance(stmt, ast.Assignment):
-        return price_replicated, pc.count_body([stmt])
+        return price_replicated, count_statement_body([stmt])
     if isinstance(stmt, ast.PrintStmt):
         items = max(len(stmt.items), 1)
         return price_fixed_overhead, items * 55.0 + 180.0   # formatted output to the host
@@ -221,7 +210,7 @@ def plan_owner_stmt(node: OwnerStmt, pc: PlanContext) -> LeafPlan:
     communication point and wait, so the element's cost appears on the critical
     path exactly once (plus the ownership test every node performs).
     """
-    return price_owner_stmt, (pc.count_body([node.stmt]),
+    return price_owner_stmt, (count_statement_body([node.stmt]),
                               [plan_comm_spec(spec, pc) for spec in node.comms])
 
 
@@ -476,7 +465,7 @@ def plan_loop_nest(node: LocalLoopNest, pc: PlanContext) -> LeafPlan:
             mean_iterations *= trips
 
     # --- per-iteration work ------------------------------------------------------
-    count = pc.count_body(node.body, node.mask)
+    count = count_statement_body(node.body, node.mask)
     element_size, precision = _home_format(pc, node.home_array)
     arrays = len(count.arrays_touched)
     masked = node.mask is not None
@@ -488,7 +477,7 @@ def plan_loop_nest(node: LocalLoopNest, pc: PlanContext) -> LeafPlan:
         stride1=not node.home_array or pc.compiled.options.optimizations.loop_reordering,
         working_set=working_set_bytes(local_iterations, max(arrays, 1), element_size),
         arrays=arrays, mean_iterations=mean_iterations, depth=len(node.loops),
-        assign_count=pc.count_body(node.body) if masked else None,
+        assign_count=count_statement_body(node.body) if masked else None,
         mask_count=count_expr(node.mask) if masked else None)
 
 

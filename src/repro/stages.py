@@ -5,9 +5,8 @@ stages, plus the simulator's *dataplane* stage.
 
 1. **parse** — HPF/Fortran 90D source text → logical lines → tokens →
    program AST, plus the compile front that reads the AST alone: symbol
-   table, normalised program, statement labels and the operation count of
-   each normalised assignment.  Depends on the program text and its name
-   only.
+   table, normalised program and statement labels.  Depends on the
+   program text and its name only.
 2. **compile** — parsed AST → partitioned, sequentialised SPMD node
    program (the app model).  Depends on the program text, process count,
    grid layout and parameter overrides — and on *nothing about the target
@@ -95,14 +94,7 @@ from .compiler import pipeline
 from .compiler.pipeline import CompileFront, CompileOptions
 from .frontend import SourceFile
 from .frontend.ast_nodes import Program
-from .interpreter import (
-    InterpreterOptions,
-    OpCount,
-    PricePlan,
-    assignment_counts,
-    build_plan,
-    interpret,
-)
+from .interpreter import InterpreterOptions, PricePlan, build_plan, interpret
 from .system.machine import Machine
 
 #: Bounded sizes of the stage caches.  Parsed programs are few (one per
@@ -355,12 +347,11 @@ def _note(stage: str, hit: bool) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _ParseEntry:
-    """One parse-stage entry: the parsed source and what every compile and
-    every price plan of it share."""
+    """One parse-stage entry: the parsed source and the compile front every
+    compile of it shares."""
 
     parsed: tuple[SourceFile, Program]     # what parse_cached returns
     front: CompileFront
-    op_counts: dict[int, OpCount]          # the normalised program's assignments
 
 
 def _parse_entry(source: str, name: str) -> _ParseEntry:
@@ -375,9 +366,8 @@ def _parse_entry(source: str, name: str) -> _ParseEntry:
         # called through the pipeline module (as is compile_program below),
         # so wrappers installed there, e.g. by a tracer, see every call
         program = pipeline.parse_source(source_file, name=name)
-        front = pipeline.compile_front(program)
-        entry = _ParseEntry(parsed=(source_file, program), front=front,
-                            op_counts=assignment_counts(front.normalized.program))
+        entry = _ParseEntry(parsed=(source_file, program),
+                            front=pipeline.compile_front(program))
     _parse_cache.put(key, entry)
     return entry
 
@@ -392,9 +382,8 @@ def parse_cached(source: str, *, name: str = "<string>"):
 
     The entry also holds the source's compile front
     (:func:`~repro.compiler.pipeline.compile_front`: symbol table,
-    normalised program, statement labels) and the operation count of each
-    normalised assignment, built once with the parse and shared, read-only,
-    by every compile and price plan of the source.
+    normalised program, statement labels), built once with the parse and
+    shared, read-only, by every compile of the source.
     """
     return _parse_entry(source, name).parsed
 
@@ -432,15 +421,6 @@ def compile_cached(source: str, *, name: str = "<string>", nprocs: int,
     return compiled
 
 
-def _op_counts_of(compiled) -> Optional[dict[int, OpCount]]:
-    """The parse stage's operation counts for *compiled*'s normalised
-    program, or None when that program is not the parse stage's."""
-    entry = _parse_cache.get((_source_sha(compiled.source.text), compiled.source.name))
-    if entry is None or entry.front.normalized.program is not compiled.normalized:
-        return None
-    return entry.op_counts
-
-
 def _plan_of(compiled, compile_key: str, options: Optional[InterpreterOptions],
              options_token: str | None) -> PricePlan:
     """The plan stage beneath price: one machine-free
@@ -457,7 +437,7 @@ def _plan_of(compiled, compile_key: str, options: Optional[InterpreterOptions],
             return cached
         _note("plan", hit=False)
     with obs.span("plan"):
-        plan = build_plan(compiled, options, op_counts=_op_counts_of(compiled))
+        plan = build_plan(compiled, options)
     if key is not None:
         _plan_cache.put(key, plan)
     return plan
