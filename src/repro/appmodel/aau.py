@@ -10,8 +10,11 @@ Each AAU carries:
 
 * its type (sequential, iterative, conditional, communication, reduction, ...),
 * the source line it abstracts (for the per-line output queries),
-* a reference to the SPMD node it was built from (the interpretation
-  functions read the details from there), and
+* a reference to the SPMD node it was built from,
+* its machine-free parameters (``params``), filled by the abstraction parse
+  (:func:`repro.interpreter.build_saag`): a leaf's interpretation function
+  and the data it prices, a serial DO loop's trip count, a conditional's
+  statically resolved branch; and
 * its children (the AAG is a rooted tree).
 
 Nothing in an AAU depends on the target machine.  Each interpretation
@@ -59,7 +62,7 @@ class AAU:
     line: int = 0
     children: list["AAU"] = field(default_factory=list)
     spmd_node: Any = None                 # the SPMD node this AAU abstracts (if any)
-    detail: dict[str, Any] = field(default_factory=dict)
+    params: Any = None                    # its machine-free parameters (if any)
     deterministic: bool = True            # IterD/CondtD vs IterND/CondtND
 
     def add(self, child: "AAU") -> "AAU":

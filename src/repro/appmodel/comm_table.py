@@ -36,7 +36,7 @@ class CommTableEntry:
         extra = f" op={self.reduce_op}" if self.reduce_op else ""
         axis = f" axis={self.axis}" if self.axis is not None else ""
         return (f"#{self.entry_id} AAU {self.aau_id} {self.kind}({self.array}){axis}"
-                f" offset={self.offset}{extra} [{size}]")
+                f" offset={self.offset:g}{extra} [{size}]")
 
 
 @dataclass

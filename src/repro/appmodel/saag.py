@@ -8,13 +8,14 @@ resulting structure is the Synchronized Application Abstraction Graph."*
 An edge connects the AAU that produces/holds data with the communication AAU
 that moves it (or connects two communication AAUs that must be ordered).  The
 SAAG also owns the communication table and the critical-variable report that
-the abstraction parse produces alongside it.
+the abstraction parse produces alongside it, and records what it was built
+from: the compiled program and the user-specified critical variables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from .aag import AAG
 from .aau import AAU
@@ -45,6 +46,8 @@ class SAAG:
     edges: list[SyncEdge] = field(default_factory=list)
     comm_table: CommunicationTable = field(default_factory=CommunicationTable)
     critical_variables: CriticalVariableReport = field(default_factory=CriticalVariableReport)
+    compiled: Any = None                  # the CompiledProgram it abstracts
+    overrides: dict[str, float] = field(default_factory=dict)
 
     # -- delegation to the AAG -------------------------------------------------
 
@@ -63,12 +66,6 @@ class SAAG:
 
     def by_type(self, aau_type) -> list[AAU]:
         return self.aag.by_type(aau_type)
-
-    # -- edges -----------------------------------------------------------------
-
-    def add_edge(self, edge: SyncEdge) -> SyncEdge:
-        self.edges.append(edge)
-        return edge
 
     def describe(self) -> str:
         lines = [self.aag.describe()]

@@ -193,7 +193,6 @@ class NodeDoWhile(SPMDNode):
 
     cond: ast.Expr = None  # type: ignore[assignment]
     body: list[SPMDNode] = field(default_factory=list)
-    estimated_trips: Optional[float] = None
     origin: Optional[ast.Stmt] = None
 
 

@@ -1,14 +1,10 @@
-"""Interpretation Engine: per-AAU interpretation functions + the recursive
-interpretation algorithm that predicts application performance from SAU
-parameters (Phase 2 of the framework)."""
+"""Interpretation Engine: the abstraction parse that builds the SAAG, the
+per-AAU interpretation functions, and the recursive interpretation
+algorithm that predicts application performance from SAU parameters
+(Phase 2 of the framework)."""
 
-from .engine import (
-    InterpretationResult,
-    PerformanceInterpreter,
-    PricePlan,
-    build_plan,
-    interpret,
-)
+from .abstraction import build_saag
+from .engine import InterpretationResult, PerformanceInterpreter, interpret
 from .expression_cost import (
     OpCount,
     count_assignment,
@@ -24,13 +20,11 @@ from .memory_model import (
     working_set_bytes,
 )
 from .metrics import AAUMetrics, Metrics, MetricsTable
-from .overlap import OverlapOptions, apply_overlap
 
 __all__ = [
+    "build_saag",
     "InterpretationResult",
     "PerformanceInterpreter",
-    "PricePlan",
-    "build_plan",
     "interpret",
     "OpCount",
     "count_assignment",
@@ -46,6 +40,4 @@ __all__ = [
     "AAUMetrics",
     "Metrics",
     "MetricsTable",
-    "OverlapOptions",
-    "apply_overlap",
 ]

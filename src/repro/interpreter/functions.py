@@ -6,16 +6,17 @@ performance in terms of parameters exported by the associated SAU."*
 Each function comes in two halves, split where the paper splits the
 abstraction parse from the interpretation parse:
 
-* a **planner** (``plan_*``) computes, once per
-  :class:`~repro.interpreter.engine.PricePlan`, what depends on neither the
-  machine nor the price: iteration counts, home formats, operation counts,
-  communication sizes.  It reads the compiled program through a
-  :class:`PlanContext`, and returns a ``(pricer, data)`` pair;
+* a **planner** (``plan_*``) computes, once per SAAG, what depends on
+  neither the machine nor the price: iteration counts, home formats,
+  operation counts, communication sizes.  It reads the compiled program
+  through a :class:`PlanContext`, and returns a ``(pricer, data)`` pair,
+  which the abstraction parse (:mod:`repro.interpreter.abstraction`) keeps
+  as the leaf AAU's ``params``;
 * the **pricer** (``price_*``) turns that data into the
   :class:`~repro.interpreter.metrics.Metrics` of **one execution** of the
   AAU with one machine's SAU parameters (an :class:`InterpretationContext`),
   in the order the quantities were always combined, so a planned price is
-  bit-identical to a single-pass one.  It writes nothing into the plan.
+  bit-identical to a single-pass one.  It writes nothing into the SAAG.
 
 The interpretation algorithm (in :mod:`repro.interpreter.engine`) handles
 loop trip counts, branches and accumulation into the SAAG-level cumulative
@@ -53,7 +54,6 @@ from .expression_cost import (
 )
 from .memory_model import MemoryModelOptions, estimate_hit_ratio, working_set_bytes
 from .metrics import Metrics
-from .overlap import OverlapOptions
 
 
 @dataclass
@@ -62,22 +62,22 @@ class InterpreterOptions:
 
     An unresolvable conditional weighs its branches by ``BRANCH_PROBABILITY``,
     and every program pays ``PROGRAM_STARTUP_US``, as in the simulator.
+    Only ``overrides`` enters the SAAG; the other fields are read when it
+    is priced.
     """
 
     overrides: dict[str, float] = field(default_factory=dict)   # critical variables
     mask_true_fraction: float = 1.0       # static assumption for masked foralls
     while_trip_estimate: float = 10.0     # for DO WHILE loops
     memory: MemoryModelOptions = field(default_factory=MemoryModelOptions)
-    overlap: OverlapOptions = field(default_factory=OverlapOptions)
 
 
 @dataclass
 class PlanContext:
-    """What the planners read: the compiled program, the options a plan is
-    built for, and the critical-variable environment (``eval``)."""
+    """What the planners read: the compiled program and the
+    critical-variable environment (``eval``)."""
 
     compiled: CompiledProgram
-    options: InterpreterOptions
     env: dict[str, float]
 
     @property
@@ -110,7 +110,8 @@ class InterpretationContext:
         self.communication = machine.communication
 
 
-#: what a planner returns: the pricer and the machine-free data it prices
+#: what a planner returns, a leaf AAU's ``params``: the pricer and the
+#: machine-free data it prices
 LeafPlan = tuple[Callable[[Any, InterpretationContext], Metrics], Any]
 
 
@@ -138,11 +139,6 @@ def _home_format(pc: PlanContext, array: str | None) -> tuple[int, str]:
     sym = pc.compiled.symtable.get(array)
     return dist.element_size, ("double" if sym is not None and sym.type_name == "double"
                                else "real")
-
-
-def price_nothing(_data: Any, ctx: InterpretationContext) -> Metrics:
-    """An AAU with no cost of its own (an empty branch)."""
-    return Metrics()
 
 
 def price_fixed_overhead(overhead: float, ctx: InterpretationContext) -> Metrics:
@@ -232,10 +228,9 @@ def price_owner_stmt(data: tuple[OpCount, list["CommSpecPlan"]],
 
 @dataclass(frozen=True)
 class CommSpecPlan:
-    """The machine-free sizes of one communication specification."""
+    """One communication specification and its machine-free sizes."""
 
-    kind: str
-    element_size: int
+    spec: CommSpec
     elements: float      # per processor
     nbytes: int          # per processor
     procs: int           # the ranks a collective spans
@@ -251,43 +246,43 @@ def plan_comm_spec(spec: CommSpec, pc: PlanContext) -> CommSpecPlan:
             procs = max(dist.axes[spec.axis].nprocs, 1)
     elif spec.kind in ("gather", "writeback"):
         procs = max(dist.nprocs if dist is not None else pc.nprocs, 1)
-    return CommSpecPlan(spec.kind, spec.element_size, elements,
-                        int(elements * spec.element_size), procs)
+    return CommSpecPlan(spec, elements, int(elements * spec.element_size), procs)
 
 
-def price_comm_spec(spec: CommSpecPlan, ctx: InterpretationContext) -> Metrics:
+def price_comm_spec(planned: CommSpecPlan, ctx: InterpretationContext) -> Metrics:
     """Cost of one communication specification, charged to the cube SAU."""
     comm = ctx.communication
     proc = ctx.processing
+    kind, element_size = planned.spec.kind, planned.spec.element_size
 
-    if spec.kind == "shift":
+    if kind == "shift":
         # the compiler emits shifts only along axes spread over several ranks
-        time = comm_models.shift_exchange_time(comm, spec.nbytes)
-        pack = spec.elements * 2 * proc.int_op_time
+        time = comm_models.shift_exchange_time(comm, planned.nbytes)
+        pack = planned.elements * 2 * proc.int_op_time
         return Metrics(communication=time, overhead=pack)
 
-    topology = ctx.machine.topology(spec.procs)
-    if spec.kind == "broadcast":
-        time = comm_models.broadcast_time(comm, max(spec.nbytes, spec.element_size),
-                                          spec.procs, topology=topology)
+    topology = ctx.machine.topology(planned.procs)
+    if kind == "broadcast":
+        time = comm_models.broadcast_time(comm, max(planned.nbytes, element_size),
+                                          planned.procs, topology=topology)
         return Metrics(communication=time)
 
-    if spec.kind == "reduce":
+    if kind == "reduce":
         time = comm_models.allreduce_time(
-            comm, spec.element_size, spec.procs,
+            comm, element_size, planned.procs,
             combine_time_per_stage=proc.flop_time_sp,
             topology=topology,
         )
         return Metrics(communication=time)
 
-    if spec.kind in ("gather", "writeback"):
-        time = comm_models.unstructured_gather_time(comm, spec.nbytes, spec.procs,
+    if kind in ("gather", "writeback"):
+        time = comm_models.unstructured_gather_time(comm, planned.nbytes, planned.procs,
                                                     topology=topology)
-        pack = spec.elements * 3 * proc.int_op_time
+        pack = planned.elements * 3 * proc.int_op_time
         return Metrics(communication=time, overhead=pack)
 
     # unknown pattern: charge a barrier as a safe over-approximation
-    return Metrics(communication=comm_models.barrier_time(comm, spec.procs,
+    return Metrics(communication=comm_models.barrier_time(comm, planned.procs,
                                                           topology=topology))
 
 
@@ -304,27 +299,25 @@ def price_comm_phase(specs: list[CommSpecPlan], ctx: InterpretationContext) -> M
 
 
 def plan_shift(node: ShiftNode, pc: PlanContext) -> LeafPlan:
-    """Comm AAU produced by a cshift/tshift/eoshift library call."""
+    """Comm AAU produced by a cshift/tshift/eoshift library call: every rank
+    copies its block, and exchanges a boundary slab of *offset* planes when
+    the shifted axis is spread over several ranks."""
     dist = pc.compiled.mapping.distribution_of(node.source)
     if dist is None:
         return price_call, None
 
-    boundary = 1.0
-    procs_along = 1
-    offset = abs(pc.eval(node.offset_expr, 1.0) or 1.0)
-    for axis_no, axis in enumerate(dist.axes):
-        if axis_no == node.axis:
-            procs_along = axis.nprocs
-            boundary *= min(offset, axis.avg_local_count()) or 1.0
-        else:
-            boundary *= max(axis.avg_local_count(), 1.0)
-    exchange_bytes = int(boundary * dist.element_size) if procs_along > 1 else None
-    return price_shift, (dist.avg_local_size(), boundary, exchange_bytes)
+    exchange = None
+    if node.axis < len(dist.axes) and dist.axes[node.axis].nprocs > 1:
+        offset = abs(pc.eval(node.offset_expr, 1.0) or 1.0)
+        exchange = plan_comm_spec(
+            CommSpec("shift", node.source, node.axis, offset=offset,
+                     element_size=dist.element_size, line=node.line), pc)
+    return price_shift, (dist.avg_local_size(), exchange)
 
 
-def price_shift(data: tuple[float, float, Optional[int]],
+def price_shift(data: tuple[float, Optional[CommSpecPlan]],
                 ctx: InterpretationContext) -> Metrics:
-    local_elements, boundary, exchange_bytes = data
+    local_elements, exchange = data
     proc = ctx.processing
     # Every rank copies its block at the single-precision rate, whatever the
     # array's type, as the pinned predictions do: no machine annotation ever
@@ -332,13 +325,13 @@ def price_shift(data: tuple[float, float, Optional[int]],
     # rate is a cost-model change.
     copy = local_elements * (proc.assignment_overhead + proc.flop_time("real"))
     communication = 0.0
-    if exchange_bytes is not None:
-        exchange = comm_models.shift_exchange_time(ctx.communication, exchange_bytes)
-        pack = boundary * proc.int_op_time * 2.0
-        # (copy + exchange + pack) - copy, not exchange + pack: the two round
+    if exchange is not None:
+        time = comm_models.shift_exchange_time(ctx.communication, exchange.nbytes)
+        pack = exchange.elements * proc.int_op_time * 2.0
+        # (copy + time + pack) - copy, not time + pack: the two round
         # differently, and the shorter form moves finance's predictions in
         # the last bits.
-        communication = copy + exchange + pack - copy
+        communication = copy + time + pack - copy
     return Metrics(computation=copy, communication=communication)
 
 
@@ -511,24 +504,3 @@ def price_loop_nest(nest: LocalSweep, ctx: InterpretationContext) -> Metrics:
 
     return Metrics(computation=compute, overhead=overhead,
                    balanced_computation=nest.mean_iterations * per_iteration)
-
-
-# dispatch used by the plan builder ------------------------------------------------
-
-def plan_leaf(node: Any, pc: PlanContext) -> LeafPlan:
-    """Dispatch on a leaf AAU's SPMD node type: its pricer and planned data."""
-    if isinstance(node, SeqOverhead):
-        return plan_seq_overhead(node, pc)
-    if isinstance(node, CommPhase):
-        return plan_comm_phase(node, pc)
-    if isinstance(node, LocalLoopNest):
-        return plan_loop_nest(node, pc)
-    if isinstance(node, ReductionNode):
-        return plan_reduction(node, pc)
-    if isinstance(node, ShiftNode):
-        return plan_shift(node, pc)
-    if isinstance(node, OwnerStmt):
-        return plan_owner_stmt(node, pc)
-    if isinstance(node, SerialStmt):
-        return plan_serial_stmt(node, pc)
-    return price_nothing, None

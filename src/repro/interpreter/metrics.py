@@ -77,15 +77,6 @@ class Metrics:
         return Metrics(self.computation, self.communication, self.overhead,
                        balanced_computation=self.balanced_computation)
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "computation": self.computation,
-            "communication": self.communication,
-            "overhead": self.overhead,
-            "total": self.total,
-            "imbalance": self.imbalance,
-        }
-
     def describe(self, unit: str = "us") -> str:
         scale = {"us": 1.0, "ms": 1e-3, "s": 1e-6}[unit]
         return (

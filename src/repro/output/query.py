@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..appmodel.aau import AAU, AAUType
+from ..appmodel.aau import AAU
 from ..interpreter.engine import InterpretationResult
 from ..interpreter.metrics import Metrics
 from ..simulator.runtime import SimulationResult
@@ -94,14 +94,3 @@ class QueryInterface:
             key=lambda kv: kv[1],
         )
         return best[0]
-
-    def comm_heavy_aaus(self, threshold: float = 0.5) -> list[AAU]:
-        """AAUs whose communication share exceeds *threshold* of their total."""
-        out = []
-        for aau in self.result.saag.walk():
-            if aau.type not in (AAUType.COMM, AAUType.SYNC):
-                continue
-            metrics = self.result.metrics_for(aau.id)
-            if metrics.total > 0 and metrics.communication / metrics.total >= threshold:
-                out.append(aau)
-        return out

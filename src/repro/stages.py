@@ -11,15 +11,15 @@ stages, plus the simulator's *dataplane* stage.
    program (the app model).  Depends on the program text, process count,
    grid layout and parameter overrides — and on *nothing about the target
    machine*.
-3. **plan** — the abstraction parse (SAAG, communication table, critical
-   variables) and every AAU's machine-free quantities: iteration counts,
-   operation counts, communication sizes, trip counts, static branches
-   (:class:`~repro.interpreter.PricePlan`).  Depends on the compile
-   stage's output and the interpreter options, and on nothing about the
-   machine.
-4. **price** — walk that plan with one machine's SAG/SAU parameter set and
+3. **plan** — the abstraction parse (:func:`~repro.interpreter.build_saag`):
+   the SAAG, each AAU built with its machine-free parameters (iteration
+   counts, operation counts, communication sizes, trip counts, static
+   branches), the communication table and the critical variables.
+   Depends on the compile stage's output and the interpreter options, and
+   on nothing about the machine.
+4. **price** — walk that SAAG with one machine's SAG/SAU parameter set and
    the analytic communication models (the interpretation parse).  Depends
-   on the plan plus the machine.
+   on the SAAG plus the machine.
 
 This module puts each stage behind its own **independent, explicitly keyed
 cache** so hot program ASTs/app models are built once and shared across
@@ -27,10 +27,10 @@ sizes, process counts, machines and requests: a sweep over problem sizes
 and process counts parses (and normalises) each program once and compiles
 each (size, nprocs) cell once, a cross-machine sweep (or a prediction
 server fielding the same program against many targets) pays one compile,
-one plan and N prices, and repeated identical predictions pay nothing at
+one SAAG and N prices, and repeated identical predictions pay nothing at
 all.  Every compile shares its parse stage's
 :class:`~repro.frontend.SourceFile`, program AST and compile front, and
-every price shares its plan; the consumers only read them.
+every price shares its SAAG; the consumers only read them.
 
 ``measure()`` adds a fifth: the **dataplane** stage holds each program's
 data-plane tape (:mod:`repro.simulator.dataplane`) — every answer the
@@ -65,7 +65,7 @@ Example:
     >>> b = repro.predict(src, nprocs=2, machine="paragon")   # price only
     >>> a.compiled is b.compiled                          # shared app model
     True
-    >>> a.saag is b.saag                                  # shared plan
+    >>> a.saag is b.saag                                  # shared SAAG
     True
     >>> c = repro.predict(src, nprocs=4)                  # compile + plan + price
     >>> c.compiled.program is a.compiled.program          # shared AST
@@ -94,13 +94,14 @@ from .compiler import pipeline
 from .compiler.pipeline import CompileFront, CompileOptions
 from .frontend import SourceFile
 from .frontend.ast_nodes import Program
-from .interpreter import InterpreterOptions, PricePlan, build_plan, interpret
+from .appmodel import SAAG
+from .interpreter import InterpreterOptions, build_saag, interpret
 from .system.machine import Machine
 
 #: Bounded sizes of the stage caches.  Parsed programs are few (one per
 #: distinct source) and shared by every compile of that source; compiled
 #: programs are the heavy objects (SPMD trees), and each has about one
-#: price plan (its SAAG and planned AAUs); priced estimates are small
+#: SAAG (its AAUs with their planned parameters); priced estimates are small
 #: result records; a data-plane tape is one per (source, parameters) and
 #: at most ``repro.simulator.dataplane.TAPE_BYTE_CAP`` bytes.
 PARSE_CACHE_SIZE = 64
@@ -421,13 +422,13 @@ def compile_cached(source: str, *, name: str = "<string>", nprocs: int,
     return compiled
 
 
-def _plan_of(compiled, compile_key: str, options: Optional[InterpreterOptions],
-             options_token: str | None) -> PricePlan:
-    """The plan stage beneath price: one machine-free
-    :class:`~repro.interpreter.PricePlan` per (compile key, options token).
+def _saag_of(compiled, compile_key: str, options: Optional[InterpreterOptions],
+             options_token: str | None) -> SAAG:
+    """The plan stage beneath price: one machine-free SAAG
+    (:func:`~repro.interpreter.build_saag`) per (compile key, options token).
 
-    Options without a token get a plan of their own, as they get no price
-    entry.  A cached plan of an evicted and recompiled program is rebuilt.
+    Options without a token get a SAAG of their own, as they get no price
+    entry.  A cached SAAG of an evicted and recompiled program is rebuilt.
     """
     key = (compile_key, options_token) if options_token is not None else None
     if key is not None:
@@ -437,10 +438,10 @@ def _plan_of(compiled, compile_key: str, options: Optional[InterpreterOptions],
             return cached
         _note("plan", hit=False)
     with obs.span("plan"):
-        plan = build_plan(compiled, options)
+        saag = build_saag(compiled, options)
     if key is not None:
-        _plan_cache.put(key, plan)
-    return plan
+        _plan_cache.put(key, saag)
+    return saag
 
 
 def price_cached(compiled, machine: Machine, *, compile_key: str,
@@ -449,13 +450,13 @@ def price_cached(compiled, machine: Machine, *, compile_key: str,
                  pricer: Callable | None = None):
     """The price stage, memoised per (compile key, machine, options).
 
-    A miss prices the plan stage's machine-free plan of (compile key,
+    A miss prices the plan stage's machine-free SAAG of (compile key,
     options) through :func:`repro.interpreter.interpret`, so a program
-    priced on several machines is planned once.  ``cacheable=False`` (e.g.
-    a caller-built :class:`Machine` instance that may not match its
+    priced on several machines is abstracted once.  ``cacheable=False``
+    (e.g. a caller-built :class:`Machine` instance that may not match its
     registry namesake) bypasses the price cache but keeps the one code
-    path; the plan, which no machine enters, is still shared.  ``pricer``
-    overrides the planned ``interpret`` call with a
+    path; the SAAG, which no machine enters, is still shared.  ``pricer``
+    overrides the ``interpret`` call with a
     ``pricer(compiled, machine, options=)`` (tests).
     """
     options_token = options_stage_token(options)
@@ -471,8 +472,8 @@ def price_cached(compiled, machine: Machine, *, compile_key: str,
         if pricer is not None:
             result = pricer(compiled, machine, options=options)
         else:
-            plan = _plan_of(compiled, compile_key, options, options_token)
-            result = interpret(compiled, machine, options=options, plan=plan)
+            saag = _saag_of(compiled, compile_key, options, options_token)
+            result = interpret(compiled, machine, options=options, saag=saag)
     if key is not None:
         _price_cache.put(key, result)
     return result

@@ -21,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..appmodel import AAUType, build_saag
+from ..appmodel import AAUType
 from ..compiler import CommPhase, LocalLoopNest, SeqOverhead, compile_source
 from ..compiler.pipeline import CompiledProgram
 from ..explore import Campaign, CampaignRun, ProgramSpec, ResultStore, ScenarioSpace
+from ..interpreter import build_saag
 
 FORALL_EXAMPLE_SOURCE = """
       program figure2

@@ -1,4 +1,5 @@
-"""Tests for the Application Module: AAU/AAG/SAAG, comm table, critical variables."""
+"""Tests for the Application Module: AAU/AAG/SAAG, comm table, critical
+variables, as the abstraction parse builds them."""
 
 import copy
 
@@ -6,44 +7,42 @@ import pytest
 
 from repro.appmodel import (
     AAUType,
-    build_aag,
-    build_saag,
     identify_critical_variables,
     resolve_critical_variables,
 )
 from repro.compiler import compile_source
-from repro.compiler.spmd import SPMDNode
+from repro.compiler.spmd import NodeDo, SPMDNode
 from repro.frontend.parser import parse_source
 from repro.frontend.symbols import SymbolTable
-from repro.interpreter import build_plan, interpret
+from repro.interpreter import build_saag, interpret
 from repro.system import get_machine, machine_names
 
 
 class TestAAGConstruction:
     def test_root_is_program_seq(self, laplace_compiled):
-        aag = build_aag(laplace_compiled)
+        aag = build_saag(laplace_compiled).aag
         assert aag.root.type is AAUType.SEQ
         assert "laplace" in aag.root.name
 
     def test_aau_ids_are_unique(self, laplace_compiled):
-        aag = build_aag(laplace_compiled)
+        aag = build_saag(laplace_compiled).aag
         ids = [aau.id for aau in aag.walk()]
         assert len(ids) == len(set(ids))
 
     def test_forall_becomes_iter_aau(self, laplace_compiled):
-        aag = build_aag(laplace_compiled)
+        aag = build_saag(laplace_compiled).aag
         iters = aag.by_type(AAUType.ITER)
         assert len(iters) >= 4
 
     def test_comm_phase_becomes_comm_aau(self, laplace_compiled):
-        aag = build_aag(laplace_compiled)
+        aag = build_saag(laplace_compiled).aag
         assert aag.by_type(AAUType.COMM)
 
     def test_reduction_becomes_reduce_aau(self, reduction_compiled):
-        aag = build_aag(reduction_compiled)
+        aag = build_saag(reduction_compiled).aag
         reduces = aag.by_type(AAUType.REDUCE)
         assert len(reduces) == 1
-        assert reduces[0].detail["op"] == "sum"
+        assert reduces[0].spmd_node.op == "sum"
 
     def test_masked_forall_gets_condtd_child(self):
         cp = compile_source(
@@ -53,23 +52,23 @@ class TestAAGConstruction:
             "!HPF$ DISTRIBUTE tt(BLOCK) ONTO p\n"
             "      forall (i = 1:16, b(i) > 0.0) a(i) = 1.0 / b(i)\n      end\n",
             nprocs=4)
-        aag = build_aag(cp)
+        aag = build_saag(cp).aag
         iters = aag.by_type(AAUType.ITER)
-        masked = [a for a in iters if a.detail.get("masked")]
+        masked = [a for a in iters if getattr(a.spmd_node, "mask", None) is not None]
         assert masked
         assert any(child.type is AAUType.COND for child in masked[0].children)
 
     def test_serial_do_nests_children(self, laplace_compiled):
-        aag = build_aag(laplace_compiled)
+        aag = build_saag(laplace_compiled).aag
         serial_loops = [a for a in aag.by_type(AAUType.ITER)
-                        if a.detail.get("serial_loop")]
+                        if isinstance(a.spmd_node, NodeDo)]
         assert serial_loops
         assert serial_loops[0].children
 
     def test_line_index(self, laplace_compiled):
-        aag = build_aag(laplace_compiled)
+        aag = build_saag(laplace_compiled).aag
         stencil_line = next(a.line for a in aag.by_type(AAUType.ITER)
-                            if a.detail.get("home_array") == "unew")
+                            if getattr(a.spmd_node, "home_array", None) == "unew")
         assert aag.at_line(stencil_line)
 
     def test_type_short_names(self):
@@ -78,7 +77,7 @@ class TestAAGConstruction:
         assert AAUType.COMM.short() == "Comm"
 
     def test_describe_is_printable(self, laplace_compiled):
-        aag = build_aag(laplace_compiled)
+        aag = build_saag(laplace_compiled).aag
         text = aag.describe()
         assert "AAG" in text and "IterD" in text
 
@@ -86,7 +85,7 @@ class TestAAGConstruction:
         compiled = compile_source(laplace_source, name="laplace", nprocs=4)
         compiled.spmd.nodes.append(SPMDNode(line=1))
         with pytest.raises(TypeError, match="cannot abstract SPMD node SPMDNode"):
-            build_aag(compiled)
+            build_saag(compiled)
 
 
 class TestSAAG:
@@ -188,23 +187,23 @@ class TestSAAGIsMachineFree:
     built from a compiled program prices every machine."""
 
     def test_one_saag_prices_every_machine(self, laplace_compiled):
-        plan = build_plan(laplace_compiled)
+        saag = build_saag(laplace_compiled)
         for name in machine_names():
             machine = get_machine(name, nprocs=4)
-            shared = interpret(laplace_compiled, machine, plan=plan)
-            assert shared.saag is plan.saag, name
+            shared = interpret(laplace_compiled, machine, saag=saag)
+            assert shared.saag is saag, name
             fresh = interpret(laplace_compiled, machine)
             assert shared.line_breakdown() == fresh.line_breakdown(), name
 
-    def test_pricing_leaves_the_aau_details_unchanged(self, laplace_compiled):
-        plan = build_plan(laplace_compiled)
-        saag = plan.saag
-        before = {aau.id: copy.deepcopy(aau.detail) for aau in saag.walk()}
+    def test_pricing_leaves_the_aau_params_unchanged(self, laplace_compiled):
+        saag = build_saag(laplace_compiled)
+        before = {aau.id: copy.deepcopy(aau.params) for aau in saag.walk()}
+        assert any(params is not None for params in before.values())
         entries = copy.deepcopy(saag.comm_table.entries)
         assert entries
         for name in ("ipsc860", "paragon"):
-            interpret(laplace_compiled, get_machine(name, nprocs=4), plan=plan)
-        assert {aau.id: aau.detail for aau in saag.walk()} == before
+            interpret(laplace_compiled, get_machine(name, nprocs=4), saag=saag)
+        assert {aau.id: aau.params for aau in saag.walk()} == before
         assert saag.comm_table.entries == entries
 
 

@@ -1,5 +1,5 @@
 """Tests for the interpretation engine: expression costs, memory model,
-metrics, the interpretation algorithm's behaviour and its price plans."""
+metrics, the interpretation algorithm's behaviour and the SAAGs it prices."""
 
 import pickle
 import sys
@@ -10,14 +10,14 @@ import pytest
 
 import repro
 from repro.compiler import OptimizationOptions, compile_source
+from repro.compiler.spmd import NodeDo
 from repro.frontend.parser import parse_expression, parse_source
 from repro.interpreter import (
+    InterpretationContext,
     InterpreterOptions,
     MemoryModelOptions,
     Metrics,
-    OverlapOptions,
-    apply_overlap,
-    build_plan,
+    build_saag,
     count_assignment,
     count_expr,
     estimate_hit_ratio,
@@ -25,6 +25,12 @@ from repro.interpreter import (
     iteration_time,
     streaming_miss_ratio,
     working_set_bytes,
+)
+from repro.interpreter.functions import (
+    price_comm_phase,
+    price_comm_spec,
+    price_owner_stmt,
+    price_shift,
 )
 from repro.suite import get_entry
 from repro.system import HypercubeTopology, allreduce_time, get_machine, ipsc860
@@ -124,29 +130,14 @@ class TestMemoryModel:
         assert streaming_miss_ratio(4, self.MEM, stride1=False) == 1.0
 
 
-class TestMetricsAndOverlap:
+class TestMetrics:
     def test_metrics_arithmetic(self):
         a = Metrics(computation=10, communication=5, overhead=1)
         b = Metrics(computation=2, communication=3, overhead=4)
         total = a + b
         assert total.total == 25
         assert a.scaled(2.0).computation == 20
-        assert a.as_dict()["total"] == 16
-
-    def test_overlap_disabled_is_identity(self):
-        comm = Metrics(communication=100.0)
-        result = apply_overlap(comm, 1000.0, OverlapOptions(enabled=False))
-        assert result.communication == 100.0
-
-    def test_overlap_hides_fraction(self):
-        comm = Metrics(communication=100.0)
-        result = apply_overlap(comm, 1000.0, OverlapOptions(enabled=True, fraction=0.3))
-        assert result.communication == pytest.approx(70.0)
-
-    def test_overlap_limited_by_adjacent_computation(self):
-        comm = Metrics(communication=100.0)
-        result = apply_overlap(comm, 10.0, OverlapOptions(enabled=True, fraction=0.9))
-        assert result.communication == pytest.approx(90.0)
+        assert a.total == 16
 
 
 class TestInterpretationEngine:
@@ -198,17 +189,79 @@ class TestInterpretationEngine:
 
     def test_breakdown_by_type(self, laplace_compiled, machine4):
         result = interpret(laplace_compiled, machine4)
-        by_type = result.breakdown_by_type()
-        assert "IterD" in by_type and by_type["IterD"].computation > 0
-        assert "Comm" in by_type and by_type["Comm"].communication > 0
+        by_type = {}
+        for aau in result.saag.walk():
+            by_type[aau.type_name] = by_type.get(aau.type_name, Metrics()) \
+                + result.metrics_for(aau.id)
+        assert by_type["IterD"].computation > 0
+        assert by_type["Comm"].communication > 0
 
     def test_every_comm_table_entry_is_priced(self, laplace_compiled, machine4):
         # pricing writes nothing into the machine-free communication table:
         # an entry's estimate is its AAU's communication in the result
         result = interpret(laplace_compiled, machine4)
         assert len(result.saag.comm_table) >= 2
-        for entry in result.saag.comm_table:
-            assert result.metrics_for(entry.aau_id).communication > 0, entry.describe()
+        finance, options = _suite_point("finance", 1)     # a cshift on one rank
+        for result in (result, interpret(finance, ipsc860(1), options=options)):
+            for entry in result.saag.comm_table:
+                assert result.metrics_for(entry.aau_id).communication > 0, \
+                    entry.describe()
+
+    SHIFT3 = """      program s
+      real :: a(64), b(64)
+!HPF$ PROCESSORS p({nprocs})
+!HPF$ DISTRIBUTE a(BLOCK) ONTO p
+!HPF$ ALIGN b(i) WITH a(i)
+      a = 1.0
+      b = cshift(a, 3)
+      print *, b(1)
+      end program s
+"""
+
+    OWNER = """      program owner
+      real :: x(64)
+!HPF$ PROCESSORS p(4)
+!HPF$ DISTRIBUTE x(BLOCK) ONTO p
+      x = 1.0
+      x(3) = x(40) + 5.0
+      print *, x(3)
+      end program owner
+"""
+
+    @pytest.mark.parametrize("source,nprocs", [
+        (SHIFT3.format(nprocs=4), 4), (SHIFT3.format(nprocs=1), 1), (OWNER, 4),
+        ("finance", 1), ("finance", 4), ("laplace_block_block", 4), ("pbs4", 8)],
+        ids=["cshift3-p4", "cshift3-p1", "owner-p4", "finance-p1", "finance-p4",
+             "laplace-p4", "pbs4-p8"])
+    def test_every_priced_spec_has_one_entry_of_its_size(self, source, nprocs):
+        if source.startswith("      program"):
+            compiled, options = compile_source(source, nprocs=nprocs), InterpreterOptions()
+        else:
+            compiled, options = _suite_point(source, nprocs)
+        machine = ipsc860(nprocs)
+        result = interpret(compiled, machine, options=options)
+        ctx = InterpretationContext(machine, options, nprocs)
+        priced = []
+        for aau in result.saag.walk():
+            price, data = aau.params if isinstance(aau.params, tuple) else (None, None)
+            if price is price_comm_phase:
+                specs = data
+            elif price is price_owner_stmt:
+                specs = data[1]
+            elif price is price_shift:
+                specs = [data[1]] if data[1] else []
+            else:
+                continue
+            for spec in specs:
+                if price_comm_spec(spec, ctx).communication > 0:
+                    priced.append((aau.id, spec.spec.kind, spec.nbytes))
+        entries = [(e.aau_id, e.kind, e.bytes_per_proc) for e in result.saag.comm_table]
+        assert sorted(entries) == sorted(priced)
+        if source == self.SHIFT3.format(nprocs=4):
+            # a three-element boundary slab of 4-byte reals
+            assert entries == [(entries[0][0], "shift", 12)]
+        if source == self.OWNER:
+            assert result.per_line(6).communication > 0 and len(entries) == 1
 
     def test_branch_resolution_static(self, machine4):
         cp = compile_source(
@@ -241,36 +294,22 @@ class TestInterpretationEngine:
         half_true = interpret(cp, machine4, options=InterpreterOptions(mask_true_fraction=0.5))
         assert all_true.predicted_time_us > half_true.predicted_time_us
 
-    def test_overlap_option_reduces_communication(self, laplace_compiled, machine4):
-        plain = interpret(laplace_compiled, machine4)
-        overlapped = interpret(
-            laplace_compiled, machine4,
-            options=InterpreterOptions(overlap=OverlapOptions(enabled=True, fraction=0.5)))
-        assert overlapped.total.communication <= plain.total.communication
-
     def test_subtree_metrics_query(self, laplace_compiled, machine4):
         result = interpret(laplace_compiled, machine4)
         loop_aau = next(a for a in result.saag.walk()
-                        if a.detail.get("serial_loop"))
+                        if isinstance(a.spmd_node, NodeDo))
         subtree = result.subtree_metrics(loop_aau)
         assert 0 < subtree.total <= result.predicted_time_us
-
-    def test_top_aaus_sorted(self, laplace_compiled, machine4):
-        result = interpret(laplace_compiled, machine4)
-        top = result.top_aaus(5)
-        totals = [metrics.total for _, metrics in top]
-        assert totals == sorted(totals, reverse=True)
 
     def test_wall_clock_recorded(self, laplace_compiled, machine4):
         result = interpret(laplace_compiled, machine4)
         assert result.wall_clock_seconds > 0
 
-    def test_wall_clock_counts_planning_but_not_the_saag(self, laplace_compiled,
-                                                         machine4, monkeypatch):
-        """The interpretation parse is planning plus pricing, as it was one
-        walk before plans: a slow planner shows in ``wall_clock_seconds``,
-        a slow abstraction parse does not, and a prebuilt plan's price
-        counts neither."""
+    def test_wall_clock_counts_the_abstraction_parse_it_runs(self, laplace_compiled,
+                                                             machine4, monkeypatch):
+        """``wall_clock_seconds`` covers the abstraction parse and the
+        pricing when ``interpret`` builds the SAAG, and only the pricing of
+        a prebuilt SAAG."""
         from repro.interpreter import engine
 
         def slowed(function, seconds):
@@ -279,11 +318,19 @@ class TestInterpretationEngine:
                 return function(*args, **kwargs)
             return slow
 
-        monkeypatch.setattr(engine, "build_saag", slowed(engine.build_saag, 0.5))
-        monkeypatch.setattr(engine, "_plan_saag", slowed(engine._plan_saag, 0.05))
-        assert 0.05 <= interpret(laplace_compiled, machine4).wall_clock_seconds < 0.5
-        plan = build_plan(laplace_compiled)
-        assert interpret(laplace_compiled, machine4, plan=plan).wall_clock_seconds < 0.05
+        saag = build_saag(laplace_compiled)
+        monkeypatch.setattr(engine, "build_saag", slowed(engine.build_saag, 0.05))
+        assert interpret(laplace_compiled, machine4).wall_clock_seconds >= 0.05
+        assert interpret(laplace_compiled, machine4, saag=saag).wall_clock_seconds < 0.05
+
+
+def _suite_point(key: str, nprocs: int):
+    """A suite app compiled at its first size, and its interpreter options."""
+    entry = get_entry(key)
+    size = entry.sizes[0]
+    return (compile_source(entry.source, name=key, nprocs=nprocs,
+                           params=entry.params_for(size)),
+            entry.interpreter_options(size))
 
 
 def _exact(result) -> tuple:
@@ -296,8 +343,8 @@ def _exact(result) -> tuple:
                    for line, m in result.line_breakdown().items()))
 
 
-class TestPricePlan:
-    """One machine-free plan per (compiled program, options) prices every
+class TestSAAGPricing:
+    """One machine-free SAAG per (compiled program, options) prices every
     machine exactly as a fresh interpretation does, and pricing only reads
     it."""
 
@@ -311,59 +358,74 @@ class TestPricePlan:
                                params=entry.params_for(size)),
                 entry.interpreter_options(size))
 
-    def test_one_plan_prices_every_machine_exactly(self, laplace_compiled, nbody):
+    def test_one_saag_prices_every_machine_exactly(self, laplace_compiled, nbody):
         for compiled, options in ((laplace_compiled, None), nbody):
-            plan = build_plan(compiled, options)
+            saag = build_saag(compiled, options)
             for name in self.MACHINES:
                 machine = get_machine(name, compiled.nprocs)
-                shared = interpret(compiled, machine, options=options, plan=plan)
-                assert shared.saag is plan.saag
+                shared = interpret(compiled, machine, options=options, saag=saag)
+                assert shared.saag is saag
                 assert _exact(shared) == _exact(
                     interpret(compiled, machine, options=options)), name
 
-    def test_pricing_writes_nothing_into_the_plan(self, nbody):
+    def test_pricing_writes_nothing_into_the_saag(self, nbody):
         compiled, options = nbody
-        plan = build_plan(compiled, options)
-        before = pickle.dumps((plan.steps, plan.saag))
+        saag = build_saag(compiled, options)
+        before = pickle.dumps(saag)
         for name in self.MACHINES:
-            interpret(compiled, get_machine(name, 4), options=options, plan=plan)
-        assert pickle.dumps((plan.steps, plan.saag)) == before
+            interpret(compiled, get_machine(name, 4), options=options, saag=saag)
+        assert pickle.dumps(saag) == before
 
-    def test_a_plan_serves_only_its_program_and_options(self, laplace_compiled,
-                                                        stencil_compiled):
-        plan = build_plan(laplace_compiled, InterpreterOptions(overrides={"maxiter": 3}))
+    def test_a_saag_serves_only_its_program_and_overrides(self, laplace_compiled,
+                                                          stencil_compiled):
+        saag = build_saag(laplace_compiled, InterpreterOptions(overrides={"maxiter": 3}))
         machine = ipsc860(4)
-        for options in (None, InterpreterOptions(overrides={"maxiter": 4}),
-                        InterpreterOptions(overrides={"maxiter": 3},
-                                           while_trip_estimate=2.0)):
+        for options in (None, InterpreterOptions(overrides={"maxiter": 4})):
             with pytest.raises(ValueError, match="other interpreter options"):
-                interpret(laplace_compiled, machine, options=options, plan=plan)
+                interpret(laplace_compiled, machine, options=options, saag=saag)
         with pytest.raises(ValueError, match="another compiled program"):
             interpret(stencil_compiled, machine,
-                      options=InterpreterOptions(overrides={"maxiter": 3}), plan=plan)
+                      options=InterpreterOptions(overrides={"maxiter": 3}), saag=saag)
         # price-time fields are read from the price's own options
         priced = InterpreterOptions(overrides={"maxiter": 3}, mask_true_fraction=0.5,
-                                    overlap=OverlapOptions(enabled=True))
+                                    while_trip_estimate=2.0)
         assert _exact(interpret(laplace_compiled, machine, options=priced,
-                                plan=plan)) \
+                                saag=saag)) \
             == _exact(interpret(laplace_compiled, machine, options=priced))
 
-    def test_a_plan_keeps_its_own_copy_of_the_options(self, laplace_compiled):
+    def test_one_saag_prices_every_while_trip_estimate(self):
+        entry = get_entry("lfk2")
+        size = entry.sizes[0]
+        compiled = compile_source(entry.source, name=entry.key, nprocs=4,
+                                  params=entry.params_for(size))
+        hinted = entry.interpreter_options(size)
+        saag = build_saag(compiled, hinted)
+        machine = ipsc860(4)
+        prices = []
+        for trips in (hinted.while_trip_estimate, 2.0 * hinted.while_trip_estimate):
+            options = InterpreterOptions(overrides=dict(hinted.overrides),
+                                         while_trip_estimate=trips)
+            shared = _exact(interpret(compiled, machine, options=options, saag=saag))
+            assert shared == _exact(interpret(compiled, machine, options=options))
+            prices.append(shared[0])
+        assert prices[1] > prices[0]
+
+    def test_a_saag_keeps_its_own_copy_of_the_overrides(self, laplace_compiled):
         options = InterpreterOptions(overrides={"maxiter": 3})
-        plan = build_plan(laplace_compiled, options)
+        saag = build_saag(laplace_compiled, options)
         options.overrides["maxiter"] = 5
         with pytest.raises(ValueError):
-            interpret(laplace_compiled, ipsc860(4), options=options, plan=plan)
+            interpret(laplace_compiled, ipsc860(4), options=options, saag=saag)
         interpret(laplace_compiled, ipsc860(4),
-                  options=InterpreterOptions(overrides={"maxiter": 3}), plan=plan)
+                  options=InterpreterOptions(overrides={"maxiter": 3}), saag=saag)
 
-    def test_threads_pricing_one_plan_get_the_serial_results(self, nbody):
+    def test_threads_pricing_one_saag_get_the_serial_results(self, nbody):
         compiled, options = nbody
-        plan = build_plan(compiled, options)
+        saag = build_saag(compiled, options)
         machines = [get_machine(name, 4) for name in ("ipsc860", "paragon")]
 
         def price(machine):
-            return _exact(interpret(compiled, machine, options=options, plan=plan))
+            return _exact(interpret(compiled, machine, options=options, saag=saag))
 
         serial = [price(m) for m in machines]
         interval = sys.getswitchinterval()

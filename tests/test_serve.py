@@ -696,7 +696,7 @@ class TestOptionsTokenCanonicalisation:
                                while_trip_estimate=7.0)
         token = stages.options_stage_token(a)
         assert token is not None and token == stages.options_stage_token(b)
-        # the nested memory/overlap dataclasses are part of the token
+        # the nested memory dataclass is part of the token
         assert "page_size" in token or "memory" in token
         assert stages.options_stage_token(InterpreterOptions()) != token
         # equal-by-value options are one price-cache entry
