@@ -120,7 +120,8 @@ class _Walk:
              comms: Sequence[CommSpecPlan] = ()) -> AAU:
         """A leaf AAU priced by *plan*.  Each of *comms*, the communications
         its pricer charges, gets a table entry of its planned size, unless
-        it spans one rank, where every collective model charges nothing."""
+        it spans one rank: every collective model charges nothing there,
+        and no shift is planned there."""
         aau = self.new(kind, name, node.line, node, plan)
         for comm in comms:
             if comm.procs > 1:
@@ -155,7 +156,8 @@ class _Walk:
 
         if isinstance(node, ShiftNode):
             plan = plan_shift(node, pc)
-            exchange = plan[1] and plan[1][1]
+            data = plan[1]          # None for a source with no distribution
+            exchange = data[1] if data else None
             return self.leaf(AAUType.COMM, node.label or f"cshift({node.source})", node,
                              plan, [exchange] if exchange else [])
 
